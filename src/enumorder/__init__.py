@@ -8,7 +8,6 @@ underlying order-theoretic claims exhaustively at small sizes.
 
 from .algebra import (
     Chain,
-    ListingTransformer,
     chain_stabilize,
     inverse_lookup,
     make_strict_chain,
@@ -54,7 +53,6 @@ __all__ = [
     "Enumerator",
     "HaltingModel",
     "InversePositionReport",
-    "ListingTransformer",
     "Membership",
     "MembershipReport",
     "PairedListings",

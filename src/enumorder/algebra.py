@@ -5,30 +5,10 @@ equivalent pair, and repeat detection in descending reducibility chains.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Optional, Tuple
 
 from .errors import ChainInvariantViolated, LengthMismatch, ValueAbsent, ValueSetMismatch
 from .prefixes import PrefixListing, leq_eo
-
-
-@dataclass(frozen=True)
-class ListingTransformer:
-    """A map between prefixes with declared source and target value sets.
-
-    The map must preserve length and emit values from the target set only.
-    """
-
-    source_values: frozenset
-    target_values: frozenset
-    apply: Callable[[PrefixListing], PrefixListing]
-
-    def __call__(self, p: PrefixListing) -> PrefixListing:
-        out = self.apply(p)
-        if len(out) != len(p):
-            raise LengthMismatch(len(out), len(p))
-        if not out.value_set <= self.target_values:
-            raise ValueSetMismatch("transformer output left declared target set")
-        return out
 
 
 @dataclass(frozen=True)

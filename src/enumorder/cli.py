@@ -7,6 +7,10 @@ space-separated naturals (or a JSON array), ``file:<path>`` for the one-line
 prefix file format, or an enumerator spec materialized with ``--prefix-len``
 and ``--budget``.
 
+Each command is one ``COMMANDS`` entry: its number of prefix sources, its
+extra arguments, and a function yielding ``(json_obj, text, exit_code)``
+rows.  ``main`` prints each row and exits with the highest code.
+
 Exit codes: 0 success/pass, 1 property violation, 2 invalid input,
 3 insufficient prefix.
 """
@@ -16,11 +20,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional, Sequence
+from typing import Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import enumerators, extraction, oracle
 from .algebra import Chain, chain_stabilize, make_strict_chain, transport
-from .errors import EnumOrderError, TooLarge
+from .errors import EnumOrderError
 from .extraction import Membership, PairedListings, decide_membership, predecessor
 from .prefixes import (
     PrefixListing,
@@ -31,19 +35,33 @@ from .prefixes import (
     standardize,
 )
 
-DEFAULT_PREFIX_LEN = 32
-DEFAULT_BUDGET = 10000
-
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_BAD_INPUT = 2
 EXIT_INSUFFICIENT = 3
 
+Row = Tuple[dict, str, int]
 
-class CliError(Exception):
-    def __init__(self, message: str, code: int = EXIT_BAD_INPUT):
-        super().__init__(message)
-        self.code = code
+
+class CliError(EnumOrderError):
+    """Malformed command-line input: an unreadable file or a bad value list."""
+
+
+def _int_at_least(low: int, text: str) -> int:
+    value = int(text)
+    if value < low:
+        raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {value}")
+    return value
+
+
+def nat(text: str) -> int:
+    """argparse type: an integer >= 0."""
+    return _int_at_least(0, text)
+
+
+def pos(text: str) -> int:
+    """argparse type: an integer >= 1."""
+    return _int_at_least(1, text)
 
 
 def _parse_values(text: str) -> List[int]:
@@ -51,28 +69,27 @@ def _parse_values(text: str) -> List[int]:
     if text.startswith("["):
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
             raise CliError(f"bad JSON array: {exc}")
-        if not isinstance(data, list) or not all(isinstance(v, int) for v in data):
+        # type() rather than isinstance(): JSON true/false are bools, a subclass of int
+        if not isinstance(data, list) or not all(type(v) is int for v in data):
             raise CliError("JSON input must be a flat array of integers")
         return data
-    if not text:
-        return []
     try:
         return [int(tok) for tok in text.split()]
     except ValueError:
         raise CliError(f"not a space-separated list of naturals: {text!r}")
 
 
-def _read_prefix_line(path: str) -> List[int]:
+def _nonblank_lines(path: str) -> Iterator[str]:
+    """The file's non-blank lines, stripped, read only as far as consumed."""
     try:
         with open(path, encoding="utf-8") as fh:
             for line in fh:
                 if line.strip():
-                    return _parse_values(line)
-    except OSError as exc:
+                    yield line.strip()
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read {path}: {exc}")
-    return []
 
 
 def parse_sources(tokens: Sequence[str], prefix_len: int, budget: int) -> List[PrefixListing]:
@@ -92,27 +109,17 @@ def parse_sources(tokens: Sequence[str], prefix_len: int, budget: int) -> List[P
                 raise CliError("'inline' must be followed by a value string")
             out.append(make_prefix(_parse_values(raw)))
         elif tok.startswith("file:"):
-            out.append(make_prefix(_read_prefix_line(tok[len("file:"):])))
+            first = next(_nonblank_lines(tok[len("file:"):]), "")
+            out.append(make_prefix(_parse_values(first)))
         else:
             e = enumerators.parse_spec(tok)
             out.append(enumerators.take_prefix(e, prefix_len, budget))
     return out
 
 
-def _emit(obj: dict, fmt: str, text: str) -> None:
-    if fmt == "json":
-        print(json.dumps(obj, separators=(", ", ": ")))
-    else:
-        print(text)
-
-
 def load_paired_file(path: str) -> PairedListings:
     """Two prefix lines then ``m=<nat>``."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
-    except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc}")
+    lines = list(_nonblank_lines(path))
     if len(lines) != 3 or not lines[2].startswith("m="):
         raise CliError("paired file needs two prefix lines then 'm=<nat>'")
     f = make_prefix(_parse_values(lines[0]))
@@ -124,180 +131,153 @@ def load_paired_file(path: str) -> PairedListings:
     return PairedListings(f, g, m)
 
 
-def _cmd_compare(args) -> int:
-    prefixes = parse_sources(args.sources, args.prefix_len, args.budget)
-    if len(prefixes) != 2:
-        raise CliError("compare needs exactly two prefix sources")
-    f, g = prefixes
+def _words(values) -> str:
+    return " ".join(str(v) for v in values)
+
+
+def _compare(args, f: PrefixListing, g: PrefixListing) -> Iterator[Row]:
+    """Reducibility both ways plus equivalence."""
     fg = leq_eo(f, g)
     gf = leq_eo(g, f)
     fail_at = fg.fail_at or gf.fail_at
+    equiv = fg.holds and gf.holds
     obj = {
         "f_le_g": fg.holds,
         "g_le_f": gf.holds,
-        "equiv": fg.holds and gf.holds,
+        "equiv": equiv,
         "fail_at": list(fail_at) if fail_at else None,
     }
-    text = (
-        f"f <=eo g: {fg.holds}; g <=eo f: {gf.holds}; equivalent: {obj['equiv']}"
-        + (f"; first violation at positions {fail_at}" if fail_at else "")
-    )
-    _emit(obj, args.format, text)
-    return EXIT_OK
+    text = f"f <=eo g: {fg.holds}; g <=eo f: {gf.holds}; equivalent: {equiv}"
+    if fail_at:
+        text += f"; first violation at positions {fail_at}"
+    yield obj, text, EXIT_OK
 
 
-def _cmd_verify(args) -> int:
-    if args.property == "all":
-        ids = list(oracle.REGISTRY)
-    elif args.property in oracle.REGISTRY:
-        ids = [args.property]
-    else:
-        raise CliError(f"unknown property: {args.property}")
-    all_pass = True
-    for pid in ids:
-        cap = oracle.REGISTRY[pid][0]
-        n = min(args.n, cap) if args.property == "all" else args.n
-        try:
-            report = oracle.run_property(pid, n)
-        except TooLarge as exc:
-            raise CliError(str(exc))
-        all_pass &= report.passed
-        text = (
-            f"{pid} (n={report.n}): {'pass' if report.passed else 'FAIL'} "
-            f"over {report.instances} instances"
-        )
-        _emit(report.to_json(), args.format, text)
-    return EXIT_OK if all_pass else EXIT_VIOLATION
+def _verify(args) -> Iterator[Row]:
+    """Run brute-force property checks."""
+    every = args.property == "all"
+    for pid in oracle.REGISTRY if every else [args.property]:
+        n = min(args.n, oracle.REGISTRY[pid][0]) if every else args.n
+        report = oracle.run_property(pid, n)
+        status = "pass" if report.passed else "FAIL"
+        text = f"{pid} (n={report.n}): {status} over {report.instances} instances"
+        yield report.to_json(), text, EXIT_OK if report.passed else EXIT_VIOLATION
 
 
-def _cmd_decide(args) -> int:
-    paired = load_paired_file(args.paired)
-    report = decide_membership(paired, args.x)
-    obj = {"x": report.x, "result": report.result.value, "descent": list(report.descent)}
-    text = f"x={report.x}: {report.result.value}; descent {list(report.descent)}"
-    _emit(obj, args.format, text)
-    return EXIT_INSUFFICIENT if report.result is Membership.INSUFFICIENT else EXIT_OK
+def _decide(args) -> Iterator[Row]:
+    """Membership from a paired-listings file."""
+    report = decide_membership(load_paired_file(args.paired), args.x)
+    descent = list(report.descent)
+    obj = {"x": report.x, "result": report.result.value, "descent": descent}
+    text = f"x={report.x}: {report.result.value}; descent {descent}"
+    yield obj, text, EXIT_INSUFFICIENT if report.result is Membership.INSUFFICIENT else EXIT_OK
 
 
-def _cmd_pattern(args) -> int:
-    (p,) = parse_sources(args.source, args.prefix_len, args.budget)
+def _pattern(args, p: PrefixListing) -> Iterator[Row]:
+    """Standardized rank sequence of a prefix."""
     ranks = standardize(p).ranks
-    _emit(
-        {"values": list(p.values), "pattern": list(ranks)},
-        args.format,
-        " ".join(str(r) for r in ranks),
-    )
-    return EXIT_OK
+    yield {"values": list(p.values), "pattern": list(ranks)}, _words(ranks), EXIT_OK
 
 
-def _cmd_inversions(args) -> int:
-    (p,) = parse_sources(args.source, args.prefix_len, args.budget)
+def _inversions(args, p: PrefixListing) -> Iterator[Row]:
+    """Inverted position pairs of a prefix."""
     pairs = sorted(inversions(p))
-    _emit(
-        {"values": list(p.values), "inversions": [list(pr) for pr in pairs]},
-        args.format,
-        " ".join(f"({i},{j})" for i, j in pairs) or "(none)",
-    )
-    return EXIT_OK
+    obj = {"values": list(p.values), "inversions": [list(pr) for pr in pairs]}
+    yield obj, " ".join(f"({i},{j})" for i, j in pairs) or "(none)", EXIT_OK
 
 
-def _cmd_transport(args) -> int:
-    prefixes = parse_sources(args.sources, args.prefix_len, args.budget)
-    if len(prefixes) != 3:
-        raise CliError("transport needs h, h_prime and g_prime sources")
-    result = transport(*prefixes)
-    _emit(
-        {"result": list(result.values)},
-        args.format,
-        " ".join(str(v) for v in result.values),
-    )
-    return EXIT_OK
+def _transport(args, h, h_prime, g_prime) -> Iterator[Row]:
+    """Carry h's order onto g_prime's values (sources: h h_prime g_prime)."""
+    result = transport(h, h_prime, g_prime)
+    yield {"result": list(result.values)}, _words(result.values), EXIT_OK
 
 
-def _read_chain(path: str) -> Chain:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            listings = tuple(
-                make_prefix(_parse_values(ln)) for ln in fh if ln.strip()
-            )
-    except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc}")
-    return Chain(listings)
-
-
-def _cmd_stabilize(args) -> int:
-    chain = _read_chain(args.chain)
+def _stabilize(args) -> Iterator[Row]:
+    """Find the least repeat in a chain file."""
+    chain = Chain(tuple(make_prefix(_parse_values(ln)) for ln in _nonblank_lines(args.chain)))
     repeat = chain_stabilize(chain)
-    _emit(
-        {"length": len(chain), "repeat": list(repeat) if repeat else None},
-        args.format,
-        f"repeat at {repeat}" if repeat else "no repeat in chain",
-    )
-    return EXIT_OK
+    obj = {"length": len(chain), "repeat": list(repeat) if repeat else None}
+    yield obj, f"repeat at {repeat}" if repeat else "no repeat in chain", EXIT_OK
 
 
-def _cmd_lemma8(args) -> int:
-    f, g = parse_sources(args.sources, args.prefix_len, args.budget)
+def _lemma8(args, f: PrefixListing, g: PrefixListing) -> Iterator[Row]:
+    """Inverse-position clause report for f <=eo g."""
     report = extraction.check_inverse_positions(f, g)
+    c1 = report.clause1
+    clause2 = [
+        {"i": e.index, "premise": e.premise_held, "fpos": e.fpos, "gpos": e.gpos, "holds": e.holds}
+        for e in report.clause2
+    ]
     obj = {
-        "clause1": {
-            "fpos": report.clause1.fpos,
-            "gpos": report.clause1.gpos,
-            "holds": report.clause1.holds,
-        },
-        "clause2": [
-            {
-                "i": e.index,
-                "premise": e.premise_held,
-                "fpos": e.fpos,
-                "gpos": e.gpos,
-                "holds": e.holds,
-            }
-            for e in report.clause2
-        ],
+        "clause1": {"fpos": c1.fpos, "gpos": c1.gpos, "holds": c1.holds},
+        "clause2": clause2,
         "all_hold": report.all_hold,
     }
-    _emit(obj, args.format, f"all clauses hold: {report.all_hold}")
-    return EXIT_OK if report.all_hold else EXIT_VIOLATION
+    text = f"all clauses hold: {report.all_hold}"
+    yield obj, text, EXIT_OK if report.all_hold else EXIT_VIOLATION
 
 
-def _cmd_pred(args) -> int:
-    paired = load_paired_file(args.paired)
-    value = predecessor(paired, args.a)
-    _emit({"a": args.a, "predecessor": value}, args.format, str(value))
-    return EXIT_OK
+def _pred(args) -> Iterator[Row]:
+    """Predecessor of a value via a paired file."""
+    value = predecessor(load_paired_file(args.paired), args.a)
+    yield {"a": args.a, "predecessor": value}, str(value), EXIT_OK
 
 
-def _cmd_family(args) -> int:
-    elements = frozenset(_parse_values(args.elements))
-    sample = SetSample(elements, args.bound)
-    members = extraction.family_below(sample, args.n)
-    obj = {
-        "bound": args.bound,
-        "family": [sorted(s.elements) for s in members],
-    }
-    text = "\n".join(" ".join(str(v) for v in sorted(s.elements)) for s in members)
-    _emit(obj, args.format, text)
-    return EXIT_OK
+def _family(args) -> Iterator[Row]:
+    """Finite low-element modifications of a sample."""
+    sample = SetSample(frozenset(_parse_values(args.elements)), args.bound)
+    family = [sorted(s.elements) for s in extraction.family_below(sample, args.n)]
+    obj = {"bound": args.bound, "family": family}
+    yield obj, "\n".join(_words(elements) for elements in family), EXIT_OK
 
 
-def _cmd_enumerate(args) -> int:
+def _enumerate(args) -> Iterator[Row]:
+    """Materialize an enumerator prefix."""
     e = enumerators.parse_spec(args.spec)
     p = enumerators.take_prefix(e, args.prefix_len, args.budget)
-    _emit(
-        {"spec": args.spec, "values": list(p.values)},
-        args.format,
-        " ".join(str(v) for v in p.values),
-    )
-    return EXIT_OK
+    yield {"spec": args.spec, "values": list(p.values)}, _words(p.values), EXIT_OK
 
 
-def _cmd_chain_make(args) -> int:
-    chain = make_strict_chain(args.n)
-    obj = {"n": args.n, "chain": [list(p.values) for p in chain.listings]}
-    text = "\n".join(" ".join(str(v) for v in p.values) for p in chain.listings)
-    _emit(obj, args.format, text)
-    return EXIT_OK
+def _chain_make(args) -> Iterator[Row]:
+    """Maximal strictly descending chain."""
+    listings = [list(p.values) for p in make_strict_chain(args.n).listings]
+    obj = {"n": args.n, "chain": listings}
+    yield obj, "\n".join(_words(values) for values in listings), EXIT_OK
+
+
+class Command(NamedTuple):
+    sources: int  # prefix sources taken as positionals; 0 for none
+    arguments: Tuple[Tuple[str, dict], ...]  # (flag or name, add_argument kwargs)
+    run: Callable[..., Iterator[Row]]  # run(args, *prefixes); its docstring is the help
+
+
+def _required(flag: str, kind=str) -> Tuple[str, dict]:
+    return flag, {"type": kind, "required": True}
+
+
+PREFIX_OPTIONS = (
+    ("--prefix-len", {"type": nat, "default": 32}),
+    ("--budget", {"type": nat, "default": 10000}),
+)
+PROPERTY = ("--property", {"required": True, "choices": ("all", *oracle.REGISTRY)})
+PAIRED = _required("--paired")
+
+COMMANDS = {
+    "compare": Command(2, PREFIX_OPTIONS, _compare),
+    "verify": Command(0, (PROPERTY, _required("--n", nat)), _verify),
+    "decide": Command(0, (PAIRED, _required("--x", pos)), _decide),
+    "pattern": Command(1, PREFIX_OPTIONS, _pattern),
+    "inversions": Command(1, PREFIX_OPTIONS, _inversions),
+    "transport": Command(3, PREFIX_OPTIONS, _transport),
+    "stabilize": Command(0, (_required("--chain"),), _stabilize),
+    "lemma8": Command(2, PREFIX_OPTIONS, _lemma8),
+    "pred": Command(0, (PAIRED, _required("--a", pos)), _pred),
+    "family": Command(
+        0, (_required("--elements"), _required("--bound", nat), _required("--n", nat)), _family
+    ),
+    "enumerate": Command(0, (("spec", {}), *PREFIX_OPTIONS), _enumerate),
+    "chain-make": Command(0, (_required("--n", pos),), _chain_make),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -306,73 +286,36 @@ def build_parser() -> argparse.ArgumentParser:
         description="Enumeration-order analysis of listing prefixes.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, func, help_text):
-        p = sub.add_parser(name, help=help_text)
-        p.set_defaults(func=func)
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.run.__doc__)
+        if command.sources:
+            p.add_argument("sources", nargs="+", help=f"{command.sources} prefix source(s)")
         p.add_argument("--format", choices=("json", "text"), default="json")
-        p.add_argument("--prefix-len", type=int, default=DEFAULT_PREFIX_LEN)
-        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-        return p
-
-    p = add("compare", _cmd_compare, "reducibility both ways plus equivalence")
-    p.add_argument("sources", nargs="+")
-
-    p = add("verify", _cmd_verify, "run brute-force property checks")
-    p.add_argument("--property", required=True)
-    p.add_argument("--n", type=int, required=True)
-
-    p = add("decide", _cmd_decide, "membership from a paired-listings file")
-    p.add_argument("--paired", required=True)
-    p.add_argument("--x", type=int, required=True)
-
-    p = add("pattern", _cmd_pattern, "standardized rank sequence of a prefix")
-    p.add_argument("source", nargs="+")
-
-    p = add("inversions", _cmd_inversions, "inverted position pairs of a prefix")
-    p.add_argument("source", nargs="+")
-
-    p = add("transport", _cmd_transport, "carry h's order onto g_prime's values")
-    p.add_argument("sources", nargs="+")
-
-    p = add("stabilize", _cmd_stabilize, "find the least repeat in a chain file")
-    p.add_argument("--chain", required=True)
-
-    p = add("lemma8", _cmd_lemma8, "inverse-position clause report for f <=eo g")
-    p.add_argument("sources", nargs="+")
-
-    p = add("pred", _cmd_pred, "predecessor of a value via a paired file")
-    p.add_argument("--paired", required=True)
-    p.add_argument("--a", type=int, required=True)
-
-    p = add("family", _cmd_family, "finite low-element modifications of a sample")
-    p.add_argument("--elements", required=True)
-    p.add_argument("--bound", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-
-    p = add("enumerate", _cmd_enumerate, "materialize an enumerator prefix")
-    p.add_argument("spec")
-
-    p = add("chain-make", _cmd_chain_make, "maximal strictly descending chain")
-    p.add_argument("--n", type=int, required=True)
-
+        for flag, kwargs in command.arguments:
+            p.add_argument(flag, **kwargs)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_BAD_INPUT if exc.code else EXIT_OK
+    command = COMMANDS[args.command]
+    code = EXIT_OK
     try:
-        return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
+        prefixes = []
+        if command.sources:
+            prefixes = parse_sources(args.sources, args.prefix_len, args.budget)
+        if len(prefixes) != command.sources:
+            raise CliError(f"{args.command} takes {command.sources} prefix source(s)")
+        for obj, text, row_code in command.run(args, *prefixes):
+            print(json.dumps(obj, separators=(", ", ": ")) if args.format == "json" else text)
+            code = max(code, row_code)
     except EnumOrderError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
+    return code
 
 
 if __name__ == "__main__":

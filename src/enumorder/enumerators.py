@@ -181,19 +181,24 @@ def _model_by_name(name: str) -> Optional[HaltingModel]:
     return {m.name: m for m in builtin_models()}.get(name)
 
 
+def _is_positive(text: str) -> bool:
+    # str.isdigit alone admits non-ASCII digits such as "²", which int() rejects
+    return text.isascii() and text.isdigit() and int(text) >= 1
+
+
 def parse_spec(text: str) -> Enumerator:
     """Parse an enumerator spec string per the grammar above."""
     if text == "even":
         return EvenEnumerator()
     if text.startswith("nminus:"):
         arg = text[len("nminus:"):]
-        if not arg.isdigit() or int(arg) < 1:
+        if not _is_positive(arg):
             raise SpecParseError(len("nminus:"), "a natural number")
         return ShiftedEnumerator(int(arg))
     if text.startswith("asc:"):
         arg = text[len("asc:"):]
         parts = arg.split(",")
-        if not all(p.isdigit() and int(p) >= 1 for p in parts):
+        if not all(_is_positive(p) for p in parts):
             raise SpecParseError(len("asc:"), "comma-separated naturals")
         values = tuple(int(p) for p in parts)
         if len(set(values)) != len(values):

@@ -74,8 +74,9 @@ def check_inverse_positions(f: PrefixListing, g: PrefixListing) -> InversePositi
     gpos = [inverse_lookup(g, v) for v in b]
     clause1 = Clause1(fpos[0], gpos[0], fpos[0] <= gpos[0]) if a else Clause1(0, 0, True)
     entries = []
+    premise = True  # fpos and gpos agree at every index below i
     for i in range(2, len(a) + 1):
-        premise = all(fpos[j - 1] == gpos[j - 1] for j in range(1, i))
+        premise = premise and fpos[i - 2] == gpos[i - 2]
         holds = fpos[i - 1] <= gpos[i - 1] if premise else True
         entries.append(Clause2Entry(i, premise, fpos[i - 1], gpos[i - 1], holds))
     return InversePositionReport(clause1, tuple(entries))

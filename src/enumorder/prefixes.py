@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
-from .errors import DuplicateValue, LengthMismatch, ZeroValue
+from .errors import DuplicateValue, LengthMismatch, ValueSetMismatch, ZeroValue
 
 PositionPair = Tuple[int, int]
 
@@ -91,7 +91,7 @@ class SetSample:
 
     def __post_init__(self):
         if any(e > self.bound for e in self.elements):
-            raise ValueError(f"element above declared bound {self.bound}")
+            raise ValueSetMismatch(f"element above declared bound {self.bound}")
         if any(e < 1 for e in self.elements):
             raise ZeroValue()
 

@@ -4,7 +4,6 @@ import pytest
 
 from enumorder.algebra import (
     Chain,
-    ListingTransformer,
     chain_stabilize,
     inverse_lookup,
     make_strict_chain,
@@ -16,7 +15,7 @@ from enumorder.errors import (
     ValueAbsent,
     ValueSetMismatch,
 )
-from enumorder.prefixes import PrefixListing, inversions, leq_eo, make_prefix, standardize
+from enumorder.prefixes import PrefixListing, inversions, make_prefix, standardize
 
 
 def perms(n, base=1):
@@ -128,21 +127,3 @@ class TestMakeStrictChain:
             assert ib < ia and len(ia) - len(ib) == 1
         assert chain_stabilize(chain) is None
 
-
-class TestListingTransformer:
-    def test_checks_target_set(self):
-        bad = ListingTransformer(
-            frozenset({1, 2}), frozenset({3, 4}), lambda p: make_prefix([9, 10])
-        )
-        with pytest.raises(ValueSetMismatch):
-            bad(make_prefix([1, 2]))
-
-    def test_applies(self):
-        double = ListingTransformer(
-            frozenset({1, 2, 3}),
-            frozenset({2, 4, 6}),
-            lambda p: PrefixListing(tuple(2 * v for v in p)),
-        )
-        out = double(make_prefix([3, 1, 2]))
-        assert out.values == (6, 2, 4)
-        assert leq_eo(out, make_prefix([3, 1, 2])).holds

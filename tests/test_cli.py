@@ -1,8 +1,13 @@
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from enumorder.cli import main
+from enumorder import oracle
+from enumorder.cli import COMMANDS, main
 
 
 def run(capsys, *argv):
@@ -188,3 +193,202 @@ class TestDeterminism:
         _, first, _ = run(capsys, *argv)
         _, second, _ = run(capsys, *argv)
         assert first == second
+
+
+PAIR_FILE = "1 4 2 6\n2 6 4 8\nm=1\n"
+CHAIN_FILE = "4 3 2 1\n4 3 1 2\n4 2 1 3\n4 1 2 3\n3 1 2 4\n2 1 3 4\n1 2 3 4\n"
+
+# Every README CLI example, then each again in the other --format; stdout
+# bytes and exit codes as first recorded.  pair.txt holds PAIR_FILE and
+# chain.txt the chain-make output, as in the README.
+README_GOLDEN = [
+    (("compare", "even", "nminus:1", "--prefix-len", "1000"), 0,
+     '{"f_le_g": true, "g_le_f": true, "equiv": true, "fail_at": null}\n'),
+    (("compare", "inline", "1 3 2", "inline", "1 2 3"), 0,
+     '{"f_le_g": false, "g_le_f": true, "equiv": false, "fail_at": [2, 3]}\n'),
+    (("verify", "--property", "all", "--n", "4"), 0,
+     '{"property": "reflexive", "n": 4, "instances": 24, "violations": [], '
+     '"pass": true}\n'
+     '{"property": "transitive", "n": 4, "instances": 13824, "violations": [], '
+     '"pass": true}\n'
+     '{"property": "non-antisymmetric", "n": 4, "instances": 1, "violations": [], '
+     '"pass": true, "witness": {"f": [1, 2, 3, 4], "g": [5, 6, 7, 8]}}\n'
+     '{"property": "subset-characterization", "n": 4, "instances": 576, '
+     '"violations": [], "pass": true}\n'
+     '{"property": "lemma-2-3", "n": 4, "instances": 24, "violations": [], '
+     '"pass": true}\n'
+     '{"property": "lemma-2-8", "n": 4, "instances": 576, "violations": [], '
+     '"pass": true}\n'
+     '{"property": "transport", "n": 4, "instances": 576, "violations": [], '
+     '"pass": true}\n'
+     '{"property": "stabilization", "n": 4, "instances": 200, "violations": [], '
+     '"pass": true}\n'
+     '{"property": "class-count", "n": 4, "instances": 24, "violations": [], '
+     '"pass": true}\n'),
+    (("verify", "--property", "lemma-2-3", "--n", "5"), 0,
+     '{"property": "lemma-2-3", "n": 5, "instances": 120, "violations": [], '
+     '"pass": true}\n'),
+    (("enumerate", "halt:collatz", "--prefix-len", "5", "--budget", "12", "--format", "text"), 0,
+     '1 2 4 3 5\n'),
+    (("decide", "--paired", "pair.txt", "--x", "5"), 0,
+     '{"x": 5, "result": "out", "descent": [4, 2]}\n'),
+    (("pattern", "inline", "6 2 4"), 0, '{"values": [6, 2, 4], "pattern": [3, 1, 2]}\n'),
+    (("inversions", "inline", "3 1 2"), 0,
+     '{"values": [3, 1, 2], "inversions": [[1, 2], [1, 3]]}\n'),
+    (("transport", "inline", "6 2 4", "inline", "2 4 6", "inline", "2 3 4"), 0,
+     '{"result": [4, 2, 3]}\n'),
+    (("chain-make", "--n", "4", "--format", "text"), 0,
+     '4 3 2 1\n'
+     '4 3 1 2\n'
+     '4 2 1 3\n'
+     '4 1 2 3\n'
+     '3 1 2 4\n'
+     '2 1 3 4\n'
+     '1 2 3 4\n'),
+    (("stabilize", "--chain", "chain.txt"), 0, '{"length": 7, "repeat": null}\n'),
+    (("lemma8", "inline", "2 4 6", "inline", "2 3 4"), 0,
+     '{"clause1": {"fpos": 1, "gpos": 1, "holds": true}, "clause2": [{"i": 2, '
+     '"premise": true, "fpos": 2, "gpos": 2, "holds": true}, {"i": 3, "premise": true, '
+     '"fpos": 3, "gpos": 3, "holds": true}], "all_hold": true}\n'),
+    (("pred", "--paired", "pair.txt", "--a", "6"), 0, '{"a": 6, "predecessor": 4}\n'),
+    (("family", "--elements", "2 4 6 8", "--bound", "9", "--n", "2"), 0,
+     '{"bound": 9, "family": [[4, 6, 8], [1, 4, 6, 8], [1, 2, 4, 6, 8]]}\n'),
+    (("compare", "even", "nminus:1", "--prefix-len", "1000", "--format", "text"), 0,
+     'f <=eo g: True; g <=eo f: True; equivalent: True\n'),
+    (("compare", "inline", "1 3 2", "inline", "1 2 3", "--format", "text"), 0,
+     'f <=eo g: False; g <=eo f: True; equivalent: False; first violation at positions (2, '
+     '3)\n'),
+    (("verify", "--property", "all", "--n", "4", "--format", "text"), 0,
+     'reflexive (n=4): pass over 24 instances\n'
+     'transitive (n=4): pass over 13824 instances\n'
+     'non-antisymmetric (n=4): pass over 1 instances\n'
+     'subset-characterization (n=4): pass over 576 instances\n'
+     'lemma-2-3 (n=4): pass over 24 instances\n'
+     'lemma-2-8 (n=4): pass over 576 instances\n'
+     'transport (n=4): pass over 576 instances\n'
+     'stabilization (n=4): pass over 200 instances\n'
+     'class-count (n=4): pass over 24 instances\n'),
+    (("verify", "--property", "lemma-2-3", "--n", "5", "--format", "text"), 0,
+     'lemma-2-3 (n=5): pass over 120 instances\n'),
+    (("enumerate", "halt:collatz", "--prefix-len", "5", "--budget", "12"), 0,
+     '{"spec": "halt:collatz", "values": [1, 2, 4, 3, 5]}\n'),
+    (("decide", "--paired", "pair.txt", "--x", "5", "--format", "text"), 0,
+     'x=5: out; descent [4, 2]\n'),
+    (("pattern", "inline", "6 2 4", "--format", "text"), 0, '3 1 2\n'),
+    (("inversions", "inline", "3 1 2", "--format", "text"), 0, '(1,2) (1,3)\n'),
+    (("transport", "inline", "6 2 4", "inline", "2 4 6", "inline", "2 3 4", "--format", "text"), 0,
+     '4 2 3\n'),
+    (("chain-make", "--n", "4"), 0,
+     '{"n": 4, "chain": [[4, 3, 2, 1], [4, 3, 1, 2], [4, 2, 1, 3], [4, 1, 2, 3], [3, 1, '
+     '2, 4], [2, 1, 3, 4], [1, 2, 3, 4]]}\n'),
+    (("stabilize", "--chain", "chain.txt", "--format", "text"), 0, 'no repeat in chain\n'),
+    (("lemma8", "inline", "2 4 6", "inline", "2 3 4", "--format", "text"), 0,
+     'all clauses hold: True\n'),
+    (("pred", "--paired", "pair.txt", "--a", "6", "--format", "text"), 0, '4\n'),
+    (("family", "--elements", "2 4 6 8", "--bound", "9", "--n", "2", "--format", "text"), 0,
+     '4 6 8\n'
+     '1 4 6 8\n'
+     '1 2 4 6 8\n'),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, out", README_GOLDEN, ids=[" ".join(argv) for argv, _, _ in README_GOLDEN]
+)
+def test_readme_examples_golden(capsys, tmp_path, monkeypatch, argv, code, out):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "pair.txt").write_text(PAIR_FILE)
+    (tmp_path / "chain.txt").write_text(CHAIN_FILE)
+    assert run(capsys, *argv)[:2] == (code, out)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("pattern", "inline", "1", "inline", "2"),
+        ("inversions", "inline", "1", "inline", "2"),
+        ("lemma8", "inline", "1"),
+        ("enumerate", "even", "--prefix-len", "-1"),
+        ("enumerate", "even", "--budget", "-5"),
+        ("chain-make", "--n", "0"),
+        ("decide", "--paired", "pair.txt", "--x", "0"),
+        ("family", "--elements", "2 4 6 8", "--bound", "9", "--n", "-3"),
+        ("family", "--elements", "2 40", "--bound", "9", "--n", "2"),
+        ("verify", "--property", "reflexive", "--n", "3", "--prefix-len", "5"),
+        ("enumerate", "nminus:\u00b2"),
+        ("compare", "inline", "[true,2]", "inline", "[1,2]"),
+        ("compare", "file:undecodable.txt", "inline", "1"),
+    ],
+)
+def test_bad_input_exits_2(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "pair.txt").write_text(PAIR_FILE)
+    (tmp_path / "undecodable.txt").write_bytes(b"\xff\xfe 1\n")
+    code, _, err = run(capsys, *argv)
+    assert code == 2 and "error" in err
+
+
+FUZZ_FILES = {"pair.txt": PAIR_FILE, "chain.txt": CHAIN_FILE, "p.txt": "2 4 6\n"}
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz")
+    for name, text in FUZZ_FILES.items():
+        (path / name).write_text(text)
+    return path
+
+
+@st.composite
+def argvs(draw, files):
+    """A command from the table, mostly well-formed, with bad values mixed in."""
+    name = draw(st.sampled_from(sorted(COMMANDS)))
+    command = COMMANDS[name]
+    # small numbers keep every run quick: verify and chain-make grow steeply in n
+    numbers = st.integers(-3, {"verify": 5, "chain-make": 40}.get(name, 200))
+    files = st.sampled_from([*files, "missing.txt"])
+    value_lists = st.lists(st.integers(1, 12), unique=True, max_size=6)
+    values = st.one_of(
+        value_lists.map(lambda v: " ".join(map(str, v))),
+        value_lists.map(json.dumps),
+        st.sampled_from(["[true, 2]", "[1,", "x 1", "[[1]]", "0 1", "2 2"]),
+    )
+    token = st.one_of(
+        st.sampled_from(["even", "nminus:2", "asc:3,1,2", "halt:collatz", "halt:rm"]).map(
+            lambda t: [t]
+        ),
+        st.sampled_from(["nminus:0", "nminus:\u00b2", "asc:1,1", "bogus", "inline"]).map(
+            lambda t: [t]
+        ),
+        files.map(lambda f: ["file:" + f]),
+        values.map(lambda v: ["inline", v]),
+    )
+    option_values = {
+        "--format": st.sampled_from(["json", "text"]),
+        "--property": st.sampled_from(["all", "bogus", *oracle.REGISTRY]),
+        "--paired": files,
+        "--chain": files,
+        "--elements": values,
+    }
+    flags = [flag for flag, _ in command.arguments if flag.startswith("--")]
+    wanted = command.sources + len(command.arguments) - len(flags)
+    argv = [name]
+    for group in draw(st.lists(token, min_size=wanted, max_size=wanted + 1)):
+        argv += group
+    if draw(st.integers(0, 9)) == 9:
+        flags.append(draw(st.sampled_from(["--format", "--prefix-len", "--n"])))
+    for flag in flags:
+        # --budget always: the default lets a halting dovetail run for seconds
+        if flag == "--budget" or draw(st.integers(0, 9)) < 9:
+            argv += [flag, str(draw(option_values.get(flag, numbers)))]
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_fuzz_exit_codes(fuzz_dir, data):
+    argv = data.draw(argvs([str(fuzz_dir / name) for name in FUZZ_FILES]), label="argv")
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in {0, 1, 2, 3}
+    assert code != 1 or argv[0] in {"verify", "lemma8"}

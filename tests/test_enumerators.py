@@ -51,7 +51,9 @@ class TestParseSpec:
         assert e.model is COLLATZ_MODEL
 
     @pytest.mark.parametrize(
-        "bad", ["evens", "nminus:", "nminus:x", "asc:", "asc:1,1", "halt:bogus", ""]
+        "bad",
+        ["evens", "nminus:", "nminus:x", "asc:", "asc:1,1", "halt:bogus", "",
+         "nminus:\u00b2", "asc:1,\u00b2"],
     )
     def test_rejects(self, bad):
         with pytest.raises(SpecParseError):
