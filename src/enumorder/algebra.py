@@ -7,8 +7,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from .errors import ChainInvariantViolated, LengthMismatch, ValueAbsent, ValueSetMismatch
+from .errors import (
+    ChainInvariantViolated,
+    LengthMismatch,
+    TooLarge,
+    ValueAbsent,
+    ValueSetMismatch,
+)
 from .prefixes import PrefixListing, leq_eo
+
+# make_strict_chain's output has n(n-1)/2 + 1 listings of n values, which
+# is about 8.4M values at n = 256
+MAX_CHAIN_N = 256
 
 
 @dataclass(frozen=True)
@@ -80,10 +90,13 @@ def make_strict_chain(n: int) -> Chain:
 
     Starts at the full reversal and removes exactly one inversion per step by
     swapping an adjacent value pair that occurs out of order, ending at the
-    ascending listing after n(n-1)/2 steps.
+    ascending listing after n(n-1)/2 steps.  Refuses n > MAX_CHAIN_N with
+    TooLarge, since the output grows as n cubed.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if n > MAX_CHAIN_N:
+        raise TooLarge(n, MAX_CHAIN_N)
     current = list(range(n, 0, -1))
     out = [PrefixListing(tuple(current))]
     pos = {v: i for i, v in enumerate(current)}

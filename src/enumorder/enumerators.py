@@ -22,15 +22,18 @@ from .prefixes import PrefixListing
 class Enumerator:
     """A deterministic stream of distinct naturals under a step budget.
 
-    Subclasses implement `stream(budget)`; the meaning of one budget unit
+    Subclasses implement `stream(budget, n)`; the meaning of one budget unit
     is per-enumerator (one emission for closed forms, one dovetail round
-    for halting enumerators).  Streams are single-consumer; call `stream`
-    again for a fresh, identical run.
+    for halting enumerators).  `n` is how many values the caller will take:
+    a stream may stop after them and should do no work past them, and what
+    it yields is a prefix of what it would yield for any larger `n`.
+    Streams are single-consumer; call `stream` again for a fresh, identical
+    run.
     """
 
     spec: str
 
-    def stream(self, budget: int) -> Iterator[int]:
+    def stream(self, budget: int, n: int) -> Iterator[int]:
         raise NotImplementedError
 
 
@@ -39,8 +42,8 @@ class EvenEnumerator(Enumerator):
 
     spec = "even"
 
-    def stream(self, budget: int) -> Iterator[int]:
-        return (2 * i for i in range(1, budget + 1))
+    def stream(self, budget: int, n: int) -> Iterator[int]:
+        return (2 * i for i in range(1, min(n, budget) + 1))
 
 
 class ShiftedEnumerator(Enumerator):
@@ -50,8 +53,8 @@ class ShiftedEnumerator(Enumerator):
         self.k = k
         self.spec = f"nminus:{k}"
 
-    def stream(self, budget: int) -> Iterator[int]:
-        return (i if i < self.k else i + 1 for i in range(1, budget + 1))
+    def stream(self, budget: int, n: int) -> Iterator[int]:
+        return (i if i < self.k else i + 1 for i in range(1, min(n, budget) + 1))
 
 
 class AscendingEnumerator(Enumerator):
@@ -61,8 +64,8 @@ class AscendingEnumerator(Enumerator):
         self.values = tuple(sorted(values))
         self.spec = "asc:" + ",".join(str(v) for v in self.values)
 
-    def stream(self, budget: int) -> Iterator[int]:
-        return iter(self.values[:budget])
+    def stream(self, budget: int, n: int) -> Iterator[int]:
+        return iter(self.values[:min(n, budget)])
 
 
 @dataclass(frozen=True)
@@ -83,8 +86,17 @@ class DovetailEnumerator(Enumerator):
 
     Round r gives one simulation step to each of codes 1..r, in ascending
     code order; a code halting at its d-th step is emitted in round
-    code + d - 1, ties broken by code.  An optional fixed round limit caps
-    every stream regardless of the caller's budget.
+    code + d - 1, ties broken by code.  The budget caps the rounds, and an
+    optional fixed round limit caps every stream regardless of the
+    caller's budget.
+
+    Rounds are settled in epochs.  After epoch R every code c <= R has had
+    R - c + 1 steps, so each emission in a round <= R is final whatever the
+    limit: c + d - 1 <= limit exactly when d <= limit - c + 1.  The first
+    epoch is min(limit, n) rounds, since n distinct emissions need at least
+    n rounds; each later epoch doubles R up to the limit.  A prefix thus
+    costs only the rounds that settle its first n emissions, and a drain
+    (n >= limit) runs a single epoch.
     """
 
     def __init__(self, model: HaltingModel, rounds: Optional[int] = None):
@@ -92,15 +104,27 @@ class DovetailEnumerator(Enumerator):
         self.rounds = rounds
         self.spec = f"halt:{model.name}"
 
-    def stream(self, budget: int) -> Iterator[int]:
+    def stream(self, budget: int, n: int) -> Iterator[int]:
         limit = budget if self.rounds is None else min(budget, self.rounds)
-        emissions: List[Tuple[int, int]] = []
-        for code in range(1, limit + 1):
-            # by round `limit`, code has received limit - code + 1 steps
-            d = self.model.steps(code, limit - code + 1)
-            if d is not None:
-                emissions.append((code + d - 1, code))
-        return (code for _, code in sorted(emissions))
+        running: List[int] = []  # codes not yet seen to halt
+        settled, end = 0, min(limit, n)
+        while end > settled:
+            running.extend(range(settled + 1, end + 1))
+            emissions: List[Tuple[int, int]] = []
+            still: List[int] = []
+            for code in running:
+                # by round `end`, code has received end - code + 1 steps
+                d = self.model.steps(code, end - code + 1)
+                if d is None:
+                    still.append(code)
+                else:
+                    emissions.append((code + d - 1, code))
+            running = still
+            # these codes all ran past round `settled`, so their emissions follow
+            # every earlier one
+            for _, code in sorted(emissions):
+                yield code
+            settled, end = end, min(2 * end, limit)
 
 
 def dovetail_halting(model: HaltingModel, budget: int) -> Enumerator:
@@ -117,7 +141,7 @@ def take_prefix(e: Enumerator, n: int, budget: int) -> PrefixListing:
     """
     if n < 0 or budget < 0:
         raise ValueError("n and budget must be >= 0")
-    return PrefixListing(tuple(itertools.islice(e.stream(budget), n)))
+    return PrefixListing(tuple(itertools.islice(e.stream(budget, n), n)))
 
 
 def _collatz_steps(code: int, cap: int) -> Optional[int]:
@@ -151,10 +175,17 @@ def _register_machine_steps(code: int, cap: int) -> Optional[int]:
     regs = [0, 0]
     pc = 0
     taken = 0
+    # Brent's cycle cut: keep the state of steps 1, 2, 4, 8, ...  The machine is
+    # deterministic, so meeting a kept state again is a loop that never halts.
+    mark, saved_pc, saved_regs = 1, -1, regs
     while taken < cap:
         taken += 1
         if pc < 0 or pc >= len(program):
             return taken  # falling off the program is the halt observation
+        if pc == saved_pc and regs == saved_regs:
+            return None
+        if taken == mark:
+            mark, saved_pc, saved_regs = 2 * mark, pc, regs[:]
         op, reg, arg = program[pc]
         if op == 0:
             return taken

@@ -84,10 +84,12 @@ class SpecParseError(EnumOrderError):
 
 
 class TooLarge(EnumOrderError):
+    """A size past the limit set for work that grows steeply with it."""
+
     def __init__(self, n: int, limit: int):
         self.n = n
         self.limit = limit
-        super().__init__(f"n={n} exceeds exhaustive-check limit {limit}")
+        super().__init__(f"n={n} exceeds the limit {limit}")
 
 
 class UnknownProperty(EnumOrderError):

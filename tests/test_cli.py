@@ -318,6 +318,7 @@ def test_readme_examples_golden(capsys, tmp_path, monkeypatch, argv, code, out):
         ("enumerate", "nminus:\u00b2"),
         ("compare", "inline", "[true,2]", "inline", "[1,2]"),
         ("compare", "file:undecodable.txt", "inline", "1"),
+        ("chain-make", "--n", "257"),
     ],
 )
 def test_bad_input_exits_2(capsys, tmp_path, monkeypatch, argv):
@@ -378,8 +379,7 @@ def argvs(draw, files):
     if draw(st.integers(0, 9)) == 9:
         flags.append(draw(st.sampled_from(["--format", "--prefix-len", "--n"])))
     for flag in flags:
-        # --budget always: the default lets a halting dovetail run for seconds
-        if flag == "--budget" or draw(st.integers(0, 9)) < 9:
+        if draw(st.integers(0, 9)) < 9:
             argv += [flag, str(draw(option_values.get(flag, numbers)))]
     return argv
 

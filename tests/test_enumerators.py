@@ -1,9 +1,14 @@
+import time
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from enumorder.enumerators import (
     COLLATZ_MODEL,
     REGISTER_MACHINE_MODEL,
     DovetailEnumerator,
+    HaltingModel,
     builtin_models,
     dovetail_halting,
     parse_spec,
@@ -112,8 +117,6 @@ class TestDovetail:
         ).values
 
     def test_uniform_halting_preserves_code_order(self):
-        from enumorder.enumerators import HaltingModel
-
         instant = HaltingModel("instant", lambda code, cap: 1 if cap >= 1 else None)
         got = take_prefix(dovetail_halting(instant, 8), 8, 8)
         assert got.values == (1, 2, 3, 4, 5, 6, 7, 8)
@@ -161,3 +164,112 @@ class TestDistinctnessAndDeterminism:
     def test_builtin_models_present(self):
         names = [m.name for m in builtin_models()]
         assert "collatz" in names and "rm" in names
+
+
+def eager_dovetail(model, budget, rounds=None):
+    """The dovetail as it was before epochs: simulate every code up to the
+    round limit, then sort.  The reference for the lazy stream."""
+    limit = budget if rounds is None else min(budget, rounds)
+    emissions = []
+    for code in range(1, limit + 1):
+        # by round `limit`, code has received limit - code + 1 steps
+        d = model.steps(code, limit - code + 1)
+        if d is not None:
+            emissions.append((code + d - 1, code))
+    return [code for _, code in sorted(emissions)]
+
+
+def _model_from_halt_times(name, halt_time):
+    def steps(code, cap):
+        d = halt_time(code)
+        return d if d is not None and d <= cap else None
+
+    return HaltingModel(name, steps)
+
+
+# codes 3k, 3k+1 and 3k+2 all halt in round 3k+2, so the tie order decides
+TIES_MODEL = _model_from_halt_times("ties", lambda code: 3 - code % 3)
+# halting times far past the first epochs, and codes that never halt
+SPARSE_MODEL = _model_from_halt_times(
+    "sparse", lambda code: None if code % 7 == 0 else code * code % 97 + 1
+)
+EQUIVALENCE_MODELS = [COLLATZ_MODEL, REGISTER_MACHINE_MODEL, TIES_MODEL, SPARSE_MODEL]
+
+
+class TestLazyDovetailMatchesEager:
+    @pytest.mark.parametrize("model", EQUIVALENCE_MODELS, ids=lambda m: m.name)
+    def test_exhaustive_small_budgets(self, model):
+        for budget in range(301):
+            want = eager_dovetail(model, budget)
+            for n in {0, 1, 5, 64, budget, budget + 5}:
+                got = take_prefix(DovetailEnumerator(model), n, budget).values
+                assert list(got) == want[:n], (budget, n)
+
+    @pytest.mark.parametrize("model", EQUIVALENCE_MODELS, ids=lambda m: m.name)
+    def test_fixed_rounds_below_and_above_budget(self, model):
+        for budget in (0, 1, 40, 150):
+            for rounds in {0, 1, 7, max(budget - 1, 0), budget, budget + 1, 2 * budget + 3}:
+                want = eager_dovetail(model, budget, rounds)
+                for n in (1, 5, 64, budget + 5):
+                    got = take_prefix(dovetail_halting(model, rounds), n, budget)
+                    assert list(got.values) == want[:n], (budget, rounds, n)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        model=st.sampled_from(EQUIVALENCE_MODELS),
+        budget=st.integers(0, 3000),
+        rounds=st.none() | st.integers(0, 3000),
+        data=st.data(),
+    )
+    def test_large_budgets(self, model, budget, rounds, data):
+        n = data.draw(st.integers(0, budget + 5), label="n")
+        e = DovetailEnumerator(model) if rounds is None else dovetail_halting(model, rounds)
+        assert list(take_prefix(e, n, budget).values) == eager_dovetail(model, budget, rounds)[:n]
+
+
+def plain_register_machine_steps(code, cap):
+    """halt:rm simulated step by step with no cycle check."""
+    words = []
+    while code > 0:
+        code -= 1
+        words.append(code % 16)
+        code //= 16
+    regs = [0, 0]
+    pc = 0
+    for taken in range(1, cap + 1):
+        if not 0 <= pc < len(words):
+            return taken
+        op, reg, arg = words[pc] % 3, words[pc] // 3 % 2, words[pc] // 6
+        if op == 0:
+            return taken
+        if op == 1:
+            regs[reg] += 1
+            pc += 1
+        elif regs[reg] == 0:
+            pc = arg % len(words)
+        else:
+            regs[reg] -= 1
+            pc += 1
+    return None
+
+
+class TestRegisterMachineCycleCut:
+    @pytest.mark.parametrize("cap", [1, 2, 3, 5, 8, 13, 50, 400])
+    def test_exact_on_small_codes(self, cap):
+        for code in range(1, 3001):
+            assert REGISTER_MACHINE_MODEL.steps(code, cap) == plain_register_machine_steps(
+                code, cap
+            ), code
+
+    @settings(max_examples=200, deadline=None)
+    @given(code=st.integers(1, 10**5), cap=st.integers(1, 3000))
+    def test_exact_on_sampled_codes(self, code, cap):
+        assert REGISTER_MACHINE_MODEL.steps(code, cap) == plain_register_machine_steps(code, cap)
+
+    def test_cycling_code_cut_fast(self):
+        # code 3 is a one-word program that jumps to itself forever
+        assert plain_register_machine_steps(3, 1000) is None
+        start = time.perf_counter()
+        assert REGISTER_MACHINE_MODEL.steps(3, 10**7) is None
+        elapsed = time.perf_counter() - start
+        assert elapsed < 0.1, f"took {elapsed:.3f}s"
