@@ -5,7 +5,7 @@ For each built-in halting model, print the emitted prefix, its inversion
 count, and whether it is order-equivalent to the ascending listing of the
 same values (it should not be, once real halting-time spread kicks in).
 
-Usage: python scripts/halting_order_demo.py [--budget 500] [--len 20]
+Usage: python scripts/halting_order_demo.py [--budget 2000] [--len 40]
 """
 
 import argparse
@@ -16,8 +16,8 @@ from enumorder.prefixes import equiv_eo, inversions, make_prefix
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--budget", type=int, default=500)
-    parser.add_argument("--len", type=int, dest="length", default=20)
+    parser.add_argument("--budget", type=int, default=2000)
+    parser.add_argument("--len", type=int, dest="length", default=40)
     args = parser.parse_args()
 
     for model in builtin_models():

@@ -47,10 +47,14 @@ class Chain:
 
 
 def inverse_lookup(p: PrefixListing, v: int) -> int:
-    """The position at which p enumerates v."""
+    """The position at which p first enumerates v.
+
+    O(1) per call through p's cached position map, after an O(n) build on
+    the first lookup into p.
+    """
     try:
-        return p.values.index(v) + 1
-    except ValueError:
+        return p.positions[v]
+    except KeyError:
         raise ValueAbsent(v) from None
 
 
@@ -59,7 +63,7 @@ def transport(h: PrefixListing, h_prime: PrefixListing, g_prime: PrefixListing) 
 
     Position i receives g_prime at the position where h_prime enumerates
     h(i).  When g_prime and h_prime are order-equivalent, the result is
-    order-equivalent to h.
+    order-equivalent to h.  O(n) through h_prime's cached position map.
     """
     if len(h) != len(h_prime):
         raise LengthMismatch(len(h), len(h_prime))
@@ -67,7 +71,8 @@ def transport(h: PrefixListing, h_prime: PrefixListing, g_prime: PrefixListing) 
         raise LengthMismatch(len(h), len(g_prime))
     if h.value_set != h_prime.value_set:
         raise ValueSetMismatch("h and h_prime enumerate different values")
-    return PrefixListing(tuple(g_prime(inverse_lookup(h_prime, v)) for v in h))
+    gv, pos = g_prime.values, h_prime.positions
+    return PrefixListing(tuple(gv[pos[v] - 1] for v in h))
 
 
 def chain_stabilize(c: Chain) -> Optional[Tuple[int, int]]:
@@ -75,13 +80,16 @@ def chain_stabilize(c: Chain) -> Optional[Tuple[int, int]]:
 
     "Least" is lexicographic on (j, i): the earliest step at which the chain
     revisits a listing, paired with the first earlier occurrence.  Returns
-    None when the finite chain never repeats.
+    None when the finite chain never repeats.  After validation, one pass
+    over the L listings with a map from each listing to its first index:
+    O(L) hashes.
     """
     c.validate()
-    for j in range(2, len(c.listings) + 1):
-        for i in range(1, j):
-            if c.listings[i - 1] == c.listings[j - 1]:
-                return (i, j)
+    first = {}
+    for j, listing in enumerate(c.listings, start=1):
+        i = first.setdefault(listing, j)
+        if i != j:
+            return (i, j)
     return None
 
 

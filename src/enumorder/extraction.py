@@ -68,10 +68,10 @@ def check_inverse_positions(f: PrefixListing, g: PrefixListing) -> InversePositi
     verdict = leq_eo(f, g)
     if not verdict.holds:
         raise PreconditionViolated(f"f is not reducible to g (fails at {verdict.fail_at})")
-    a = ascending_view(f)
-    b = ascending_view(g)
-    fpos = [inverse_lookup(f, v) for v in a]
-    gpos = [inverse_lookup(g, v) for v in b]
+    a, f_at = ascending_view(f), f.positions
+    b, g_at = ascending_view(g), g.positions
+    fpos = [f_at[v] for v in a]
+    gpos = [g_at[v] for v in b]
     clause1 = Clause1(fpos[0], gpos[0], fpos[0] <= gpos[0]) if a else Clause1(0, 0, True)
     entries = []
     premise = True  # fpos and gpos agree at every index below i

@@ -9,11 +9,47 @@ to g when every inversion of f is also an inversion of g.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Iterable,
+    Iterator,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    TypeVar,
+)
 
 from .errors import DuplicateValue, LengthMismatch, ValueSetMismatch, ZeroValue
 
 PositionPair = Tuple[int, int]
+T = TypeVar("T")
+
+# leq_eo keeps the early-exit double loop up to this length, where it beats
+# the Fenwick scan's set-up (see CHANGES.md for the measured crossover)
+LEQ_EO_SMALL_N = 32
+
+
+def _computed_once(build: Callable[..., T]) -> property:
+    """A read-only property built on first use and kept on the instance.
+
+    The value is stored with object.__setattr__ under a private name, which
+    works on a frozen dataclass and leaves its equality and hashing alone.
+    Unlike functools.cached_property, this never reads the instance
+    __dict__, which would slow every later attribute load on the instance
+    (`values` 3x on CPython 3.11), and the oracle's hashing loops with it.
+    """
+    name = "_" + build.__name__
+
+    def get(self) -> T:
+        try:
+            return getattr(self, name)
+        except AttributeError:
+            value = build(self)
+            object.__setattr__(self, name, value)
+            return value
+
+    return property(get, doc=build.__doc__)
 
 
 @dataclass(frozen=True)
@@ -34,9 +70,31 @@ class PrefixListing:
     def __iter__(self) -> Iterator[int]:
         return iter(self.values)
 
-    @property
+    # derived indexes, each O(n) in size
+
+    @_computed_once
     def value_set(self) -> frozenset:
         return frozenset(self.values)
+
+    @_computed_once
+    def ranks(self) -> Tuple[int, ...]:
+        """Rank of each position's value among the distinct values, from 1,
+        read off the argsort; on distinct values, the listing's pattern."""
+        values = self.values
+        ranks = [0] * len(values)
+        rank, last = 0, None
+        for k in sorted(range(len(values)), key=values.__getitem__):
+            if values[k] != last:
+                rank, last = rank + 1, values[k]
+            ranks[k] = rank
+        return tuple(ranks)
+
+    @_computed_once
+    def positions(self) -> Mapping[int, int]:
+        """Each value's 1-based position, its first if it repeats.  Shared by
+        every caller: read it, never change it."""
+        n = len(self.values)
+        return dict(zip(reversed(self.values), range(n, 0, -1)))
 
     def take(self, k: int) -> "PrefixListing":
         """First k positions, as an explicit truncation (never implicit)."""
@@ -131,12 +189,17 @@ def standardize(p: PrefixListing) -> Pattern:
 def leq_eo(f: PrefixListing, g: PrefixListing) -> ReducibilityVerdict:
     """Is every inversion of f also an inversion of g?
 
-    Returns the lexicographically least violating (i, j) on failure.
+    Returns the lexicographically least violating (i, j) on failure.  Up to
+    LEQ_EO_SMALL_N positions this is an early-exit double loop, O(n^2) in
+    the worst case; above it, a Fenwick scan in O(n log n) time and O(n)
+    space that finds the same witness.
     """
     if len(f) != len(g):
         raise LengthMismatch(len(f), len(g))
     fv, gv = f.values, g.values
     n = len(fv)
+    if n > LEQ_EO_SMALL_N:
+        return ReducibilityVerdict(fail_at=_fenwick_fail_at(f, g))
     for i in range(n):
         for j in range(i + 1, n):
             if fv[i] > fv[j] and gv[i] < gv[j]:
@@ -144,11 +207,55 @@ def leq_eo(f: PrefixListing, g: PrefixListing) -> ReducibilityVerdict:
     return ReducibilityVerdict()
 
 
+def _fenwick_fail_at(f: PrefixListing, g: PrefixListing) -> Optional[PositionPair]:
+    """leq_eo's least witness by a right-to-left Fenwick prefix-max scan.
+
+    Position i fails when some j > i has f(j) < f(i) and g(j) > g(i).  The
+    tree is indexed by f-rank and holds the largest g-rank inserted at or
+    below each f-rank (0 when none); positions are inserted right to left,
+    so a query before inserting i sees exactly the j > i.  The least failing
+    i is the last one flagged, and a linear scan from it finds the least j.
+    Equal values share a rank, so both comparisons stay strict when values
+    repeat.
+    """
+    fr, gr = f.ranks, g.ranks
+    n = len(fr)
+    tree = [0] * (n + 1)
+    least = None
+    for i in range(n - 1, -1, -1):
+        b = gr[i]
+        r, best = fr[i] - 1, 0
+        while r:
+            if tree[r] > best:
+                best = tree[r]
+            r &= r - 1
+        if best > b:
+            least = i
+        # each node on the update path covers its predecessor's range, so
+        # once one already holds b or more, all later ones do
+        r = fr[i]
+        while r <= n and tree[r] < b:
+            tree[r] = b
+            r += r & -r
+    if least is None:
+        return None
+    fv, gv = f.values, g.values
+    a, b = fv[least], gv[least]
+    j = next(j for j in range(least + 1, n) if fv[j] < a and gv[j] > b)
+    return (least + 1, j + 1)
+
+
 def equiv_eo(f: PrefixListing, g: PrefixListing) -> bool:
-    """Reducible in both directions; equivalently, equal patterns."""
+    """Reducible in both directions, decided as equal patterns.
+
+    On distinct values, as make_prefix guarantees, mutual reducibility is
+    pattern equality; it is decided by comparing the two cached rank
+    sequences: O(n log n) on a listing's first call, O(n) after, with no
+    small-n path.
+    """
     if len(f) != len(g):
         raise LengthMismatch(len(f), len(g))
-    return leq_eo(f, g).holds and leq_eo(g, f).holds
+    return f.ranks == g.ranks
 
 
 def ascending_listing(s: SetSample) -> PrefixListing:

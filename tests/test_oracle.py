@@ -1,7 +1,10 @@
 import pytest
 
+from enumorder import oracle
+from enumorder.algebra import inverse_lookup
 from enumorder.errors import TooLarge, UnknownProperty
 from enumorder.oracle import REGISTRY, all_patterns, run_property
+from enumorder.prefixes import PrefixListing, ReducibilityVerdict, inversions, leq_eo
 
 
 class TestAllPatterns:
@@ -70,3 +73,58 @@ class TestOracleIndependence:
 
         src = inspect.getsource(_check_subset_characterization)
         assert "inversions" not in src
+
+
+# Faults planted in the targets of the oracle properties; each property must
+# report a violation when its target carries one.
+
+
+def _strict_leq_eo(f, g):
+    # drops reflexivity: a listing no longer reduces to itself
+    return ReducibilityVerdict(fail_at=(1, 2)) if f == g and len(f) > 1 else leq_eo(f, g)
+
+
+def _leq_eo_missing_top(f, g):
+    # drops the single pair ascending <= reversal, which transitivity through
+    # any middle listing, and lemma 2.3, both require
+    n = len(f)
+    if f.values == tuple(range(1, n + 1)) and g.values == tuple(range(n, 0, -1)) and n > 1:
+        return ReducibilityVerdict(fail_at=(1, 2))
+    return leq_eo(f, g)
+
+
+def _equiv_by_inversion_count(f, g):
+    # merges classes: equal inversion counts instead of equal patterns
+    return len(inversions(f)) == len(inversions(g))
+
+
+def _transport_through_h(h, h_prime, g_prime):
+    # looks up positions in h instead of h_prime
+    return PrefixListing(tuple(g_prime(inverse_lookup(h, v)) for v in h))
+
+
+def _stabilize_last_repeat(c):
+    # reports the last repeat instead of the first
+    found = None
+    for j in range(2, len(c.listings) + 1):
+        if c.listings[j - 1] == c.listings[j - 2]:
+            found = (j - 1, j)
+    return found
+
+
+@pytest.mark.parametrize(
+    "property_id, n, target, fault",
+    [
+        ("reflexive", 3, "leq_eo", _strict_leq_eo),
+        ("transitive", 3, "leq_eo", _leq_eo_missing_top),
+        ("lemma-2-3", 3, "leq_eo", _leq_eo_missing_top),
+        ("class-count", 3, "equiv_eo", _equiv_by_inversion_count),
+        ("transport", 3, "transport", _transport_through_h),
+        ("stabilization", 4, "chain_stabilize", _stabilize_last_repeat),
+    ],
+)
+def test_property_catches_planted_fault(monkeypatch, property_id, n, target, fault):
+    assert run_property(property_id, n).passed
+    monkeypatch.setattr(oracle, target, fault)
+    report = run_property(property_id, n)
+    assert not report.passed and report.violations
