@@ -2,9 +2,23 @@
 over all permutations at small n.
 
 Each property is checked by machinery kept independent of the code under
-test wherever the claim pairs an implementation with an oracle; in
-particular `subset-characterization` evaluates the reducibility condition
-with its own double loop rather than via the inversion-set code.
+test wherever the claim pairs an implementation with an oracle.  The
+checkers that loop over pairs or triples of prefixes first build their
+per-prefix tables, once per call, and then only read them:
+
+- `transitive`: one int up-set bitmask per prefix from n!^2 `leq_eo`
+  verdicts; a violation is a bit of up(g) missing from up(f) for some g in
+  up(f).  It reads nothing of its target but those verdicts.
+- `subset-characterization`: one int mask per prefix of its out-of-order
+  position pairs, from its own double loop.  It shares nothing with its
+  target: no `inversions`, `leq_eo` verdict or table derived from them.
+- `lemma-2-8`: the inversion set of each prefix.
+- `transport`: the pattern of each prefix, and the target g' that realizes
+  it on the values n+1..2n.
+- `stabilization`: the down-set of each prefix under inversion-set
+  containment, from which the random descending chains are drawn.
+
+Nothing is kept between calls, so each call sees the current targets.
 """
 
 from __future__ import annotations
@@ -78,17 +92,37 @@ def _check_reflexive(n: int):
     return len(prefixes), violations, None
 
 
+def _bits(mask: int) -> List[int]:
+    """Indexes of the set bits of mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 def _check_transitive(n: int):
+    # up[k] has bit m set when prefixes[k] <= prefixes[m]; a violation is an
+    # h in up(g) but not in up(f) for some g in up(f)
     violations = []
     prefixes = _prefixes(n)
-    count = 0
-    for f, g, h in itertools.product(prefixes, repeat=3):
-        count += 1
-        if leq_eo(f, g).holds and leq_eo(g, h).holds and not leq_eo(f, h).holds:
-            violations.append(
-                f"transitivity fails: {list(f.values)} <= {list(g.values)} <= {list(h.values)}"
-            )
-    return count, violations, None
+    up = []
+    for f in prefixes:
+        mask = 0
+        for m, g in enumerate(prefixes):
+            if leq_eo(f, g).holds:
+                mask |= 1 << m
+        up.append(mask)
+    for f, f_up in zip(prefixes, up):
+        for b in _bits(f_up):
+            missed = up[b] & ~f_up
+            for c in _bits(missed):
+                violations.append(
+                    f"transitivity fails: {list(f.values)} <= {list(prefixes[b].values)} "
+                    f"<= {list(prefixes[c].values)}"
+                )
+    return len(prefixes) ** 3, violations, None
 
 
 def _check_non_antisymmetric(n: int):
@@ -104,21 +138,25 @@ def _check_non_antisymmetric(n: int):
 
 
 def _check_subset_characterization(n: int):
+    # independent oracle: one mask per prefix with bit k set when the k-th
+    # position pair (i, j), i < j, is out of order, from this double loop
     violations = []
     prefixes = _prefixes(n)
-    count = 0
-    for f, g in itertools.product(prefixes, repeat=2):
-        count += 1
-        # independent oracle: evaluate the defining implication directly
-        fv, gv = f.values, g.values
-        direct = all(
-            not (fv[i] > fv[j] and gv[i] <= gv[j])
-            for i in range(n)
-            for j in range(i + 1, n)
-        )
-        if leq_eo(f, g).holds != direct:
-            violations.append(f"disagreement on ({list(fv)}, {list(gv)})")
-    return count, violations, None
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    masks = []
+    for p in prefixes:
+        pv, mask = p.values, 0
+        for k, (i, j) in enumerate(pairs):
+            if pv[i] > pv[j]:
+                mask |= 1 << k
+        masks.append(mask)
+    for f, fm in zip(prefixes, masks):
+        for g, gm in zip(prefixes, masks):
+            # on distinct values, f(i) > f(j) and g(i) <= g(j) for some pair
+            # exactly when some bit of fm is missing from gm
+            if leq_eo(f, g).holds != (fm & ~gm == 0):
+                violations.append(f"disagreement on ({list(f.values)}, {list(g.values)})")
+    return len(prefixes) ** 2, violations, None
 
 
 def _check_ascending_minimal(n: int):
@@ -134,44 +172,43 @@ def _check_ascending_minimal(n: int):
 def _check_inverse_position_clauses(n: int):
     violations = []
     prefixes = _prefixes(n)
-    count = 0
-    for f, g in itertools.product(prefixes, repeat=2):
-        count += 1
-        if not inversions(f) <= inversions(g):
-            continue
-        report = check_inverse_positions(f, g)
-        if not report.all_hold:
-            violations.append(f"clause fails on ({list(f.values)}, {list(g.values)})")
-    return count, violations, None
+    inv = [inversions(p) for p in prefixes]
+    for f, f_inv in zip(prefixes, inv):
+        for g, g_inv in zip(prefixes, inv):
+            if not f_inv <= g_inv:
+                continue
+            report = check_inverse_positions(f, g)
+            if not report.all_hold:
+                violations.append(f"clause fails on ({list(f.values)}, {list(g.values)})")
+    return len(prefixes) ** 2, violations, None
 
 
 def _check_transport(n: int):
+    # the target g' runs through other_values in h''s pattern: the one
+    # pattern an exhaustive search over g' would keep for each (h, h')
     violations = []
     prefixes = _prefixes(n)
     other_values = tuple(range(n + 1, 2 * n + 1))
-    count = 0
-    for h, h_prime, g_pat in itertools.product(prefixes, prefixes, all_patterns(n)):
-        g_prime = g_pat.apply(other_values)
-        if standardize(g_prime) != standardize(h_prime):
-            continue
-        count += 1
-        result = transport(h, h_prime, g_prime)
-        if standardize(result) != standardize(h):
-            violations.append(
-                f"transport breaks pattern: h={list(h.values)} h'={list(h_prime.values)} "
-                f"g'={list(g_prime.values)} -> {list(result.values)}"
-            )
-        if sorted(result.values) != sorted(g_prime.values):
-            violations.append(f"transport leaves target values: {list(result.values)}")
-    return count, violations, None
+    patterns = [standardize(p) for p in prefixes]
+    targets = [pattern.apply(other_values) for pattern in patterns]
+    for h, h_pattern in zip(prefixes, patterns):
+        for h_prime, g_prime in zip(prefixes, targets):
+            result = transport(h, h_prime, g_prime)
+            if standardize(result) != h_pattern:
+                violations.append(
+                    f"transport breaks pattern: h={list(h.values)} h'={list(h_prime.values)} "
+                    f"g'={list(g_prime.values)} -> {list(result.values)}"
+                )
+            if sorted(result.values) != sorted(g_prime.values):
+                violations.append(f"transport leaves target values: {list(result.values)}")
+    return len(prefixes) ** 2, violations, None
 
 
-def _random_descending_chain(rng, prefixes, inv, length: int) -> Chain:
+def _random_descending_chain(rng, prefixes, down, length: int) -> Chain:
     current = rng.choice(prefixes)
     chain = [current]
     while len(chain) < length:
-        below = [p for p in prefixes if inv[p] <= inv[current]]
-        current = rng.choice(below)
+        current = rng.choice(down[current])
         chain.append(current)
     return Chain(tuple(chain))
 
@@ -182,10 +219,15 @@ def _check_stabilization(n: int):
     length = n * (n - 1) // 2 + 2
     rng = random.Random(f"stabilization:{n}")
     prefixes = _prefixes(n)
-    inv = {p: inversions(p) for p in prefixes}
+    inv = [inversions(p) for p in prefixes]
+    # each prefix's down-set, in prefixes order: the seeded walks pick by index
+    down = {
+        q: [p for p, p_inv in zip(prefixes, inv) if p_inv <= q_inv]
+        for q, q_inv in zip(prefixes, inv)
+    }
     walks = 200
     for _ in range(walks):
-        chain = _random_descending_chain(rng, prefixes, inv, length)
+        chain = _random_descending_chain(rng, prefixes, down, length)
         found = chain_stabilize(chain)
         # independent pairwise scan, minimizing (j, i)
         expected = None

@@ -302,6 +302,26 @@ def test_readme_examples_golden(capsys, tmp_path, monkeypatch, argv, code, out):
     assert run(capsys, *argv)[:2] == (code, out)
 
 
+# every property at its cap, as first recorded
+VERIFY_ALL_AT_CAPS = (
+    '{"property": "reflexive", "n": 6, "instances": 720, "violations": [], "pass": true}\n'
+    '{"property": "transitive", "n": 4, "instances": 13824, "violations": [], "pass": true}\n'
+    '{"property": "non-antisymmetric", "n": 8, "instances": 1, "violations": [], "pass": true, '
+    '"witness": {"f": [1, 2, 3, 4, 5, 6, 7, 8], "g": [9, 10, 11, 12, 13, 14, 15, 16]}}\n'
+    '{"property": "subset-characterization", "n": 5, "instances": 14400, "violations": [], '
+    '"pass": true}\n'
+    '{"property": "lemma-2-3", "n": 6, "instances": 720, "violations": [], "pass": true}\n'
+    '{"property": "lemma-2-8", "n": 5, "instances": 14400, "violations": [], "pass": true}\n'
+    '{"property": "transport", "n": 4, "instances": 576, "violations": [], "pass": true}\n'
+    '{"property": "stabilization", "n": 5, "instances": 200, "violations": [], "pass": true}\n'
+    '{"property": "class-count", "n": 5, "instances": 120, "violations": [], "pass": true}\n'
+)
+
+
+def test_verify_all_at_caps_golden(capsys):
+    assert run(capsys, "verify", "--property", "all", "--n", "8")[:2] == (0, VERIFY_ALL_AT_CAPS)
+
+
 @pytest.mark.parametrize(
     "argv",
     [

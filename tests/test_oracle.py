@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import pytest
 
 from enumorder import oracle
 from enumorder.algebra import inverse_lookup
 from enumorder.errors import TooLarge, UnknownProperty
+from enumorder.extraction import check_inverse_positions
 from enumorder.oracle import REGISTRY, all_patterns, run_property
 from enumorder.prefixes import PrefixListing, ReducibilityVerdict, inversions, leq_eo
 
@@ -112,19 +115,52 @@ def _stabilize_last_repeat(c):
     return found
 
 
-@pytest.mark.parametrize(
-    "property_id, n, target, fault",
-    [
-        ("reflexive", 3, "leq_eo", _strict_leq_eo),
-        ("transitive", 3, "leq_eo", _leq_eo_missing_top),
-        ("lemma-2-3", 3, "leq_eo", _leq_eo_missing_top),
-        ("class-count", 3, "equiv_eo", _equiv_by_inversion_count),
-        ("transport", 3, "transport", _transport_through_h),
-        ("stabilization", 4, "chain_stabilize", _stabilize_last_repeat),
-    ],
-)
+def _clauses_fail_on_reversal(f, g):
+    # reports clause 1 false on the single contained pair ascending <= reversal
+    report = check_inverse_positions(f, g)
+    n = len(f)
+    if f.values == tuple(range(1, n + 1)) and g.values == tuple(range(n, 0, -1)) and n > 1:
+        return replace(report, clause1=replace(report.clause1, holds=False))
+    return report
+
+
+def _equiv_by_raw_values(f, g):
+    # compares values instead of patterns: listings over other values never match
+    return f.values == g.values
+
+
+PLANTED_FAULTS = [
+    ("reflexive", 3, "leq_eo", _strict_leq_eo),
+    ("transitive", 3, "leq_eo", _leq_eo_missing_top),
+    ("non-antisymmetric", 3, "equiv_eo", _equiv_by_raw_values),
+    ("subset-characterization", 3, "leq_eo", _leq_eo_missing_top),
+    ("lemma-2-3", 3, "leq_eo", _leq_eo_missing_top),
+    ("lemma-2-8", 3, "check_inverse_positions", _clauses_fail_on_reversal),
+    ("class-count", 3, "equiv_eo", _equiv_by_inversion_count),
+    ("transport", 3, "transport", _transport_through_h),
+    ("stabilization", 4, "chain_stabilize", _stabilize_last_repeat),
+]
+
+
+@pytest.mark.parametrize("property_id, n, target, fault", PLANTED_FAULTS)
 def test_property_catches_planted_fault(monkeypatch, property_id, n, target, fault):
     assert run_property(property_id, n).passed
     monkeypatch.setattr(oracle, target, fault)
     report = run_property(property_id, n)
     assert not report.passed and report.violations
+
+
+def test_planted_faults_cover_every_property():
+    assert sorted(pid for pid, *_ in PLANTED_FAULTS) == sorted(REGISTRY)
+
+
+def _inversions_of_reversal(p):
+    # the complement of the true inversion set
+    return inversions(PrefixListing(p.values[::-1]))
+
+
+def test_subset_characterization_never_reads_inversions(monkeypatch):
+    monkeypatch.setattr(oracle, "inversions", _inversions_of_reversal)
+    assert run_property("subset-characterization", 4).passed
+    monkeypatch.setattr(oracle, "leq_eo", _leq_eo_missing_top)
+    assert not run_property("subset-characterization", 4).passed
