@@ -15,8 +15,12 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterator, List, Optional, Tuple
 
-from .errors import SpecParseError
+from .errors import SpecParseError, TooLarge
 from .prefixes import PrefixListing
+
+# a drain at this size takes 2-3 s with halt:collatz, the slower model, and
+# under 0.5 s with halt:rm (2-core host, Python 3.11)
+MAX_BUDGET = 200_000
 
 
 class Enumerator:
@@ -137,10 +141,15 @@ def dovetail_halting(model: HaltingModel, budget: int) -> Enumerator:
 def take_prefix(e: Enumerator, n: int, budget: int) -> PrefixListing:
     """First min(n, achievable-within-budget) emissions, as a prefix.
 
-    Short prefixes are valid results; callers inspect the length.
+    Short prefixes are valid results; callers inspect the length.  Refuses
+    min(n, budget) > MAX_BUDGET with TooLarge: that bounds the values built
+    and, for a dovetail, the rounds run, while a short prefix stays cheap at
+    any budget.
     """
     if n < 0 or budget < 0:
         raise ValueError("n and budget must be >= 0")
+    if min(n, budget) > MAX_BUDGET:
+        raise TooLarge(min(n, budget), MAX_BUDGET)
     return PrefixListing(tuple(itertools.islice(e.stream(budget, n), n)))
 
 
@@ -175,17 +184,29 @@ def _register_machine_steps(code: int, cap: int) -> Optional[int]:
     regs = [0, 0]
     pc = 0
     taken = 0
-    # Brent's cycle cut: keep the state of steps 1, 2, 4, 8, ...  The machine is
-    # deterministic, so meeting a kept state again is a loop that never halts.
-    mark, saved_pc, saved_regs = 1, -1, regs
+    # Translated-cycle cut (the "translated cycler" decider of bbchallenge.org,
+    # on Minsky's register machines, 1967), checked against the states kept at
+    # steps 1, 2, 4, 8, ... as in Brent's cycle detection.  Suppose the machine
+    # is back at a kept pc, no register is below its kept value, and each one
+    # that grew was never found at zero by a decrement-or-jump since then.
+    # Replaying the segment from here adds the same growth to every register,
+    # and a zero test changes outcome only on a register that was 0 at that
+    # test in the segment, which by the flags is one that did not grow; so the
+    # replay takes the same branches, ends at the same pc with registers no
+    # lower, and by induction the program never halts.  An exact cycle is the
+    # case where no register grew.
+    mark, saved_pc, saved0, saved1, zeroed = 1, -1, 0, 0, [False, False]
     while taken < cap:
         taken += 1
         if pc < 0 or pc >= len(program):
             return taken  # falling off the program is the halt observation
-        if pc == saved_pc and regs == saved_regs:
-            return None
+        if pc == saved_pc:
+            r0, r1 = regs
+            if (saved0 <= r0 and (r0 == saved0 or not zeroed[0])
+                    and saved1 <= r1 and (r1 == saved1 or not zeroed[1])):
+                return None
         if taken == mark:
-            mark, saved_pc, saved_regs = 2 * mark, pc, regs[:]
+            mark, saved_pc, (saved0, saved1), zeroed = 2 * mark, pc, regs, [False, False]
         op, reg, arg = program[pc]
         if op == 0:
             return taken
@@ -193,6 +214,7 @@ def _register_machine_steps(code: int, cap: int) -> Optional[int]:
             regs[reg] += 1
             pc += 1
         elif regs[reg] == 0:
+            zeroed[reg] = True
             pc = arg % len(program)
         else:
             regs[reg] -= 1

@@ -339,6 +339,7 @@ def test_verify_all_at_caps_golden(capsys):
         ("compare", "inline", "[true,2]", "inline", "[1,2]"),
         ("compare", "file:undecodable.txt", "inline", "1"),
         ("chain-make", "--n", "257"),
+        ("enumerate", "halt:rm", "--prefix-len", "200001", "--budget", "200001"),
     ],
 )
 def test_bad_input_exits_2(capsys, tmp_path, monkeypatch, argv):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from enumorder.enumerators import (
     COLLATZ_MODEL,
+    MAX_BUDGET,
     REGISTER_MACHINE_MODEL,
     DovetailEnumerator,
     HaltingModel,
@@ -14,7 +15,7 @@ from enumorder.enumerators import (
     parse_spec,
     take_prefix,
 )
-from enumorder.errors import SpecParseError
+from enumorder.errors import SpecParseError, TooLarge
 from enumorder.prefixes import equiv_eo, inversions, make_prefix
 
 
@@ -78,6 +79,13 @@ class TestTakePrefix:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             take_prefix(parse_spec("even"), -1, 10)
+
+    @pytest.mark.parametrize("spec", ["even", "halt:collatz", "halt:rm"])
+    def test_refuses_length_and_budget_both_over_the_cap(self, spec):
+        with pytest.raises(TooLarge):
+            take_prefix(parse_spec(spec), MAX_BUDGET + 1, 10**9)
+        assert len(take_prefix(parse_spec(spec), 5, 10**9)) == 5
+        assert len(take_prefix(parse_spec(spec), 10**9, 5)) <= 5
 
 
 class TestCollatzModel:
@@ -234,23 +242,38 @@ def plain_register_machine_steps(code, cap):
         code -= 1
         words.append(code % 16)
         code //= 16
+    program = [(w % 3, w // 3 % 2, w // 6 % len(words)) for w in words]
     regs = [0, 0]
     pc = 0
     for taken in range(1, cap + 1):
-        if not 0 <= pc < len(words):
+        if pc >= len(program):
             return taken
-        op, reg, arg = words[pc] % 3, words[pc] // 3 % 2, words[pc] // 6
+        op, reg, target = program[pc]
         if op == 0:
             return taken
         if op == 1:
             regs[reg] += 1
             pc += 1
         elif regs[reg] == 0:
-            pc = arg % len(words)
+            pc = target
         else:
             regs[reg] -= 1
             pc += 1
     return None
+
+
+def rm_code(words):
+    """The halt:rm code of a program, first word first (bijective base 16)."""
+    return sum((w + 1) * 16**i for i, w in enumerate(words))
+
+
+def inc(reg):
+    return 1 + 3 * reg
+
+
+def djz(reg, target):
+    # decrement reg, or jump to target if it is 0; target <= 2 (<= 1 for reg 1)
+    return 2 + 3 * reg + 6 * target
 
 
 class TestRegisterMachineCycleCut:
@@ -261,10 +284,55 @@ class TestRegisterMachineCycleCut:
                 code, cap
             ), code
 
+    @staticmethod
+    def assert_exact_at_dovetail_caps(budget):
+        # a drain at `budget` asks each code c for its halt within budget - c + 1 steps
+        for code in range(1, budget + 1):
+            cap = budget - code + 1
+            assert REGISTER_MACHINE_MODEL.steps(code, cap) == plain_register_machine_steps(
+                code, cap
+            ), code
+
+    def test_exact_at_dovetail_caps(self):
+        self.assert_exact_at_dovetail_caps(10**4)
+
+    @pytest.mark.slow
+    def test_exact_at_dovetail_caps_to_3e4(self):
+        self.assert_exact_at_dovetail_caps(3 * 10**4)
+
+    # caps to 1e5 so that cuts which fire late are compared too
     @settings(max_examples=200, deadline=None)
-    @given(code=st.integers(1, 10**5), cap=st.integers(1, 3000))
+    @given(code=st.integers(1, 10**5), cap=st.integers(1, 10**5))
     def test_exact_on_sampled_codes(self, code, cap):
         assert REGISTER_MACHINE_MODEL.steps(code, cap) == plain_register_machine_steps(code, cap)
+
+    # programs that halt at step 5 after a decrement-or-jump found register 0 at
+    # zero and an increment then grew it, e.g. 2351 = [djz(0, 2), inc(0),
+    # djz(0, 1)]: a cut that ignored the zero test would call them non-halting
+    @pytest.mark.parametrize("code", [2351, 2447, 3167, 6447])
+    def test_register_grown_after_zero_test_is_not_cut(self, code):
+        assert plain_register_machine_steps(code, 20001 - code) == 5
+        assert REGISTER_MACHINE_MODEL.steps(code, 20001 - code) == 5
+
+    def test_shrunk_register_is_not_cut(self):
+        # r1 = 2, then the loop at words 2..5 counts r1 down (r0 is scratch);
+        # at r1 = 0 it jumps to word 0 with r0 left at 1, so the second pass
+        # falls off the end at step 19.  Each time round the loop r1 is lower
+        # but never found at zero: a cut that accepted a shrunk register would
+        # call the program non-halting
+        code = rm_code([inc(1), inc(1), inc(0), djz(1, 0), djz(0, 0), djz(0, 2)])
+        assert code == 15950421
+        assert plain_register_machine_steps(code, 10**4) == 19
+        assert REGISTER_MACHINE_MODEL.steps(code, 10**4) == 19
+
+    def test_every_non_halting_code_is_cut(self):
+        # every code <= 1e4 that has not halted by step 1e4 is cut: run to the
+        # cap, any one of them would take minutes, so a lost cut shows as a hang
+        steps = REGISTER_MACHINE_MODEL.steps
+        looping = [c for c in range(1, 10**4 + 1) if steps(c, 10**4) is None]
+        assert len(looping) > 2000
+        for code in looping:
+            assert steps(code, 10**9) is None, code
 
     def test_cycling_code_cut_fast(self):
         # code 3 is a one-word program that jumps to itself forever
