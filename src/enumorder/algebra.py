@@ -47,7 +47,7 @@ class Chain:
 
 
 def inverse_lookup(p: PrefixListing, v: int) -> int:
-    """The position at which p first enumerates v.
+    """The position at which p enumerates v.
 
     O(1) per call through p's cached position map, after an O(n) build on
     the first lookup into p.

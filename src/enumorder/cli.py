@@ -43,10 +43,6 @@ EXIT_INSUFFICIENT = 3
 Row = Tuple[dict, str, int]
 
 
-class CliError(EnumOrderError):
-    """Malformed command-line input: an unreadable file or a bad value list."""
-
-
 def _int_at_least(low: int, text: str) -> int:
     value = int(text)
     if value < low:
@@ -70,15 +66,15 @@ def _parse_values(text: str) -> List[int]:
         try:
             data = json.loads(text)
         except ValueError as exc:
-            raise CliError(f"bad JSON array: {exc}")
+            raise EnumOrderError(f"bad JSON array: {exc}")
         # type() rather than isinstance(): JSON true/false are bools, a subclass of int
         if not isinstance(data, list) or not all(type(v) is int for v in data):
-            raise CliError("JSON input must be a flat array of integers")
+            raise EnumOrderError("JSON input must be a flat array of integers")
         return data
     try:
         return [int(tok) for tok in text.split()]
     except ValueError:
-        raise CliError(f"not a space-separated list of naturals: {text!r}")
+        raise EnumOrderError(f"not a space-separated list of naturals: {text!r}")
 
 
 def _nonblank_lines(path: str) -> Iterator[str]:
@@ -89,7 +85,7 @@ def _nonblank_lines(path: str) -> Iterator[str]:
                 if line.strip():
                     yield line.strip()
     except (OSError, UnicodeDecodeError) as exc:
-        raise CliError(f"cannot read {path}: {exc}")
+        raise EnumOrderError(f"cannot read {path}: {exc}")
 
 
 def parse_sources(tokens: Sequence[str], prefix_len: int, budget: int) -> List[PrefixListing]:
@@ -106,7 +102,7 @@ def parse_sources(tokens: Sequence[str], prefix_len: int, budget: int) -> List[P
             try:
                 raw = next(it)
             except StopIteration:
-                raise CliError("'inline' must be followed by a value string")
+                raise EnumOrderError("'inline' must be followed by a value string")
             out.append(make_prefix(_parse_values(raw)))
         elif tok.startswith("file:"):
             first = next(_nonblank_lines(tok[len("file:"):]), "")
@@ -121,13 +117,13 @@ def load_paired_file(path: str) -> PairedListings:
     """Two prefix lines then ``m=<nat>``."""
     lines = list(_nonblank_lines(path))
     if len(lines) != 3 or not lines[2].startswith("m="):
-        raise CliError("paired file needs two prefix lines then 'm=<nat>'")
+        raise EnumOrderError("paired file needs two prefix lines then 'm=<nat>'")
     f = make_prefix(_parse_values(lines[0]))
     g = make_prefix(_parse_values(lines[1]))
     try:
         m = int(lines[2][2:])
     except ValueError:
-        raise CliError(f"bad m line: {lines[2]!r}")
+        raise EnumOrderError(f"bad m line: {lines[2]!r}")
     return PairedListings(f, g, m)
 
 
@@ -308,7 +304,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if command.sources:
             prefixes = parse_sources(args.sources, args.prefix_len, args.budget)
         if len(prefixes) != command.sources:
-            raise CliError(f"{args.command} takes {command.sources} prefix source(s)")
+            raise EnumOrderError(f"{args.command} takes {command.sources} prefix source(s)")
         for obj, text, row_code in command.run(args, *prefixes):
             print(json.dumps(obj, separators=(", ", ": ")) if args.format == "json" else text)
             code = max(code, row_code)

@@ -1,10 +1,17 @@
 """Producers of listing prefixes.
 
-Closed-form enumerators cover the worked examples (doubling, shifted
-identity, explicit ascending lists).  The dovetailed enumerator stands in
-for a halting-set enumeration: it interleaves simulation of all codes and
-emits each code in the round where its halt is observed, so the emission
-order reflects halting times rather than magnitude.
+An enumerator is a function `(budget, n)` returning an iterator over
+distinct naturals.  The budget's unit is per kind: one emission for the
+closed forms, one dovetail round for a halting model.  `n` is how many
+values the caller will take: the stream may stop after them and does no
+work past them, and what it yields is a prefix of what it would yield for
+any larger `n`.  Each call starts a fresh, identical stream.
+
+Closed forms cover the worked examples (doubling, shifted identity,
+explicit ascending lists).  The dovetail stands in for a halting-set
+enumeration: it interleaves simulation of all codes and emits each code in
+the round where its halt is observed, so the emission order reflects
+halting times rather than magnitude.
 
 Spec grammar: ``even | nminus:<nat> | asc:<nat>(,<nat>)* | halt:<model-name>``
 """
@@ -22,54 +29,8 @@ from .prefixes import PrefixListing
 # under 0.5 s with halt:rm (2-core host, Python 3.11)
 MAX_BUDGET = 200_000
 
-
-class Enumerator:
-    """A deterministic stream of distinct naturals under a step budget.
-
-    Subclasses implement `stream(budget, n)`; the meaning of one budget unit
-    is per-enumerator (one emission for closed forms, one dovetail round
-    for halting enumerators).  `n` is how many values the caller will take:
-    a stream may stop after them and should do no work past them, and what
-    it yields is a prefix of what it would yield for any larger `n`.
-    Streams are single-consumer; call `stream` again for a fresh, identical
-    run.
-    """
-
-    spec: str
-
-    def stream(self, budget: int, n: int) -> Iterator[int]:
-        raise NotImplementedError
-
-
-class EvenEnumerator(Enumerator):
-    """h(i) = 2i."""
-
-    spec = "even"
-
-    def stream(self, budget: int, n: int) -> Iterator[int]:
-        return (2 * i for i in range(1, min(n, budget) + 1))
-
-
-class ShiftedEnumerator(Enumerator):
-    """Identity with a gap: emits i for i < k, then i + 1 from position k on."""
-
-    def __init__(self, k: int):
-        self.k = k
-        self.spec = f"nminus:{k}"
-
-    def stream(self, budget: int, n: int) -> Iterator[int]:
-        return (i if i < self.k else i + 1 for i in range(1, min(n, budget) + 1))
-
-
-class AscendingEnumerator(Enumerator):
-    """Emits an explicit finite value list in increasing order."""
-
-    def __init__(self, values: Tuple[int, ...]):
-        self.values = tuple(sorted(values))
-        self.spec = "asc:" + ",".join(str(v) for v in self.values)
-
-    def stream(self, budget: int, n: int) -> Iterator[int]:
-        return iter(self.values[:min(n, budget)])
+# called as e(budget, n); see the module docstring
+Enumerator = Callable[[int, int], Iterator[int]]
 
 
 @dataclass(frozen=True)
@@ -85,14 +46,12 @@ class HaltingModel:
     steps: Callable[[int, int], Optional[int]]
 
 
-class DovetailEnumerator(Enumerator):
-    """Round-robin dovetail over a halting model.
+def dovetail(model: HaltingModel, limit: int, n: int) -> Iterator[int]:
+    """Round-robin dovetail over a halting model, up to `limit` rounds.
 
     Round r gives one simulation step to each of codes 1..r, in ascending
     code order; a code halting at its d-th step is emitted in round
-    code + d - 1, ties broken by code.  The budget caps the rounds, and an
-    optional fixed round limit caps every stream regardless of the
-    caller's budget.
+    code + d - 1, ties broken by code.
 
     Rounds are settled in epochs.  After epoch R every code c <= R has had
     R - c + 1 steps, so each emission in a round <= R is final whatever the
@@ -102,40 +61,33 @@ class DovetailEnumerator(Enumerator):
     costs only the rounds that settle its first n emissions, and a drain
     (n >= limit) runs a single epoch.
     """
-
-    def __init__(self, model: HaltingModel, rounds: Optional[int] = None):
-        self.model = model
-        self.rounds = rounds
-        self.spec = f"halt:{model.name}"
-
-    def stream(self, budget: int, n: int) -> Iterator[int]:
-        limit = budget if self.rounds is None else min(budget, self.rounds)
-        running: List[int] = []  # codes not yet seen to halt
-        settled, end = 0, min(limit, n)
-        while end > settled:
-            running.extend(range(settled + 1, end + 1))
-            emissions: List[Tuple[int, int]] = []
-            still: List[int] = []
-            for code in running:
-                # by round `end`, code has received end - code + 1 steps
-                d = self.model.steps(code, end - code + 1)
-                if d is None:
-                    still.append(code)
-                else:
-                    emissions.append((code + d - 1, code))
-            running = still
-            # these codes all ran past round `settled`, so their emissions follow
-            # every earlier one
-            for _, code in sorted(emissions):
-                yield code
-            settled, end = end, min(2 * end, limit)
+    running: List[int] = []  # codes not yet seen to halt
+    settled, end = 0, min(limit, n)
+    while end > settled:
+        running.extend(range(settled + 1, end + 1))
+        emissions: List[Tuple[int, int]] = []
+        still: List[int] = []
+        for code in running:
+            # by round `end`, code has received end - code + 1 steps
+            d = model.steps(code, end - code + 1)
+            if d is None:
+                still.append(code)
+            else:
+                emissions.append((code + d - 1, code))
+        running = still
+        # these codes all ran past round `settled`, so their emissions follow
+        # every earlier one
+        for _, code in sorted(emissions):
+            yield code
+        settled, end = end, min(2 * end, limit)
 
 
-def dovetail_halting(model: HaltingModel, budget: int) -> Enumerator:
-    """A dovetailed enumerator over `model`, running at most `budget` rounds."""
-    if budget < 0:
-        raise ValueError("budget must be >= 0")
-    return DovetailEnumerator(model, rounds=budget)
+def dovetail_halting(model: HaltingModel, rounds: int) -> Enumerator:
+    """A dovetail over `model` that runs at most `rounds` rounds, whatever
+    the caller's budget."""
+    if rounds < 0:
+        raise ValueError("rounds must be >= 0")
+    return lambda budget, n: dovetail(model, min(budget, rounds), n)
 
 
 def take_prefix(e: Enumerator, n: int, budget: int) -> PrefixListing:
@@ -150,7 +102,7 @@ def take_prefix(e: Enumerator, n: int, budget: int) -> PrefixListing:
         raise ValueError("n and budget must be >= 0")
     if min(n, budget) > MAX_BUDGET:
         raise TooLarge(min(n, budget), MAX_BUDGET)
-    return PrefixListing(tuple(itertools.islice(e.stream(budget, n), n)))
+    return PrefixListing(tuple(itertools.islice(e(budget, n), n)))
 
 
 def _collatz_steps(code: int, cap: int) -> Optional[int]:
@@ -224,14 +176,11 @@ def _register_machine_steps(code: int, cap: int) -> Optional[int]:
 
 COLLATZ_MODEL = HaltingModel("collatz", _collatz_steps)
 REGISTER_MACHINE_MODEL = HaltingModel("rm", _register_machine_steps)
+MODELS = {m.name: m for m in (COLLATZ_MODEL, REGISTER_MACHINE_MODEL)}
 
 
 def builtin_models() -> List[HaltingModel]:
-    return [COLLATZ_MODEL, REGISTER_MACHINE_MODEL]
-
-
-def _model_by_name(name: str) -> Optional[HaltingModel]:
-    return {m.name: m for m in builtin_models()}.get(name)
+    return list(MODELS.values())
 
 
 def _is_positive(text: str) -> bool:
@@ -240,27 +189,32 @@ def _is_positive(text: str) -> bool:
 
 
 def parse_spec(text: str) -> Enumerator:
-    """Parse an enumerator spec string per the grammar above."""
+    """Parse an enumerator spec string per the grammar above.
+
+    even: h(i) = 2i.  nminus:k: i below position k, then i + 1 (a gap at
+    k).  asc:...: the listed values in increasing order.  halt:<model>: the
+    dovetail over that model, with the budget as its round limit.
+    """
     if text == "even":
-        return EvenEnumerator()
+        return lambda budget, n: (2 * i for i in range(1, min(n, budget) + 1))
     if text.startswith("nminus:"):
         arg = text[len("nminus:"):]
         if not _is_positive(arg):
             raise SpecParseError(len("nminus:"), "a natural number")
-        return ShiftedEnumerator(int(arg))
+        k = int(arg)
+        return lambda budget, n: (i if i < k else i + 1 for i in range(1, min(n, budget) + 1))
     if text.startswith("asc:"):
         arg = text[len("asc:"):]
         parts = arg.split(",")
         if not all(_is_positive(p) for p in parts):
             raise SpecParseError(len("asc:"), "comma-separated naturals")
-        values = tuple(int(p) for p in parts)
+        values = tuple(sorted(int(p) for p in parts))
         if len(set(values)) != len(values):
             raise SpecParseError(len("asc:"), "distinct values")
-        return AscendingEnumerator(values)
+        return lambda budget, n: iter(values[:min(n, budget)])
     if text.startswith("halt:"):
-        model = _model_by_name(text[len("halt:"):])
+        model = MODELS.get(text[len("halt:"):])
         if model is None:
-            known = ", ".join(m.name for m in builtin_models())
-            raise SpecParseError(len("halt:"), f"one of: {known}")
-        return DovetailEnumerator(model)
+            raise SpecParseError(len("halt:"), f"one of: {', '.join(MODELS)}")
+        return lambda budget, n: dovetail(model, budget, n)
     raise SpecParseError(0, "even | nminus:<nat> | asc:<nat>,... | halt:<model>")

@@ -80,7 +80,8 @@ def all_patterns(n: int) -> List[Pattern]:
 
 
 def _prefixes(n: int) -> List[PrefixListing]:
-    return [PrefixListing(p.ranks) for p in all_patterns(n)]
+    """All n! listings of {1..n}, lexicographic, as all_patterns orders them."""
+    return [PrefixListing(p) for p in itertools.permutations(range(1, n + 1))]
 
 
 def _check_reflexive(n: int):

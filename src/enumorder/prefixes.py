@@ -20,7 +20,7 @@ from typing import (
     TypeVar,
 )
 
-from .errors import DuplicateValue, LengthMismatch, ValueSetMismatch, ZeroValue
+from .errors import DuplicateValue, LengthMismatch, TooLarge, ValueSetMismatch, ZeroValue
 
 PositionPair = Tuple[int, int]
 T = TypeVar("T")
@@ -28,6 +28,10 @@ T = TypeVar("T")
 # leq_eo keeps the early-exit double loop up to this length, where it beats
 # the Fenwick scan's set-up (see CHANGES.md for the measured crossover)
 LEQ_EO_SMALL_N = 32
+
+# inversions on a reversed listing of this many positions takes ~2 s and
+# ~150 MB for its 523,776 pairs, four times both per doubling
+MAX_INVERSIONS_N = 1024
 
 
 def _computed_once(build: Callable[..., T]) -> property:
@@ -54,9 +58,26 @@ def _computed_once(build: Callable[..., T]) -> property:
 
 @dataclass(frozen=True)
 class PrefixListing:
-    """An initial segment of a listing: distinct naturals at positions 1..n."""
+    """An initial segment of a listing: distinct naturals at positions 1..n.
+
+    Construction rejects a value below 1 with ZeroValue and a repeated
+    value with DuplicateValue (naming its first repeat).
+    """
 
     values: Tuple[int, ...]
+
+    def __post_init__(self):
+        # one C-level test for the common valid case; the loop only runs to
+        # name the offending value
+        v = self.values
+        if len(set(v)) != len(v) or (v and min(v) < 1):
+            seen = set()
+            for x in v:
+                if x < 1:
+                    raise ZeroValue()
+                if x in seen:
+                    raise DuplicateValue(x)
+                seen.add(x)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -78,23 +99,19 @@ class PrefixListing:
 
     @_computed_once
     def ranks(self) -> Tuple[int, ...]:
-        """Rank of each position's value among the distinct values, from 1,
-        read off the argsort; on distinct values, the listing's pattern."""
+        """Rank of each position's value, from 1, read off the argsort: the
+        listing's pattern."""
         values = self.values
         ranks = [0] * len(values)
-        rank, last = 0, None
-        for k in sorted(range(len(values)), key=values.__getitem__):
-            if values[k] != last:
-                rank, last = rank + 1, values[k]
+        for rank, k in enumerate(sorted(range(len(values)), key=values.__getitem__), 1):
             ranks[k] = rank
         return tuple(ranks)
 
     @_computed_once
     def positions(self) -> Mapping[int, int]:
-        """Each value's 1-based position, its first if it repeats.  Shared by
-        every caller: read it, never change it."""
-        n = len(self.values)
-        return dict(zip(reversed(self.values), range(n, 0, -1)))
+        """Each value's 1-based position.  Shared by every caller: read it,
+        never change it."""
+        return dict(zip(self.values, range(1, len(self.values) + 1)))
 
     def take(self, k: int) -> "PrefixListing":
         """First k positions, as an explicit truncation (never implicit)."""
@@ -155,22 +172,20 @@ class SetSample:
 
 
 def make_prefix(values: Iterable[int]) -> PrefixListing:
-    """Validate and build a prefix: distinct values, all >= 1."""
-    vals = tuple(values)
-    seen = set()
-    for v in vals:
-        if v < 1:
-            raise ZeroValue()
-        if v in seen:
-            raise DuplicateValue(v)
-        seen.add(v)
-    return PrefixListing(vals)
+    """Build a prefix from any iterable: distinct values, all >= 1."""
+    return PrefixListing(tuple(values))
 
 
 def inversions(p: PrefixListing) -> frozenset:
-    """All position pairs (i, j), i < j, with p(i) > p(j)."""
+    """All position pairs (i, j), i < j, with p(i) > p(j).
+
+    Refuses more than MAX_INVERSIONS_N positions with TooLarge: the scan
+    visits all n(n-1)/2 pairs, and the answer can hold as many.
+    """
     vals = p.values
     n = len(vals)
+    if n > MAX_INVERSIONS_N:
+        raise TooLarge(n, MAX_INVERSIONS_N)
     return frozenset(
         (i, j)
         for i in range(1, n + 1)
@@ -215,8 +230,6 @@ def _fenwick_fail_at(f: PrefixListing, g: PrefixListing) -> Optional[PositionPai
     below each f-rank (0 when none); positions are inserted right to left,
     so a query before inserting i sees exactly the j > i.  The least failing
     i is the last one flagged, and a linear scan from it finds the least j.
-    Equal values share a rank, so both comparisons stay strict when values
-    repeat.
     """
     fr, gr = f.ranks, g.ranks
     n = len(fr)
@@ -248,9 +261,8 @@ def _fenwick_fail_at(f: PrefixListing, g: PrefixListing) -> Optional[PositionPai
 def equiv_eo(f: PrefixListing, g: PrefixListing) -> bool:
     """Reducible in both directions, decided as equal patterns.
 
-    On distinct values, as make_prefix guarantees, mutual reducibility is
-    pattern equality; it is decided by comparing the two cached rank
-    sequences: O(n log n) on a listing's first call, O(n) after, with no
+    On distinct values, mutual reducibility is pattern equality; it is
+    decided by comparing the two cached rank sequences: O(n log n) on a listing's first call, O(n) after, with no
     small-n path.
     """
     if len(f) != len(g):

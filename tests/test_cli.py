@@ -1,6 +1,7 @@
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -302,6 +303,17 @@ def test_readme_examples_golden(capsys, tmp_path, monkeypatch, argv, code, out):
     assert run(capsys, *argv)[:2] == (code, out)
 
 
+# every spec kind at four (--prefix-len, --budget) pairs, as first recorded
+ENUMERATE_GOLDEN = json.loads(Path(__file__).with_name("enumerate_golden.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "row", ENUMERATE_GOLDEN, ids=[" ".join(row["argv"][1:]) for row in ENUMERATE_GOLDEN]
+)
+def test_enumerate_golden(capsys, row):
+    assert run(capsys, *row["argv"])[:2] == (row["code"], row["stdout"])
+
+
 # every property at its cap, as first recorded
 VERIFY_ALL_AT_CAPS = (
     '{"property": "reflexive", "n": 6, "instances": 720, "violations": [], "pass": true}\n'
@@ -340,6 +352,7 @@ def test_verify_all_at_caps_golden(capsys):
         ("compare", "file:undecodable.txt", "inline", "1"),
         ("chain-make", "--n", "257"),
         ("enumerate", "halt:rm", "--prefix-len", "200001", "--budget", "200001"),
+        ("inversions", "even", "--prefix-len", "1025"),
     ],
 )
 def test_bad_input_exits_2(capsys, tmp_path, monkeypatch, argv):

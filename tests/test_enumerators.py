@@ -1,3 +1,4 @@
+import itertools
 import time
 
 import pytest
@@ -8,9 +9,9 @@ from enumorder.enumerators import (
     COLLATZ_MODEL,
     MAX_BUDGET,
     REGISTER_MACHINE_MODEL,
-    DovetailEnumerator,
     HaltingModel,
     builtin_models,
+    dovetail,
     dovetail_halting,
     parse_spec,
     take_prefix,
@@ -52,9 +53,9 @@ class TestParseSpec:
         assert take_prefix(parse_spec("asc:9,2,5"), 3, 100).values == (2, 5, 9)
 
     def test_halt_dispatch(self):
-        e = parse_spec("halt:collatz")
-        assert isinstance(e, DovetailEnumerator)
-        assert e.model is COLLATZ_MODEL
+        for name, model in (("collatz", COLLATZ_MODEL), ("rm", REGISTER_MACHINE_MODEL)):
+            got = take_prefix(parse_spec(f"halt:{name}"), 100, 400).values
+            assert got == tuple(itertools.islice(dovetail(model, 400, 100), 100))
 
     @pytest.mark.parametrize(
         "bad",
@@ -187,6 +188,11 @@ def eager_dovetail(model, budget, rounds=None):
     return [code for _, code in sorted(emissions)]
 
 
+def unlimited(model):
+    """The dovetail with the caller's budget as its only round limit."""
+    return lambda budget, n: dovetail(model, budget, n)
+
+
 def _model_from_halt_times(name, halt_time):
     def steps(code, cap):
         d = halt_time(code)
@@ -210,7 +216,7 @@ class TestLazyDovetailMatchesEager:
         for budget in range(301):
             want = eager_dovetail(model, budget)
             for n in {0, 1, 5, 64, budget, budget + 5}:
-                got = take_prefix(DovetailEnumerator(model), n, budget).values
+                got = take_prefix(unlimited(model), n, budget).values
                 assert list(got) == want[:n], (budget, n)
 
     @pytest.mark.parametrize("model", EQUIVALENCE_MODELS, ids=lambda m: m.name)
@@ -231,7 +237,7 @@ class TestLazyDovetailMatchesEager:
     )
     def test_large_budgets(self, model, budget, rounds, data):
         n = data.draw(st.integers(0, budget + 5), label="n")
-        e = DovetailEnumerator(model) if rounds is None else dovetail_halting(model, rounds)
+        e = unlimited(model) if rounds is None else dovetail_halting(model, rounds)
         assert list(take_prefix(e, n, budget).values) == eager_dovetail(model, budget, rounds)[:n]
 
 

@@ -9,6 +9,7 @@ from enumorder.errors import (
     InvalidPairing,
     PreconditionViolated,
     ValueAbsent,
+    ZeroValue,
 )
 from enumorder.extraction import (
     Membership,
@@ -86,6 +87,11 @@ class TestMakePaired:
     def test_extra_must_be_below_min(self):
         with pytest.raises(BadExtra):
             make_paired(SetSample(frozenset({2, 4}), 4), 3, Pattern((1, 2)))
+
+    def test_extra_must_be_a_natural(self):
+        # m = 0 is below min(A) and new, so only the listing f itself refuses it
+        with pytest.raises(ZeroValue):
+            make_paired(SetSample(frozenset({2, 3}), 3), 0, Pattern((1, 2)))
 
     def test_extra_must_be_new(self):
         with pytest.raises(BadExtra):

@@ -20,13 +20,14 @@ from enumorder.algebra import (
     make_strict_chain,
     transport,
 )
-from enumorder.errors import ValueAbsent
+from enumorder.errors import DuplicateValue, EnumOrderError, ValueAbsent, ZeroValue
 from enumorder.prefixes import (
     LEQ_EO_SMALL_N,
     PrefixListing,
     _fenwick_fail_at,
     equiv_eo,
     leq_eo,
+    make_prefix,
 )
 
 MAX_N = 400
@@ -39,6 +40,20 @@ def least_witness(fv, gv):
         for j in range(i + 1, n):
             if fv[i] > fv[j] and gv[i] < gv[j]:
                 return (i + 1, j + 1)
+    return None
+
+
+def first_invalid(values):
+    """The loop make_prefix validated with before construction did:
+    (error type, offending value) for the first value below 1 or the first
+    repeat, or None."""
+    seen = set()
+    for v in values:
+        if v < 1:
+            return ZeroValue, None
+        if v in seen:
+            return DuplicateValue, v
+        seen.add(v)
     return None
 
 
@@ -94,11 +109,20 @@ class TestFenwickKernel:
 
     @pytest.mark.parametrize("n", range(5))
     def test_exhaustive_with_repeated_values(self, n):
-        # repeats are outside make_prefix's domain; the scan must still keep
-        # both comparisons strict
-        seqs = [PrefixListing(s) for s in itertools.product(range(1, 4), repeat=n)]
-        for f, g in itertools.product(seqs, repeat=2):
-            assert _fenwick_fail_at(f, g) == least_witness(f.values, g.values)
+        # the scan is never handed a repeat: construction refuses every
+        # sequence over {0..3}^n the validating loop refuses, with the same
+        # error and value, and builds every other one
+        for seq in itertools.product(range(4), repeat=n):
+            expected = first_invalid(seq)
+            for build in (PrefixListing, make_prefix):
+                if expected is None:
+                    assert build(seq).values == seq
+                    continue
+                with pytest.raises(EnumOrderError) as exc:
+                    build(seq)
+                assert (type(exc.value), getattr(exc.value, "value", None)) == expected
+        for perm in itertools.permutations(range(1, n + 1)):
+            assert PrefixListing(perm).values == perm
 
 
 class TestLeqEoFastPath:
@@ -130,11 +154,10 @@ class TestEquivEoFastPath:
 
 class TestPositionIndex:
     @given(
-        st.lists(st.integers(min_value=1, max_value=60), max_size=MAX_N),
+        st.lists(st.integers(min_value=1, max_value=60), unique=True, max_size=MAX_N),
         st.integers(min_value=1, max_value=70),
     )
     def test_inverse_lookup_matches_tuple_index(self, values, v):
-        # repeated values too: the first occurrence wins, as with tuple.index
         p = PrefixListing(tuple(values))
         if v in values:
             assert inverse_lookup(p, v) == values.index(v) + 1

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from enumorder.errors import DuplicateValue, LengthMismatch, ZeroValue
+from enumorder.errors import DuplicateValue, LengthMismatch, TooLarge, ZeroValue
 from enumorder.prefixes import (
+    MAX_INVERSIONS_N,
     Pattern,
     PrefixListing,
     SetSample,
@@ -79,6 +80,11 @@ class TestInversions:
     @given(distinct_naturals)
     def test_matches_double_loop(self, values):
         assert inversions(make_prefix(values)) == brute_inversions(values)
+
+    def test_refuses_more_than_the_cap(self):
+        assert inversions(make_prefix(range(1, MAX_INVERSIONS_N + 1))) == frozenset()
+        with pytest.raises(TooLarge):
+            inversions(make_prefix(range(1, MAX_INVERSIONS_N + 2)))
 
 
 class TestStandardize:
