@@ -25,8 +25,8 @@ from typing import Callable, Iterator, List, Optional, Tuple
 from .errors import SpecParseError, TooLarge
 from .prefixes import PrefixListing
 
-# a drain at this size takes 2-3 s with halt:collatz, the slower model, and
-# under 0.5 s with halt:rm (2-core host, Python 3.11)
+# a drain at this size takes ~0.7 s with halt:rm, now the slower model, and
+# ~0.4 s with halt:collatz from a cold halt-step table (2-core host, Python 3.11)
 MAX_BUDGET = 200_000
 
 # called as e(budget, n); see the module docstring
@@ -105,16 +105,42 @@ def take_prefix(e: Enumerator, n: int, budget: int) -> PrefixListing:
     return PrefixListing(tuple(itertools.islice(e(budget, n), n)))
 
 
+# _COLLATZ_HALT_STEPS[c] is the uncapped halt step d(c) of code c, 0 while
+# unknown.  A code's halt step is the steps of its walk to the first value
+# whose halt step is known, plus that value's, less the one observation step
+# both count.  Once the codes below it are known, the walk is the code's glide
+# to its first smaller value (Terras, 1976; Lagarias, 1985): 5.2 steps on
+# average over codes up to 200,000, against 115 for the whole trajectory.  The
+# table is shared by every call, so a later epoch, pass or prefix reads back
+# what an earlier one found; it holds only codes <= MAX_BUDGET, so it never
+# grows past MAX_BUDGET + 1 entries (1.6 MB).
+_COLLATZ_HALT_STEPS: List[int] = [0, 1]
+
+
 def _collatz_steps(code: int, cap: int) -> Optional[int]:
     # halving/tripling iterations down to 1, plus one observation step
+    if code < 1:
+        return None  # never reaches 1, and a negative x would index from the end
+    table = _COLLATZ_HALT_STEPS
+    size = len(table)
     x = code
     taken = 1
     while x != 1:
+        if x < size and table[x]:
+            taken += table[x] - 1
+            break
         if taken >= cap:
             return None
         x = 3 * x + 1 if x % 2 else x // 2
         taken += 1
-    return taken
+    if code < size:
+        table[code] = taken
+    elif code <= MAX_BUDGET:
+        table.extend([0] * (min(2 * code, MAX_BUDGET + 1) - size))
+        table[code] = taken
+    # a walk that reached 1 passed every cap check on its way; one that stopped
+    # at a known value has skipped the checks for the rest of its trajectory
+    return taken if x == 1 or taken <= cap else None
 
 
 # Register-machine instruction words, least-significant first in base 16:

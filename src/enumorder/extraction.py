@@ -20,9 +20,14 @@ from .errors import (
     InsufficientPrefix,
     InvalidPairing,
     PreconditionViolated,
+    TooLarge,
     ValueAbsent,
 )
 from .prefixes import Pattern, PrefixListing, SetSample, equiv_eo, leq_eo
+
+# family_below's output has n + 1 sets of up to about n elements each, so its
+# time, memory and printed size grow as n squared
+MAX_FAMILY_N = 1024
 
 
 def ascending_view(p: PrefixListing) -> Tuple[int, ...]:
@@ -217,8 +222,11 @@ def family_below(a_sample: SetSample, n: int) -> List[SetSample]:
     """The n+1 finite modifications of A that trade low elements in and out.
 
     The k-th member (k = 1..n+1) is (A - {k..n}) ∪ {1..k-1}; all share A's
-    tail above n and differ only below n+1.
+    tail above n and differ only below n+1.  Refuses n > MAX_FAMILY_N with
+    TooLarge.
     """
+    if n > MAX_FAMILY_N:
+        raise TooLarge(n, MAX_FAMILY_N)
     if a_sample.bound < n:
         raise BadBound(a_sample.bound, n)
     out = []

@@ -353,6 +353,7 @@ def test_verify_all_at_caps_golden(capsys):
         ("chain-make", "--n", "257"),
         ("enumerate", "halt:rm", "--prefix-len", "200001", "--budget", "200001"),
         ("inversions", "even", "--prefix-len", "1025"),
+        ("family", "--elements", "2", "--bound", "2000", "--n", "2000"),
     ],
 )
 def test_bad_input_exits_2(capsys, tmp_path, monkeypatch, argv):

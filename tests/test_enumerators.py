@@ -1,10 +1,13 @@
+import functools
 import itertools
+import random
 import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from enumorder import enumerators
 from enumorder.enumerators import (
     COLLATZ_MODEL,
     MAX_BUDGET,
@@ -104,6 +107,100 @@ class TestCollatzModel:
     @pytest.mark.parametrize("code", range(1, 30))
     def test_matches_independent_simulation(self, code):
         assert COLLATZ_MODEL.steps(code, 10**6) == collatz_halt_step(code)
+
+
+def plain_collatz_steps(code, cap):
+    """halt:collatz walked over the whole trajectory, with no halt-step table."""
+    x = code
+    taken = 1
+    while x != 1:
+        if taken >= cap:
+            return None
+        x = 3 * x + 1 if x % 2 else x // 2
+        taken += 1
+    return taken
+
+
+# the same independent simulation, each code's trajectory walked once
+cached_halt_step = functools.cache(collatz_halt_step)
+
+
+@pytest.fixture
+def cold_table():
+    """The shared halt-step table emptied, as a fresh process finds it."""
+    table = enumerators._COLLATZ_HALT_STEPS
+    del table[2:]
+    return table
+
+
+@pytest.fixture(scope="module")
+def table_queries():
+    """Every code to 10**4 at caps below, at and above its halt step, and at
+    the cap a drain at 10**4 gives it; with the plain loop's answers."""
+    top = 10**4
+    queries = []
+    for code in range(1, top + 1):
+        d = cached_halt_step(code)
+        queries += [(code, cap) for cap in (1, 2, 3, d - 1, d, 10**6, top - code + 1)]
+    return [((code, cap), plain_collatz_steps(code, cap)) for code, cap in queries]
+
+
+# the budgets of the benchmark's halt:collatz drains
+DRAIN_BUDGETS = [50, 100, 200, 300, 500, 1000, 2000, 3000, 5000, 10000, 20000]
+
+
+class TestCollatzHaltStepTable:
+    @staticmethod
+    def assert_exact(pairs):
+        got = [COLLATZ_MODEL.steps(code, cap) for (code, cap), _ in pairs]
+        for ((code, cap), want), g in zip(pairs, got):
+            assert g == want, (code, cap)
+
+    @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+    def test_exact_cold_and_warm(self, cold_table, table_queries, order):
+        pairs = list(table_queries)
+        if order == "descending":
+            pairs.reverse()
+        elif order == "shuffled":
+            random.Random(8).shuffle(pairs)
+        self.assert_exact(pairs)  # cold: each code met first here
+        self.assert_exact(pairs)  # warm: each code read back
+
+    @settings(deadline=None)
+    @given(st.lists(st.tuples(st.integers(-3, 2 * MAX_BUDGET), st.integers(0, 500)),
+                    min_size=1, max_size=30))
+    def test_any_order_and_codes_past_the_bound(self, queries):
+        table = enumerators._COLLATZ_HALT_STEPS
+        del table[2:]
+        for code, cap in queries:
+            assert COLLATZ_MODEL.steps(code, cap) == plain_collatz_steps(code, cap), (code, cap)
+            assert len(table) <= MAX_BUDGET + 1
+            # a code is stored only with its uncapped halt step
+            if 1 <= code < len(table):
+                assert table[code] in (0, cached_halt_step(code)), (code, cap)
+
+    def test_table_stops_at_the_budget_cap(self, cold_table):
+        for code in (MAX_BUDGET + 1, 2 * MAX_BUDGET, MAX_BUDGET):
+            assert COLLATZ_MODEL.steps(code, 10**6) == collatz_halt_step(code)
+        assert len(cold_table) == MAX_BUDGET + 1
+        assert cold_table[MAX_BUDGET] == collatz_halt_step(MAX_BUDGET)
+        # codes below 1 never reach 1, whatever the table's last entries hold
+        for code in (0, -1, -2):
+            assert COLLATZ_MODEL.steps(code, 10**4) is None
+
+    @pytest.mark.slow
+    def test_table_bounded_after_a_drain_at_the_cap(self, cold_table):
+        take_prefix(parse_spec("halt:collatz"), MAX_BUDGET, MAX_BUDGET)
+        assert len(cold_table) <= MAX_BUDGET + 1
+        COLLATZ_MODEL.steps(2 * MAX_BUDGET, 10**6)
+        assert len(cold_table) <= MAX_BUDGET + 1
+
+    @pytest.mark.parametrize(
+        "budget", DRAIN_BUDGETS + [pytest.param(30000, marks=pytest.mark.slow)]
+    )
+    def test_drain_matches_schedule_oracle(self, cold_table, budget):
+        got = take_prefix(parse_spec("halt:collatz"), budget, budget).values
+        assert list(got) == dovetail_order_oracle(cached_halt_step, budget)
 
 
 class TestDovetail:

@@ -8,10 +8,12 @@ from enumorder.errors import (
     BadPattern,
     InvalidPairing,
     PreconditionViolated,
+    TooLarge,
     ValueAbsent,
     ZeroValue,
 )
 from enumorder.extraction import (
+    MAX_FAMILY_N,
     Membership,
     PairedListings,
     ascending_view,
@@ -205,6 +207,12 @@ class TestFamilyBelow:
     def test_bad_bound(self):
         with pytest.raises(BadBound):
             family_below(SetSample(frozenset({2}), 3), 4)
+
+    def test_refuses_more_than_the_cap(self):
+        sample = SetSample(frozenset({2}), 2 * MAX_FAMILY_N)
+        assert len(family_below(sample, MAX_FAMILY_N)) == MAX_FAMILY_N + 1
+        with pytest.raises(TooLarge):
+            family_below(sample, MAX_FAMILY_N + 1)
 
     @pytest.mark.parametrize("n", range(5))
     def test_distinct_and_bounded_difference(self, n):
