@@ -9,7 +9,9 @@ and ``--budget``.
 
 Each command is one ``COMMANDS`` entry: its number of prefix sources, its
 extra arguments, and a function yielding ``(json_obj, text, exit_code)``
-rows.  ``main`` prints each row and exits with the highest code.
+rows.  ``main`` prints each row and exits with the highest code.  The
+argparse parser is built once per process, on the first ``main`` call, and
+is only read after that: each parse makes a fresh namespace.
 
 Exit codes: 0 success/pass, 1 property violation, 2 invalid input,
 3 insufficient prefix.
@@ -18,6 +20,7 @@ Exit codes: 0 success/pass, 1 property violation, 2 invalid input,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
@@ -276,6 +279,7 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="enumorder",

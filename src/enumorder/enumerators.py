@@ -25,7 +25,7 @@ from typing import Callable, Iterator, List, Optional, Tuple
 from .errors import SpecParseError, TooLarge
 from .prefixes import PrefixListing
 
-# a drain at this size takes ~0.7 s with halt:rm, now the slower model, and
+# a drain at this size takes ~0.6 s with halt:rm, now the slower model, and
 # ~0.4 s with halt:collatz from a cold halt-step table (2-core host, Python 3.11)
 MAX_BUDGET = 200_000
 
@@ -147,14 +147,16 @@ def _collatz_steps(code: int, cap: int) -> Optional[int]:
 #   op  = word % 3   (0 halt, 1 increment, 2 decrement-or-jump-if-zero)
 #   reg = word // 3 % 2
 #   arg = word // 6  (jump target, modulo program length)
+_WORDS = tuple((w % 3, w // 3 % 2, w // 6) for w in range(16))
+
+
 def _decode_program(code: int) -> List[Tuple[int, int, int]]:
-    words = []
+    program = []
     n = code
     while n > 0:
-        n -= 1
-        words.append(n % 16)
-        n //= 16
-    return [(w % 3, w // 3 % 2, w // 6) for w in words]
+        n, w = divmod(n - 1, 16)
+        program.append(_WORDS[w])
+    return program
 
 
 def _register_machine_steps(code: int, cap: int) -> Optional[int]:

@@ -114,20 +114,21 @@ def validate_pairing(f: PrefixListing, g: PrefixListing, m: int) -> None:
         raise InvalidPairing(f"extra element {m} occurs in g")
     if m >= min(a_set):
         raise InvalidPairing(f"extra element {m} is not below min of g's values")
-    if f(1) != m:
-        raise InvalidPairing(f"f(1) = {f(1)}, expected the extra element {m}")
+    if f.values[0] != m:
+        raise InvalidPairing(f"f(1) = {f.values[0]}, expected the extra element {m}")
     b_asc = sorted(a_set | {m})
     a_asc = sorted(a_set)
     b_rank = {v: k for k, v in enumerate(b_asc, start=1)}
     a_rank = {v: k for k, v in enumerate(a_asc, start=1)}
-    for i in range(1, len(f) + 1):
-        if f(i) not in b_rank:
-            raise InvalidPairing(f"f enumerates {f(i)}, outside g's values plus {m}")
-        if b_rank[f(i)] != a_rank[g(i)]:
+    for i, (x, y) in enumerate(zip(f.values, g.values), 1):
+        rank = b_rank.get(x)
+        if rank is None:
+            raise InvalidPairing(f"f enumerates {x}, outside g's values plus {m}")
+        if rank != a_rank[y]:
             raise InvalidPairing(
                 f"rank misalignment at position {i}: "
-                f"rank of f({i})={f(i)} is {b_rank[f(i)]}, "
-                f"rank of g({i})={g(i)} is {a_rank[g(i)]}"
+                f"rank of f({i})={x} is {rank}, "
+                f"rank of g({i})={y} is {a_rank[y]}"
             )
     if not equiv_eo(f, g):
         raise InvalidPairing("f and g are not order-equivalent")

@@ -153,6 +153,10 @@ class ReducibilityVerdict:
         return self.fail_at is None
 
 
+# the one holding verdict: frozen, and equal to any other by value
+_HOLDS = ReducibilityVerdict()
+
+
 @dataclass(frozen=True)
 class SetSample:
     """A finite stand-in for a set: its elements up to a declared bound.
@@ -209,17 +213,19 @@ def leq_eo(f: PrefixListing, g: PrefixListing) -> ReducibilityVerdict:
     the worst case; above it, a Fenwick scan in O(n log n) time and O(n)
     space that finds the same witness.
     """
-    if len(f) != len(g):
-        raise LengthMismatch(len(f), len(g))
     fv, gv = f.values, g.values
     n = len(fv)
+    if n != len(gv):
+        raise LengthMismatch(n, len(gv))
     if n > LEQ_EO_SMALL_N:
-        return ReducibilityVerdict(fail_at=_fenwick_fail_at(f, g))
+        fail_at = _fenwick_fail_at(f, g)
+        return _HOLDS if fail_at is None else ReducibilityVerdict(fail_at=fail_at)
     for i in range(n):
+        a, b = fv[i], gv[i]
         for j in range(i + 1, n):
-            if fv[i] > fv[j] and gv[i] < gv[j]:
+            if a > fv[j] and b < gv[j]:
                 return ReducibilityVerdict(fail_at=(i + 1, j + 1))
-    return ReducibilityVerdict()
+    return _HOLDS
 
 
 def _fenwick_fail_at(f: PrefixListing, g: PrefixListing) -> Optional[PositionPair]:

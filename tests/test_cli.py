@@ -1,5 +1,8 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -7,8 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import enumorder
 from enumorder import oracle
-from enumorder.cli import COMMANDS, main
+from enumorder.cli import COMMANDS, build_parser, main
 
 
 def run(capsys, *argv):
@@ -194,6 +198,34 @@ class TestDeterminism:
         _, first, _ = run(capsys, *argv)
         _, second, _ = run(capsys, *argv)
         assert first == second
+
+
+class TestParserReuse:
+    VALID = ("pattern", "inline", "6 2 4")
+
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_calls_in_one_process_do_not_leak(self, capsys):
+        code, first, _ = run(capsys, *self.VALID)
+        assert (code, first) == (0, '{"values": [6, 2, 4], "pattern": [3, 1, 2]}\n')
+        code, out, err = run(capsys, "enumerate", "even", "--prefix-len", "-1")
+        assert code == 2 and out == ""
+        assert err.startswith("usage: enumorder enumerate") and "expected an integer >= 0" in err
+        code, out, err = run(capsys, "--help")
+        assert code == 0 and out.startswith("usage: enumorder") and err == ""
+        code, out, err = run(capsys, "bogus")
+        assert code == 2 and out == "" and "invalid choice" in err and "bogus" in err
+        code, again, _ = run(capsys, *self.VALID)
+        assert (code, again) == (0, first)
+        src = str(Path(enumorder.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        fresh = subprocess.run(
+            [sys.executable, "-m", "enumorder.cli", *self.VALID],
+            capture_output=True, text=True, env=env, check=False,
+        )
+        assert (fresh.returncode, fresh.stdout) == (0, first)
 
 
 PAIR_FILE = "1 4 2 6\n2 6 4 8\nm=1\n"

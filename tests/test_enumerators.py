@@ -379,6 +379,30 @@ def djz(reg, target):
     return 2 + 3 * reg + 6 * target
 
 
+def arithmetic_decode(code):
+    """halt:rm's program of a code, word by word from its arithmetic definition."""
+    words = []
+    n = code
+    while n > 0:
+        n -= 1
+        words.append(n % 16)
+        n //= 16
+    return [(w % 3, w // 3 % 2, w // 6) for w in words]
+
+
+class TestRegisterMachineDecode:
+    def test_every_program_of_at_most_three_words(self):
+        # 16 + 16^2 + 16^3 = 4368 codes hold every program of 1 to 3 words
+        for code in range(4369):
+            assert enumerators._decode_program(code) == arithmetic_decode(code), code
+        assert len(enumerators._decode_program(4368)) == 3
+        assert len(enumerators._decode_program(4369)) == 4
+
+    @given(code=st.integers(4369, 16**12))
+    def test_sampled_larger_codes(self, code):
+        assert enumerators._decode_program(code) == arithmetic_decode(code)
+
+
 class TestRegisterMachineCycleCut:
     @pytest.mark.parametrize("cap", [1, 2, 3, 5, 8, 13, 50, 400])
     def test_exact_on_small_codes(self, cap):

@@ -100,12 +100,28 @@ class TestMakePaired:
             make_paired(SetSample(frozenset({2, 4}), 4), 2, Pattern((1, 2)))
 
     def test_arbitrary_pair_validated(self):
-        # rank misalignment: f's second value has rank 3 in B, g's has rank 1 in A
+        # rank misalignment: f's second value has rank 3 in B, g's has rank 2 in A
         with pytest.raises(InvalidPairing):
             PairedListings(make_prefix([1, 4]), make_prefix([2, 4]), 1)
 
+    @pytest.mark.parametrize(
+        "f, g, message",
+        [
+            ([1, 4, 7], [2, 6, 4], "f enumerates 7, outside g's values plus 1"),
+            (
+                [1, 4, 2, 6],
+                [2, 6, 8, 4],
+                "rank misalignment at position 3: rank of f(3)=2 is 2, rank of g(3)=8 is 4",
+            ),
+        ],
+    )
+    def test_invalid_pairing_message(self, f, g, message):
+        with pytest.raises(InvalidPairing) as info:
+            PairedListings(make_prefix(f), make_prefix(g), 1)
+        assert str(info.value) == message
+
     def test_f_must_start_at_extra(self):
-        with pytest.raises(InvalidPairing):
+        with pytest.raises(InvalidPairing, match=r"^f\(1\) = 2, expected the extra element 1$"):
             PairedListings(make_prefix([2, 1]), make_prefix([2, 4]), 1)
 
     def test_all_opening_patterns_produce_valid_pairs(self):
