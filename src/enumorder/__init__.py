@@ -4,86 +4,67 @@ Compares finite listing prefixes by their order inversions, manipulates
 listings constructively (transport, descending chains), extracts membership
 deciders from rank-aligned listing pairs, and brute-force-verifies the
 underlying order-theoretic claims exhaustively at small sizes.
+
+Each public name is imported from its submodule on first access (PEP 562),
+so ``import enumorder`` loads no submodule and a command line tool pays only
+for the modules it uses.
 """
 
-from .algebra import (
-    Chain,
-    chain_stabilize,
-    inverse_lookup,
-    make_strict_chain,
-    transport,
-)
-from .enumerators import (
-    Enumerator,
-    HaltingModel,
-    builtin_models,
-    dovetail_halting,
-    parse_spec,
-    take_prefix,
-)
-from .extraction import (
-    InversePositionReport,
-    Membership,
-    MembershipReport,
-    PairedListings,
-    ascending_view,
-    check_inverse_positions,
-    decide_membership,
-    descent_chain,
-    family_below,
-    make_paired,
-    predecessor,
-)
-from .oracle import PropertyReport, all_patterns, run_property
-from .prefixes import (
-    Pattern,
-    PrefixListing,
-    ReducibilityVerdict,
-    SetSample,
-    ascending_listing,
-    equiv_eo,
-    inversions,
-    leq_eo,
-    make_prefix,
-    standardize,
-)
+import importlib
 
-__all__ = [
-    "Chain",
-    "Enumerator",
-    "HaltingModel",
-    "InversePositionReport",
-    "Membership",
-    "MembershipReport",
-    "PairedListings",
-    "Pattern",
-    "PrefixListing",
-    "PropertyReport",
-    "ReducibilityVerdict",
-    "SetSample",
-    "all_patterns",
-    "ascending_listing",
-    "ascending_view",
-    "builtin_models",
-    "chain_stabilize",
-    "check_inverse_positions",
-    "decide_membership",
-    "descent_chain",
-    "dovetail_halting",
-    "equiv_eo",
-    "family_below",
-    "inverse_lookup",
-    "inversions",
-    "leq_eo",
-    "make_paired",
-    "make_prefix",
-    "make_strict_chain",
-    "parse_spec",
-    "predecessor",
-    "run_property",
-    "standardize",
-    "take_prefix",
-    "transport",
-]
+# public name -> the submodule that defines it
+_SOURCES = {
+    "Chain": "algebra",
+    "chain_stabilize": "algebra",
+    "inverse_lookup": "algebra",
+    "make_strict_chain": "algebra",
+    "transport": "algebra",
+    "Enumerator": "enumerators",
+    "HaltingModel": "enumerators",
+    "builtin_models": "enumerators",
+    "dovetail_halting": "enumerators",
+    "parse_spec": "enumerators",
+    "take_prefix": "enumerators",
+    "InversePositionReport": "extraction",
+    "Membership": "extraction",
+    "MembershipReport": "extraction",
+    "PairedListings": "extraction",
+    "ascending_view": "extraction",
+    "check_inverse_positions": "extraction",
+    "decide_membership": "extraction",
+    "descent_chain": "extraction",
+    "family_below": "extraction",
+    "make_paired": "extraction",
+    "predecessor": "extraction",
+    "PropertyReport": "oracle",
+    "all_patterns": "oracle",
+    "run_property": "oracle",
+    "Pattern": "prefixes",
+    "PrefixListing": "prefixes",
+    "ReducibilityVerdict": "prefixes",
+    "SetSample": "prefixes",
+    "ascending_listing": "prefixes",
+    "equiv_eo": "prefixes",
+    "inversions": "prefixes",
+    "leq_eo": "prefixes",
+    "make_prefix": "prefixes",
+    "standardize": "prefixes",
+}
+
+__all__ = sorted(_SOURCES)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    try:
+        module = _SOURCES[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_SOURCES})

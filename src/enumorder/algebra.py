@@ -4,7 +4,6 @@ equivalent pair, and repeat detection in descending reducibility chains.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from .errors import (
@@ -14,15 +13,14 @@ from .errors import (
     ValueAbsent,
     ValueSetMismatch,
 )
-from .prefixes import PrefixListing, leq_eo
+from .prefixes import FrozenSlots, PrefixListing, leq_eo
 
 # make_strict_chain's output has n(n-1)/2 + 1 listings of n values, which
 # is about 8.4M values at n = 256
 MAX_CHAIN_N = 256
 
 
-@dataclass(frozen=True)
-class Chain:
+class Chain(FrozenSlots):
     """A descending reducibility chain: each listing reducible to the previous.
 
     All listings share one length and one value set; the descending invariant
@@ -30,7 +28,11 @@ class Chain:
     candidate chains and ask.
     """
 
+    __slots__ = _fields = ("listings",)
     listings: Tuple[PrefixListing, ...]
+
+    def __init__(self, listings: Tuple[PrefixListing, ...]):
+        object.__setattr__(self, "listings", listings)
 
     def __len__(self) -> int:
         return len(self.listings)

@@ -13,6 +13,14 @@ rows.  ``main`` prints each row and exits with the highest code.  The
 argparse parser is built once per process, on the first ``main`` call, and
 is only read after that: each parse makes a fresh namespace.
 
+A command loads only the modules it runs.  This module imports ``errors``
+and ``prefixes``, which every prefix source needs; the rest are imported
+inside the functions that use them: ``enumerators`` by ``enumerate`` and
+spec sources, ``algebra`` by ``transport``, ``stabilize`` and
+``chain-make``, ``extraction`` by ``decide``, ``lemma8``, ``pred`` and
+``family``, and ``oracle`` by ``verify``.  ``compare``, ``pattern`` and
+``inversions`` on inline or file sources load nothing more.
+
 Exit codes: 0 success/pass, 1 property violation, 2 invalid input,
 3 insufficient prefix.
 """
@@ -23,12 +31,9 @@ import argparse
 import functools
 import json
 import sys
-from typing import Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from . import enumerators, extraction, oracle
-from .algebra import Chain, chain_stabilize, make_strict_chain, transport
 from .errors import EnumOrderError
-from .extraction import Membership, PairedListings, decide_membership, predecessor
 from .prefixes import (
     PrefixListing,
     SetSample,
@@ -37,6 +42,9 @@ from .prefixes import (
     make_prefix,
     standardize,
 )
+
+if TYPE_CHECKING:
+    from .extraction import PairedListings
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -111,6 +119,8 @@ def parse_sources(tokens: Sequence[str], prefix_len: int, budget: int) -> List[P
             first = next(_nonblank_lines(tok[len("file:"):]), "")
             out.append(make_prefix(_parse_values(first)))
         else:
+            from . import enumerators
+
             e = enumerators.parse_spec(tok)
             out.append(enumerators.take_prefix(e, prefix_len, budget))
     return out
@@ -118,6 +128,8 @@ def parse_sources(tokens: Sequence[str], prefix_len: int, budget: int) -> List[P
 
 def load_paired_file(path: str) -> PairedListings:
     """Two prefix lines then ``m=<nat>``."""
+    from .extraction import PairedListings
+
     lines = list(_nonblank_lines(path))
     if len(lines) != 3 or not lines[2].startswith("m="):
         raise EnumOrderError("paired file needs two prefix lines then 'm=<nat>'")
@@ -154,6 +166,8 @@ def _compare(args, f: PrefixListing, g: PrefixListing) -> Iterator[Row]:
 
 def _verify(args) -> Iterator[Row]:
     """Run brute-force property checks."""
+    from . import oracle
+
     every = args.property == "all"
     for pid in oracle.REGISTRY if every else [args.property]:
         n = min(args.n, oracle.REGISTRY[pid][0]) if every else args.n
@@ -165,6 +179,8 @@ def _verify(args) -> Iterator[Row]:
 
 def _decide(args) -> Iterator[Row]:
     """Membership from a paired-listings file."""
+    from .extraction import Membership, decide_membership
+
     report = decide_membership(load_paired_file(args.paired), args.x)
     descent = list(report.descent)
     obj = {"x": report.x, "result": report.result.value, "descent": descent}
@@ -187,12 +203,16 @@ def _inversions(args, p: PrefixListing) -> Iterator[Row]:
 
 def _transport(args, h, h_prime, g_prime) -> Iterator[Row]:
     """Carry h's order onto g_prime's values (sources: h h_prime g_prime)."""
+    from .algebra import transport
+
     result = transport(h, h_prime, g_prime)
     yield {"result": list(result.values)}, _words(result.values), EXIT_OK
 
 
 def _stabilize(args) -> Iterator[Row]:
     """Find the least repeat in a chain file."""
+    from .algebra import Chain, chain_stabilize
+
     chain = Chain(tuple(make_prefix(_parse_values(ln)) for ln in _nonblank_lines(args.chain)))
     repeat = chain_stabilize(chain)
     obj = {"length": len(chain), "repeat": list(repeat) if repeat else None}
@@ -201,6 +221,8 @@ def _stabilize(args) -> Iterator[Row]:
 
 def _lemma8(args, f: PrefixListing, g: PrefixListing) -> Iterator[Row]:
     """Inverse-position clause report for f <=eo g."""
+    from . import extraction
+
     report = extraction.check_inverse_positions(f, g)
     c1 = report.clause1
     clause2 = [
@@ -218,12 +240,16 @@ def _lemma8(args, f: PrefixListing, g: PrefixListing) -> Iterator[Row]:
 
 def _pred(args) -> Iterator[Row]:
     """Predecessor of a value via a paired file."""
+    from .extraction import predecessor
+
     value = predecessor(load_paired_file(args.paired), args.a)
     yield {"a": args.a, "predecessor": value}, str(value), EXIT_OK
 
 
 def _family(args) -> Iterator[Row]:
     """Finite low-element modifications of a sample."""
+    from . import extraction
+
     sample = SetSample(frozenset(_parse_values(args.elements)), args.bound)
     family = [sorted(s.elements) for s in extraction.family_below(sample, args.n)]
     obj = {"bound": args.bound, "family": family}
@@ -232,6 +258,8 @@ def _family(args) -> Iterator[Row]:
 
 def _enumerate(args) -> Iterator[Row]:
     """Materialize an enumerator prefix."""
+    from . import enumerators
+
     e = enumerators.parse_spec(args.spec)
     p = enumerators.take_prefix(e, args.prefix_len, args.budget)
     yield {"spec": args.spec, "values": list(p.values)}, _words(p.values), EXIT_OK
@@ -239,6 +267,8 @@ def _enumerate(args) -> Iterator[Row]:
 
 def _chain_make(args) -> Iterator[Row]:
     """Maximal strictly descending chain."""
+    from .algebra import make_strict_chain
+
     listings = [list(p.values) for p in make_strict_chain(args.n).listings]
     obj = {"n": args.n, "chain": listings}
     yield obj, "\n".join(_words(values) for values in listings), EXIT_OK
@@ -258,7 +288,20 @@ PREFIX_OPTIONS = (
     ("--prefix-len", {"type": nat, "default": 32}),
     ("--budget", {"type": nat, "default": 10000}),
 )
-PROPERTY = ("--property", {"required": True, "choices": ("all", *oracle.REGISTRY)})
+# oracle.REGISTRY's ids, in its order, spelled out so that building the
+# parser does not import the oracle
+PROPERTY_IDS = (
+    "reflexive",
+    "transitive",
+    "non-antisymmetric",
+    "subset-characterization",
+    "lemma-2-3",
+    "lemma-2-8",
+    "transport",
+    "stabilization",
+    "class-count",
+)
+PROPERTY = ("--property", {"required": True, "choices": ("all", *PROPERTY_IDS)})
 PAIRED = _required("--paired")
 
 COMMANDS = {

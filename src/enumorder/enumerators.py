@@ -19,8 +19,7 @@ Spec grammar: ``even | nminus:<nat> | asc:<nat>(,<nat>)* | halt:<model-name>``
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Callable, Iterator, List, Optional, Tuple
+from typing import Callable, Iterator, List, NamedTuple, Optional, Tuple
 
 from .errors import SpecParseError, TooLarge
 from .prefixes import PrefixListing
@@ -33,8 +32,7 @@ MAX_BUDGET = 200_000
 Enumerator = Callable[[int, int], Iterator[int]]
 
 
-@dataclass(frozen=True)
-class HaltingModel:
+class HaltingModel(NamedTuple):
     """A deterministic halting-time model over codes 1, 2, ...
 
     `steps(code, cap)` returns the number of simulation steps at which the

@@ -9,8 +9,7 @@ yields descent chains and a three-valued membership decider.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, NamedTuple, Tuple
 
 from .algebra import inverse_lookup
 from .errors import (
@@ -23,7 +22,7 @@ from .errors import (
     TooLarge,
     ValueAbsent,
 )
-from .prefixes import Pattern, PrefixListing, SetSample, equiv_eo, leq_eo
+from .prefixes import FrozenSlots, Pattern, PrefixListing, SetSample, leq_eo
 
 # family_below's output has n + 1 sets of up to about n elements each, so its
 # time, memory and printed size grow as n squared
@@ -35,15 +34,13 @@ def ascending_view(p: PrefixListing) -> Tuple[int, ...]:
     return tuple(sorted(p.values))
 
 
-@dataclass(frozen=True)
-class Clause1:
+class Clause1(NamedTuple):
     fpos: int
     gpos: int
     holds: bool
 
 
-@dataclass(frozen=True)
-class Clause2Entry:
+class Clause2Entry(NamedTuple):
     index: int
     premise_held: bool
     fpos: int
@@ -51,8 +48,7 @@ class Clause2Entry:
     holds: bool  # vacuously true when the premise fails
 
 
-@dataclass(frozen=True)
-class InversePositionReport:
+class InversePositionReport(NamedTuple):
     clause1: Clause1
     clause2: Tuple[Clause2Entry, ...]
 
@@ -87,8 +83,7 @@ def check_inverse_positions(f: PrefixListing, g: PrefixListing) -> InversePositi
     return InversePositionReport(clause1, tuple(entries))
 
 
-@dataclass(frozen=True)
-class PairedListings:
+class PairedListings(FrozenSlots):
     """An aligned pair: f over A ∪ {m} with f(1) = m, g over A.
 
     Rank alignment is the load-bearing invariant: the rank of f(i) within
@@ -96,15 +91,24 @@ class PairedListings:
     ascending view of A.  It makes f(g^-1(a)) the element one rank below a.
     """
 
+    __slots__ = _fields = ("f", "g", "m")
     f: PrefixListing
     g: PrefixListing
     m: int
 
-    def __post_init__(self):
-        validate_pairing(self.f, self.g, self.m)
+    def __init__(self, f: PrefixListing, g: PrefixListing, m: int):
+        validate_pairing(f, g, m)
+        object.__setattr__(self, "f", f)
+        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "m", m)
 
 
 def validate_pairing(f: PrefixListing, g: PrefixListing, m: int) -> None:
+    """Raise InvalidPairing unless f, g and m form a rank-aligned pair.
+
+    Equal ranks, within A ∪ {m} and within A, at every position give f and
+    g one pattern, so every accepted pair is order-equivalent.
+    """
     if len(f) != len(g):
         raise InvalidPairing(f"lengths differ: {len(f)} != {len(g)}")
     if len(f) == 0:
@@ -130,8 +134,6 @@ def validate_pairing(f: PrefixListing, g: PrefixListing, m: int) -> None:
                 f"rank of f({i})={x} is {rank}, "
                 f"rank of g({i})={y} is {a_rank[y]}"
             )
-    if not equiv_eo(f, g):
-        raise InvalidPairing("f and g are not order-equivalent")
 
 
 def make_paired(a_sample: SetSample, m: int, pattern: Pattern) -> PairedListings:
@@ -189,8 +191,7 @@ class Membership(enum.Enum):
     INSUFFICIENT = "insufficient"
 
 
-@dataclass(frozen=True)
-class MembershipReport:
+class MembershipReport(NamedTuple):
     x: int
     result: Membership
     descent: Tuple[int, ...]

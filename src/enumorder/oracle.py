@@ -26,8 +26,7 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .algebra import Chain, chain_stabilize, transport
 from .errors import TooLarge, UnknownProperty
@@ -46,8 +45,7 @@ from .extraction import check_inverse_positions
 MAX_PATTERN_N = 8
 
 
-@dataclass(frozen=True)
-class PropertyReport:
+class PropertyReport(NamedTuple):
     property_id: str
     n: int
     instances: int

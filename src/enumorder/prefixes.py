@@ -8,12 +8,12 @@ to g when every inversion of f is also an inversion of g.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import (
     Callable,
     Iterable,
     Iterator,
     Mapping,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -34,14 +34,52 @@ LEQ_EO_SMALL_N = 32
 MAX_INVERSIONS_N = 1024
 
 
+class FrozenSlots:
+    """Base of the validated value classes: an immutable record in __slots__.
+
+    A subclass lists its fields in `_fields` and stores them in __init__
+    with object.__setattr__, after its checks.  Instances compare, hash and
+    print by those fields, as a frozen dataclass does; assigning or
+    deleting any attribute raises AttributeError.
+    """
+
+    __slots__ = ()
+    _fields: Tuple[str, ...] = ()
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, since __setattr__ refuses
+        return type(self), self._key()
+
+
 def _computed_once(build: Callable[..., T]) -> property:
     """A read-only property built on first use and kept on the instance.
 
-    The value is stored with object.__setattr__ under a private name, which
-    works on a frozen dataclass and leaves its equality and hashing alone.
-    Unlike functools.cached_property, this never reads the instance
-    __dict__, which would slow every later attribute load on the instance
-    (`values` 3x on CPython 3.11), and the oracle's hashing loops with it.
+    The value is stored with object.__setattr__ in the slot named `_` plus
+    the decorated function's name, which the class must declare; it stays
+    out of `_fields`, so equality, hashing and repr ignore it.  A slot keeps
+    every attribute load a fixed-offset read, where
+    functools.cached_property would need an instance __dict__.
     """
     name = "_" + build.__name__
 
@@ -56,28 +94,39 @@ def _computed_once(build: Callable[..., T]) -> property:
     return property(get, doc=build.__doc__)
 
 
-@dataclass(frozen=True)
-class PrefixListing:
+class PrefixListing(FrozenSlots):
     """An initial segment of a listing: distinct naturals at positions 1..n.
 
     Construction rejects a value below 1 with ZeroValue and a repeated
     value with DuplicateValue (naming its first repeat).
     """
 
+    __slots__ = ("values", "_value_set", "_ranks", "_positions")
+    _fields = ("values",)
     values: Tuple[int, ...]
 
-    def __post_init__(self):
+    def __init__(self, values: Tuple[int, ...]):
         # one C-level test for the common valid case; the loop only runs to
         # name the offending value
-        v = self.values
-        if len(set(v)) != len(v) or (v and min(v) < 1):
+        if len(set(values)) != len(values) or (values and min(values) < 1):
             seen = set()
-            for x in v:
+            for x in values:
                 if x < 1:
                     raise ZeroValue()
                 if x in seen:
                     raise DuplicateValue(x)
                 seen.add(x)
+        object.__setattr__(self, "values", values)
+
+    # the oracle hashes and compares listings by the thousand, so these skip
+    # FrozenSlots' generic field loop
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.values == other.values
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.values,))
 
     def __len__(self) -> int:
         return len(self.values)
@@ -118,16 +167,17 @@ class PrefixListing:
         return PrefixListing(self.values[: max(k, 0)])
 
 
-@dataclass(frozen=True)
-class Pattern:
+class Pattern(FrozenSlots):
     """The rank sequence of a prefix: a permutation of {1..n}."""
 
+    __slots__ = _fields = ("ranks",)
     ranks: Tuple[int, ...]
 
-    def __post_init__(self):
-        n = len(self.ranks)
-        if sorted(self.ranks) != list(range(1, n + 1)):
-            raise ValueError(f"ranks {self.ranks} are not a permutation of 1..{n}")
+    def __init__(self, ranks: Tuple[int, ...]):
+        n = len(ranks)
+        if sorted(ranks) != list(range(1, n + 1)):
+            raise ValueError(f"ranks {ranks} are not a permutation of 1..{n}")
+        object.__setattr__(self, "ranks", ranks)
 
     def __len__(self) -> int:
         return len(self.ranks)
@@ -139,8 +189,7 @@ class Pattern:
         return PrefixListing(tuple(ascending[r - 1] for r in self.ranks))
 
 
-@dataclass(frozen=True)
-class ReducibilityVerdict:
+class ReducibilityVerdict(NamedTuple):
     """Holds, or the lexicographically least position pair where it fails.
 
     A failure witness (i, j) has i < j, f(i) > f(j) and g(i) < g(j).
@@ -157,22 +206,24 @@ class ReducibilityVerdict:
 _HOLDS = ReducibilityVerdict()
 
 
-@dataclass(frozen=True)
-class SetSample:
+class SetSample(FrozenSlots):
     """A finite stand-in for a set: its elements up to a declared bound.
 
     The sample is complete below `bound`: it equals the true set intersected
     with [1..bound].
     """
 
+    __slots__ = _fields = ("elements", "bound")
     elements: frozenset
     bound: int
 
-    def __post_init__(self):
-        if any(e > self.bound for e in self.elements):
-            raise ValueSetMismatch(f"element above declared bound {self.bound}")
-        if any(e < 1 for e in self.elements):
+    def __init__(self, elements: frozenset, bound: int):
+        if any(e > bound for e in elements):
+            raise ValueSetMismatch(f"element above declared bound {bound}")
+        if any(e < 1 for e in elements):
             raise ZeroValue()
+        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "bound", bound)
 
 
 def make_prefix(values: Iterable[int]) -> PrefixListing:

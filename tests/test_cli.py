@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import enumorder
 from enumorder import oracle
-from enumorder.cli import COMMANDS, build_parser, main
+from enumorder.cli import COMMANDS, PROPERTY_IDS, build_parser, main
 
 
 def run(capsys, *argv):
@@ -226,6 +226,76 @@ class TestParserReuse:
             capture_output=True, text=True, env=env, check=False,
         )
         assert (fresh.returncode, fresh.stdout) == (0, first)
+
+
+class TestPropertyIds:
+    """The parser spells out the oracle's ids, so that building it does not
+    import the oracle; the help and error text stay as before."""
+
+    IDS = ("{all,reflexive,transitive,non-antisymmetric,subset-characterization,"
+           "lemma-2-3,lemma-2-8,transport,stabilization,class-count}")
+    VERIFY_USAGE = (
+        "usage: enumorder verify [-h] [--format {json,text}] --property\n"
+        f"                        {IDS}\n"
+        "                        --n N\n"
+    )
+    # stdout and stderr at 80 columns, as printed before the ids were spelled out
+    GOLDEN = {
+        ("--help",): (0, (
+            "usage: enumorder [-h]\n"
+            "                 {compare,verify,decide,pattern,inversions,transport,stabilize,"
+            "lemma8,pred,family,enumerate,chain-make}\n"
+            "                 ...\n"
+            "\n"
+            "Enumeration-order analysis of listing prefixes.\n"
+            "\n"
+            "positional arguments:\n"
+            "  {compare,verify,decide,pattern,inversions,transport,stabilize,lemma8,pred,"
+            "family,enumerate,chain-make}\n"
+            "    compare             Reducibility both ways plus equivalence.\n"
+            "    verify              Run brute-force property checks.\n"
+            "    decide              Membership from a paired-listings file.\n"
+            "    pattern             Standardized rank sequence of a prefix.\n"
+            "    inversions          Inverted position pairs of a prefix.\n"
+            "    transport           Carry h's order onto g_prime's values (sources: h\n"
+            "                        h_prime g_prime).\n"
+            "    stabilize           Find the least repeat in a chain file.\n"
+            "    lemma8              Inverse-position clause report for f <=eo g.\n"
+            "    pred                Predecessor of a value via a paired file.\n"
+            "    family              Finite low-element modifications of a sample.\n"
+            "    enumerate           Materialize an enumerator prefix.\n"
+            "    chain-make          Maximal strictly descending chain.\n"
+            "\n"
+            "options:\n"
+            "  -h, --help            show this help message and exit\n"
+        ), ""),
+        ("verify", "--help"): (0, VERIFY_USAGE + (
+            "\n"
+            "options:\n"
+            "  -h, --help            show this help message and exit\n"
+            "  --format {json,text}\n"
+            f"  --property {IDS}\n"
+            "  --n N\n"
+        ), ""),
+        ("verify", "--property", "bogus", "--n", "3"): (2, "", VERIFY_USAGE + (
+            "enumorder verify: error: argument --property: invalid choice: 'bogus' (choose from "
+            "'all', 'reflexive', 'transitive', 'non-antisymmetric', 'subset-characterization', "
+            "'lemma-2-3', 'lemma-2-8', 'transport', 'stabilization', 'class-count')\n"
+        )),
+    }
+
+    def test_ids_are_the_registry(self):
+        assert PROPERTY_IDS == tuple(oracle.REGISTRY)
+
+    def test_ids_in_help(self, capsys):
+        assert self.IDS in run(capsys, "verify", "--help")[1]
+
+    # argparse's layout differs between Python versions; these bytes are 3.11's
+    @pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="help text captured on 3.11")
+    @pytest.mark.parametrize("argv", GOLDEN, ids=[" ".join(argv) for argv in GOLDEN])
+    def test_help_and_error_bytes(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert run(capsys, *argv) == self.GOLDEN[argv]
 
 
 PAIR_FILE = "1 4 2 6\n2 6 4 8\nm=1\n"

@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from enumorder.errors import (
     BadBound,
@@ -24,7 +26,14 @@ from enumorder.extraction import (
     make_paired,
     predecessor,
 )
-from enumorder.prefixes import Pattern, PrefixListing, SetSample, inversions, make_prefix
+from enumorder.prefixes import (
+    Pattern,
+    PrefixListing,
+    SetSample,
+    equiv_eo,
+    inversions,
+    make_prefix,
+)
 
 
 @pytest.fixture
@@ -131,6 +140,37 @@ class TestMakePaired:
             p = make_paired(sample, 1, pat)
             assert p.f(1) == 1
             assert set(p.g.values) == sample.elements
+
+
+@st.composite
+def candidate_pairs(draw):
+    """(f, g, m, aligned): g lists a drawn set A, m < min(A), and f opens
+    with m.  An aligned f takes, at each position, the value of A ∪ {m} whose
+    rank there equals g's rank in A; otherwise f's other values are drawn
+    from A freely."""
+    a = draw(st.lists(st.integers(2, 30), min_size=1, max_size=6, unique=True))
+    m = draw(st.integers(1, min(a) - 1))
+    aligned = draw(st.booleans())
+    if aligned:
+        a_asc, b_asc = sorted(a), sorted(a + [m])
+        g = [a_asc[0], *draw(st.permutations(a_asc[1:]))]
+        f = [b_asc[a_asc.index(y)] for y in g]
+    else:
+        g = draw(st.permutations(a))
+        f = [m, *draw(st.permutations(a))[: len(a) - 1]]
+    return make_prefix(f), make_prefix(g), m, aligned
+
+
+@given(candidate_pairs())
+def test_accepted_pairs_are_order_equivalent(pair):
+    # validate_pairing leaves order-equivalence to its rank loop, which implies it
+    f, g, m, aligned = pair
+    try:
+        PairedListings(f, g, m)
+    except InvalidPairing:
+        assert not aligned
+        return
+    assert equiv_eo(f, g)
 
 
 class TestPredecessor:

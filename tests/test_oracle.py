@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import pytest
 
 from enumorder import oracle
@@ -120,7 +118,7 @@ def _clauses_fail_on_reversal(f, g):
     report = check_inverse_positions(f, g)
     n = len(f)
     if f.values == tuple(range(1, n + 1)) and g.values == tuple(range(n, 0, -1)) and n > 1:
-        return replace(report, clause1=replace(report.clause1, holds=False))
+        return report._replace(clause1=report.clause1._replace(holds=False))
     return report
 
 

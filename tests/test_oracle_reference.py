@@ -13,7 +13,6 @@ the same instances and the random walks are unchanged.
 import itertools
 import random
 import sys
-from dataclasses import replace
 
 import pytest
 
@@ -162,7 +161,7 @@ def _leq_eo_within_one_inversion(f, g):
 def _clauses_fail_everywhere(f, g):
     # through the module: this module's own name is the one patched
     report = extraction.check_inverse_positions(f, g)
-    return replace(report, clause1=replace(report.clause1, holds=False))
+    return report._replace(clause1=report.clause1._replace(holds=False))
 
 
 def _stabilize_echoes_chain(c):

@@ -1,0 +1,103 @@
+"""The package loads lazily: ``import enumorder`` runs no submodule, each
+public name is imported on first access, and a cold CLI call loads only the
+modules its command runs."""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import enumorder
+
+# the public names, as the package listed them when it imported every
+# submodule up front
+PUBLIC = [
+    "Chain", "Enumerator", "HaltingModel", "InversePositionReport", "Membership",
+    "MembershipReport", "PairedListings", "Pattern", "PrefixListing", "PropertyReport",
+    "ReducibilityVerdict", "SetSample", "all_patterns", "ascending_listing",
+    "ascending_view", "builtin_models", "chain_stabilize", "check_inverse_positions",
+    "decide_membership", "descent_chain", "dovetail_halting", "equiv_eo", "family_below",
+    "inverse_lookup", "inversions", "leq_eo", "make_paired", "make_prefix",
+    "make_strict_chain", "parse_spec", "predecessor", "run_property", "standardize",
+    "take_prefix", "transport",
+]
+
+# runs in a fresh interpreter: the modules `import enumorder` adds, then
+# those a `pattern` call adds, each against the bare interpreter's set
+PROBE = """
+import sys
+bare = set(sys.modules)
+import json, runpy
+import enumorder
+package = sorted(set(sys.modules) - bare)
+sys.argv = ["enumorder", "pattern", "inline", "6 2 4"]
+try:
+    runpy.run_module("enumorder.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps({"package": package, "cli": sorted(set(sys.modules) - bare), "code": code}))
+"""
+
+NOT_FOR_PATTERN = {
+    "dataclasses",
+    "enumorder.algebra",
+    "enumorder.enumerators",
+    "enumorder.extraction",
+    "enumorder.oracle",
+}
+
+
+def test_cold_pattern_call_loads_only_what_it_runs():
+    src = str(Path(enumorder.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", PROBE],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    out, probe = proc.stdout.rsplit("\n", 2)[:2]
+    probe = json.loads(probe)
+    assert out == '{"values": [6, 2, 4], "pattern": [3, 1, 2]}' and probe["code"] == 0
+    assert [m for m in probe["package"] if m.startswith("enumorder")] == ["enumorder"]
+    assert "dataclasses" not in probe["package"]
+    assert {"enumorder.errors", "enumorder.prefixes"} <= set(probe["cli"])
+    assert NOT_FOR_PATTERN.isdisjoint(probe["cli"])
+
+
+def test_public_names():
+    assert enumorder.__all__ == PUBLIC
+    assert set(PUBLIC) <= set(dir(enumorder))
+
+
+@pytest.mark.parametrize("name", PUBLIC)
+def test_name_resolves_to_its_submodule_object(name):
+    module = importlib.import_module(f"enumorder.{enumorder._SOURCES[name]}")
+    assert getattr(enumorder, name) is getattr(module, name)
+
+
+def test_star_import():
+    namespace = {}
+    exec("from enumorder import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(PUBLIC)
+    assert namespace["PrefixListing"] is importlib.import_module("enumorder.prefixes").PrefixListing
+
+
+def test_submodules_import_as_attributes():
+    from enumorder import algebra, cli, errors, oracle
+
+    assert cli.main is importlib.import_module("enumorder.cli").main
+    assert {algebra.__name__, errors.__name__, oracle.__name__} == {
+        "enumorder.algebra", "enumorder.errors", "enumorder.oracle"
+    }
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="module 'enumorder' has no attribute 'nope'"):
+        enumorder.nope
+    assert not hasattr(enumorder, "nope")
+    with pytest.raises(ImportError):
+        from enumorder import nope  # noqa: F401
