@@ -21,7 +21,7 @@ def main() -> None:
     args = parser.parse_args()
 
     for model in builtin_models():
-        prefix = take_prefix(dovetail_halting(model, args.budget), args.length, args.budget)
+        prefix = take_prefix(dovetail_halting(model), args.length, args.budget)
         asc = make_prefix(sorted(prefix.values))
         print(f"model {model.name}:")
         print(f"  emitted  {' '.join(str(v) for v in prefix.values)}")

@@ -80,12 +80,11 @@ def dovetail(model: HaltingModel, limit: int, n: int) -> Iterator[int]:
         settled, end = end, min(2 * end, limit)
 
 
-def dovetail_halting(model: HaltingModel, rounds: int) -> Enumerator:
-    """A dovetail over `model` that runs at most `rounds` rounds, whatever
-    the caller's budget."""
-    if rounds < 0:
-        raise ValueError("rounds must be >= 0")
-    return lambda budget, n: dovetail(model, min(budget, rounds), n)
+def dovetail_halting(model: HaltingModel) -> Enumerator:
+    """The dovetail over `model`, with the caller's budget as its only round
+    limit.  Fewer rounds are a smaller budget: take_prefix(e, n, min(budget,
+    rounds))."""
+    return lambda budget, n: dovetail(model, budget, n)
 
 
 def take_prefix(e: Enumerator, n: int, budget: int) -> PrefixListing:
@@ -242,5 +241,5 @@ def parse_spec(text: str) -> Enumerator:
         model = MODELS.get(text[len("halt:"):])
         if model is None:
             raise SpecParseError(len("halt:"), f"one of: {', '.join(MODELS)}")
-        return lambda budget, n: dovetail(model, budget, n)
+        return dovetail_halting(model)
     raise SpecParseError(0, "even | nminus:<nat> | asc:<nat>,... | halt:<model>")

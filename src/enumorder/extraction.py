@@ -120,19 +120,18 @@ def validate_pairing(f: PrefixListing, g: PrefixListing, m: int) -> None:
         raise InvalidPairing(f"extra element {m} is not below min of g's values")
     if f.values[0] != m:
         raise InvalidPairing(f"f(1) = {f.values[0]}, expected the extra element {m}")
-    b_asc = sorted(a_set | {m})
-    a_asc = sorted(a_set)
-    b_rank = {v: k for k, v in enumerate(b_asc, start=1)}
-    a_rank = {v: k for k, v in enumerate(a_asc, start=1)}
-    for i, (x, y) in enumerate(zip(f.values, g.values), 1):
+    # m ranks first in A ∪ {m}, so each value of A ranks one higher there than in A
+    b_rank = {y: r + 1 for y, r in zip(g.values, g.ranks)}
+    b_rank[m] = 1
+    for i, (x, y, a_rank) in enumerate(zip(f.values, g.values, g.ranks), 1):
         rank = b_rank.get(x)
         if rank is None:
             raise InvalidPairing(f"f enumerates {x}, outside g's values plus {m}")
-        if rank != a_rank[y]:
+        if rank != a_rank:
             raise InvalidPairing(
                 f"rank misalignment at position {i}: "
                 f"rank of f({i})={x} is {rank}, "
-                f"rank of g({i})={y} is {a_rank[y]}"
+                f"rank of g({i})={y} is {a_rank}"
             )
 
 
@@ -154,8 +153,7 @@ def make_paired(a_sample: SetSample, m: int, pattern: Pattern) -> PairedListings
         raise BadPattern(f"pattern length {len(pattern)} != sample size {len(a_asc)}")
     if pattern.ranks[0] != 1:
         raise BadPattern(f"pattern must start with rank 1, got {pattern.ranks[0]}")
-    b_asc = sorted(set(a_asc) | {m})
-    return PairedListings(pattern.apply(b_asc), pattern.apply(a_asc), m)
+    return PairedListings(pattern.apply([m, *a_asc]), pattern.apply(a_asc), m)
 
 
 def predecessor(p: PairedListings, a: int) -> int:

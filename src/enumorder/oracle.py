@@ -252,7 +252,8 @@ def _check_class_count(n: int):
     for p in prefixes:
         if not any(equiv_eo(p, r) for r in representatives):
             representatives.append(p)
-    distinct_patterns = len({standardize(p).ranks for p in prefixes})
+    # each permutation of 1..n is its own pattern: this reads no ranks, as equiv_eo does
+    distinct_patterns = len({p.values for p in prefixes})
     if len(representatives) != distinct_patterns:
         violations.append(
             f"{len(representatives)} classes vs {distinct_patterns} distinct patterns"

@@ -250,10 +250,9 @@ def inversions(p: PrefixListing) -> frozenset:
 
 
 def standardize(p: PrefixListing) -> Pattern:
-    """Rank each value within the prefix: ranks[i] = |{j : p(j) <= p(i)}|."""
-    order = sorted(p.values)
-    rank = {v: k for k, v in enumerate(order, start=1)}
-    return Pattern(tuple(rank[v] for v in p.values))
+    """Rank each value within the prefix: ranks[i] = |{j : p(j) <= p(i)}|,
+    read from its cached `ranks`, whose tuple the pattern shares."""
+    return Pattern(p.ranks)
 
 
 def leq_eo(f: PrefixListing, g: PrefixListing) -> ReducibilityVerdict:
@@ -319,8 +318,8 @@ def equiv_eo(f: PrefixListing, g: PrefixListing) -> bool:
     """Reducible in both directions, decided as equal patterns.
 
     On distinct values, mutual reducibility is pattern equality; it is
-    decided by comparing the two cached rank sequences: O(n log n) on a listing's first call, O(n) after, with no
-    small-n path.
+    decided by comparing the two cached rank sequences: O(n log n) on a
+    listing's first call, O(n) after, with no small-n path.
     """
     if len(f) != len(g):
         raise LengthMismatch(len(f), len(g))

@@ -1,7 +1,10 @@
 import functools
 import itertools
 import random
+import runpy
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -205,7 +208,7 @@ class TestCollatzHaltStepTable:
 
 class TestDovetail:
     def test_collatz_prefix(self):
-        got = take_prefix(dovetail_halting(COLLATZ_MODEL, 12), 5, 12)
+        got = take_prefix(dovetail_halting(COLLATZ_MODEL), 5, 12)
         assert got.values == (1, 2, 4, 3, 5)
 
     def test_matches_schedule_oracle(self):
@@ -214,17 +217,11 @@ class TestDovetail:
             assert list(got.values) == dovetail_order_oracle(collatz_halt_step, budget)
 
     def test_zero_budget(self):
-        assert take_prefix(dovetail_halting(COLLATZ_MODEL, 0), 5, 100).values == ()
-
-    def test_fixed_rounds_cap_caller_budget(self):
-        capped = dovetail_halting(COLLATZ_MODEL, 3)
-        assert take_prefix(capped, 100, 1000).values == take_prefix(
-            parse_spec("halt:collatz"), 100, 3
-        ).values
+        assert take_prefix(dovetail_halting(COLLATZ_MODEL), 5, 0).values == ()
 
     def test_uniform_halting_preserves_code_order(self):
         instant = HaltingModel("instant", lambda code, cap: 1 if cap >= 1 else None)
-        got = take_prefix(dovetail_halting(instant, 8), 8, 8)
+        got = take_prefix(dovetail_halting(instant), 8, 8)
         assert got.values == (1, 2, 3, 4, 5, 6, 7, 8)
         assert inversions(got) == frozenset()
 
@@ -234,6 +231,27 @@ class TestDovetail:
         assert inversions(got)
         asc = make_prefix(sorted(got.values))
         assert not equiv_eo(got, asc)
+
+
+DEMO = Path(__file__).resolve().parents[1] / "scripts" / "halting_order_demo.py"
+
+# the demo's stdout at its defaults, --budget 2000 --len 40
+DEMO_OUT = """\
+model collatz:
+  emitted  1 2 4 3 5 8 6 10 16 12 13 7 11 20 9 21 17 14 15 24 26 22 32 18 23 19 28 29 34 25 30 35 40 42 36 37 33 38 48 44
+  inversions: 68
+  order-equivalent to ascending: False
+model rm:
+  emitted  1 2 4 5 7 8 10 11 13 14 16 17 18 20 21 23 24 25 26 27 28 29 30 32 33 34 36 37 39 40 42 41 43 45 44 46 48 49 50 52
+  inversions: 2
+  order-equivalent to ascending: False
+"""
+
+
+def test_halting_order_demo_golden(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", [str(DEMO)])
+    runpy.run_path(str(DEMO), run_name="__main__")
+    assert capsys.readouterr().out == DEMO_OUT
 
 
 class TestRegisterMachineModel:
@@ -272,22 +290,16 @@ class TestDistinctnessAndDeterminism:
         assert "collatz" in names and "rm" in names
 
 
-def eager_dovetail(model, budget, rounds=None):
+def eager_dovetail(model, budget):
     """The dovetail as it was before epochs: simulate every code up to the
-    round limit, then sort.  The reference for the lazy stream."""
-    limit = budget if rounds is None else min(budget, rounds)
+    budget's round, then sort.  The reference for the lazy stream."""
     emissions = []
-    for code in range(1, limit + 1):
-        # by round `limit`, code has received limit - code + 1 steps
-        d = model.steps(code, limit - code + 1)
+    for code in range(1, budget + 1):
+        # by round `budget`, code has received budget - code + 1 steps
+        d = model.steps(code, budget - code + 1)
         if d is not None:
             emissions.append((code + d - 1, code))
     return [code for _, code in sorted(emissions)]
-
-
-def unlimited(model):
-    """The dovetail with the caller's budget as its only round limit."""
-    return lambda budget, n: dovetail(model, budget, n)
 
 
 def _model_from_halt_times(name, halt_time):
@@ -313,29 +325,31 @@ class TestLazyDovetailMatchesEager:
         for budget in range(301):
             want = eager_dovetail(model, budget)
             for n in {0, 1, 5, 64, budget, budget + 5}:
-                got = take_prefix(unlimited(model), n, budget).values
+                got = take_prefix(dovetail_halting(model), n, budget).values
                 assert list(got) == want[:n], (budget, n)
 
     @pytest.mark.parametrize("model", EQUIVALENCE_MODELS, ids=lambda m: m.name)
     def test_fixed_rounds_below_and_above_budget(self, model):
+        # a fixed round cap is a smaller budget, min(budget, rounds), while n
+        # still asks for up to budget + 5 values
         for budget in (0, 1, 40, 150):
             for rounds in {0, 1, 7, max(budget - 1, 0), budget, budget + 1, 2 * budget + 3}:
-                want = eager_dovetail(model, budget, rounds)
+                limit = min(budget, rounds)
+                want = eager_dovetail(model, limit)
                 for n in (1, 5, 64, budget + 5):
-                    got = take_prefix(dovetail_halting(model, rounds), n, budget)
+                    got = take_prefix(dovetail_halting(model), n, limit)
                     assert list(got.values) == want[:n], (budget, rounds, n)
 
-    @settings(max_examples=60, deadline=None)
+    @settings(deadline=None)
     @given(
         model=st.sampled_from(EQUIVALENCE_MODELS),
         budget=st.integers(0, 3000),
-        rounds=st.none() | st.integers(0, 3000),
         data=st.data(),
     )
-    def test_large_budgets(self, model, budget, rounds, data):
+    def test_large_budgets(self, model, budget, data):
         n = data.draw(st.integers(0, budget + 5), label="n")
-        e = unlimited(model) if rounds is None else dovetail_halting(model, rounds)
-        assert list(take_prefix(e, n, budget).values) == eager_dovetail(model, budget, rounds)[:n]
+        got = take_prefix(dovetail_halting(model), n, budget).values
+        assert list(got) == eager_dovetail(model, budget)[:n]
 
 
 def plain_register_machine_steps(code, cap):
@@ -420,6 +434,7 @@ class TestRegisterMachineCycleCut:
                 code, cap
             ), code
 
+    @pytest.mark.slow
     def test_exact_at_dovetail_caps(self):
         self.assert_exact_at_dovetail_caps(10**4)
 

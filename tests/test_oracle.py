@@ -157,6 +157,15 @@ def _inversions_of_reversal(p):
     return inversions(PrefixListing(p.values[::-1]))
 
 
+def test_class_count_reads_no_ranks(monkeypatch):
+    # every listing reads as ascending, so equiv_eo finds one class; the
+    # pattern count beside it must not see the same fault
+    ascending = property(lambda p: tuple(range(1, len(p) + 1)))
+    monkeypatch.setattr(PrefixListing, "ranks", ascending)
+    report = run_property("class-count", 4)
+    assert report.violations == ("1 classes vs 24 distinct patterns",)
+
+
 def test_subset_characterization_never_reads_inversions(monkeypatch):
     monkeypatch.setattr(oracle, "inversions", _inversions_of_reversal)
     assert run_property("subset-characterization", 4).passed

@@ -86,6 +86,22 @@ class TestInversions:
         with pytest.raises(TooLarge):
             inversions(make_prefix(range(1, MAX_INVERSIONS_N + 2)))
 
+    @pytest.mark.parametrize("n", range(8))
+    def test_counts_are_mahonian(self, n):
+        # the listings of {1..n} by inversion count are the coefficients of
+        # prod_{k=1..n} (1 + q + ... + q^(k-1)) (Rodrigues, 1839)
+        want = [1]
+        for k in range(1, n + 1):
+            product = [0] * (len(want) + k - 1)
+            for i, c in enumerate(want):
+                for j in range(k):
+                    product[i + j] += c
+            want = product
+        got = [0] * len(want)
+        for perm in itertools.permutations(range(1, n + 1)):
+            got[len(inversions(PrefixListing(perm)))] += 1
+        assert got == want
+
 
 class TestStandardize:
     def test_ascending_is_identity(self):
@@ -96,6 +112,10 @@ class TestStandardize:
 
     def test_permutation_is_own_pattern(self):
         assert standardize(make_prefix([3, 1, 2])).ranks == (3, 1, 2)
+
+    def test_reads_the_cached_ranks(self):
+        p = make_prefix([6, 2, 4])
+        assert standardize(p).ranks is p.ranks
 
     @given(distinct_naturals)
     def test_counting_oracle(self, values):
