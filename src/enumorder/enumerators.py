@@ -24,8 +24,9 @@ from typing import Callable, Iterator, List, NamedTuple, Optional, Tuple
 from .errors import SpecParseError, TooLarge
 from .prefixes import PrefixListing
 
-# a drain at this size takes ~0.6 s with halt:rm, now the slower model, and
-# ~0.4 s with halt:collatz from a cold halt-step table (2-core host, Python 3.11)
+# a drain at this size from cold tables, in process, takes 0.69-0.86 s with
+# halt:rm, the slower model, and 0.46-0.54 s with halt:collatz (2-core host,
+# Python 3.11, five runs each)
 MAX_BUDGET = 200_000
 
 # called as e(budget, n); see the module docstring
@@ -58,25 +59,32 @@ def dovetail(model: HaltingModel, limit: int, n: int) -> Iterator[int]:
     n rounds; each later epoch doubles R up to the limit.  A prefix thus
     costs only the rounds that settle its first n emissions, and a drain
     (n >= limit) runs a single epoch.
+
+    Within an epoch every round and every code is at most R, so an emission
+    is kept as the one int round * (R + 1) + code.  These ints sort as the
+    (round, code) pairs do, and one int sort per epoch gives its emission
+    order; the code is the key modulo R + 1.
     """
+    steps = model.steps
     running: List[int] = []  # codes not yet seen to halt
     settled, end = 0, min(limit, n)
     while end > settled:
         running.extend(range(settled + 1, end + 1))
-        emissions: List[Tuple[int, int]] = []
+        width = end + 1
+        emissions: List[int] = []
         still: List[int] = []
         for code in running:
             # by round `end`, code has received end - code + 1 steps
-            d = model.steps(code, end - code + 1)
+            d = steps(code, end - code + 1)
             if d is None:
                 still.append(code)
             else:
-                emissions.append((code + d - 1, code))
+                emissions.append((code + d - 1) * width + code)
         running = still
         # these codes all ran past round `settled`, so their emissions follow
         # every earlier one
-        for _, code in sorted(emissions):
-            yield code
+        emissions.sort()
+        yield from [key % width for key in emissions]
         settled, end = end, min(2 * end, limit)
 
 
@@ -114,6 +122,17 @@ def take_prefix(e: Enumerator, n: int, budget: int) -> PrefixListing:
 _COLLATZ_HALT_STEPS: List[int] = [0, 1]
 
 
+def _remember(table: List[int], code: int, value: int) -> None:
+    # table[code] = value for codes up to MAX_BUDGET, growing the table by
+    # doubling, so it never holds more than MAX_BUDGET + 1 entries
+    size = len(table)
+    if code >= size:
+        if code > MAX_BUDGET:
+            return
+        table.extend([0] * (min(2 * code, MAX_BUDGET + 1) - size))
+    table[code] = value
+
+
 def _collatz_steps(code: int, cap: int) -> Optional[int]:
     # halving/tripling iterations down to 1, plus one observation step
     if code < 1:
@@ -130,11 +149,8 @@ def _collatz_steps(code: int, cap: int) -> Optional[int]:
             return None
         x = 3 * x + 1 if x % 2 else x // 2
         taken += 1
-    if code < size:
-        table[code] = taken
-    elif code <= MAX_BUDGET:
-        table.extend([0] * (min(2 * code, MAX_BUDGET + 1) - size))
-        table[code] = taken
+    if x != code:  # else the code was 1 or read back from the table
+        _remember(table, code, taken)
     # a walk that reached 1 passed every cap check on its way; one that stopped
     # at a known value has skipped the checks for the rest of its trajectory
     return taken if x == 1 or taken <= cap else None
@@ -156,8 +172,34 @@ def _decode_program(code: int) -> List[Tuple[int, int, int]]:
     return program
 
 
+# _RM_OUTCOMES[c] is what simulating code c has proved: its halt step d >= 1,
+# _NEVER_HALTS once a cycle cut has fired, 0 while unknown.  A run that only
+# reached its cap proves neither and is not kept.  Both outcomes hold at every
+# cap: a code that halts at step d answers d exactly when d <= cap, and a cut
+# is a proof that the code never halts.  Like _COLLATZ_HALT_STEPS the table is
+# shared by every call, so a code cut in one epoch is not simulated again in
+# the next, and it holds only codes 1..MAX_BUDGET.
+_NEVER_HALTS = -1
+_RM_OUTCOMES: List[int] = [0]
+
+
 def _register_machine_steps(code: int, cap: int) -> Optional[int]:
+    table = _RM_OUTCOMES
+    known = table[code] if 0 < code < len(table) else 0
+    if not known:
+        known = _simulate_register_machine(code, cap)
+        if known is None:
+            return None
+        if code > 0:
+            _remember(table, code, known)
+    return known if 0 < known <= cap else None
+
+
+def _simulate_register_machine(code: int, cap: int) -> Optional[int]:
+    """The halt step of `code` if it halts within `cap` steps, _NEVER_HALTS if
+    a cycle cut proves it never does, else None."""
     program = _decode_program(code)
+    size = len(program)
     regs = [0, 0]
     pc = 0
     taken = 0
@@ -175,13 +217,13 @@ def _register_machine_steps(code: int, cap: int) -> Optional[int]:
     mark, saved_pc, saved0, saved1, zeroed = 1, -1, 0, 0, [False, False]
     while taken < cap:
         taken += 1
-        if pc < 0 or pc >= len(program):
+        if pc >= size:
             return taken  # falling off the program is the halt observation
         if pc == saved_pc:
             r0, r1 = regs
             if (saved0 <= r0 and (r0 == saved0 or not zeroed[0])
                     and saved1 <= r1 and (r1 == saved1 or not zeroed[1])):
-                return None
+                return _NEVER_HALTS
         if taken == mark:
             mark, saved_pc, (saved0, saved1), zeroed = 2 * mark, pc, regs, [False, False]
         op, reg, arg = program[pc]
@@ -192,7 +234,7 @@ def _register_machine_steps(code: int, cap: int) -> Optional[int]:
             pc += 1
         elif regs[reg] == 0:
             zeroed[reg] = True
-            pc = arg % len(program)
+            pc = arg % size
         else:
             regs[reg] -= 1
             pc += 1

@@ -175,7 +175,9 @@ class Pattern(FrozenSlots):
 
     def __init__(self, ranks: Tuple[int, ...]):
         n = len(ranks)
-        if sorted(ranks) != list(range(1, n + 1)):
+        # n values that include each of 1..n are a permutation of it: O(n),
+        # where a sort was O(n log n)
+        if not set(ranks).issuperset(range(1, n + 1)):
             raise ValueError(f"ranks {ranks} are not a permutation of 1..{n}")
         object.__setattr__(self, "ranks", ranks)
 

@@ -352,6 +352,31 @@ class TestLazyDovetailMatchesEager:
         assert list(got) == eager_dovetail(model, budget)[:n]
 
 
+class TestPackedEpochOrder:
+    # halt steps of 1..4 or never over codes 1..200, built from one drawn seed
+    # (drawing 200 list items takes hypothesis ~50 ms an example): many codes
+    # share a round, and many halt in the last round of an epoch, where both
+    # the round and the code reach the epoch's end
+    @settings(deadline=None)
+    @given(seed=st.integers(0, 2**32), budget=st.integers(0, 200), data=st.data())
+    def test_matches_schedule_oracle(self, seed, budget, data):
+        n = data.draw(st.integers(0, budget + 5), label="n")
+        rng = random.Random(seed)
+        halts = [rng.choice((None, 1, 2, 3, 4)) for _ in range(200)]
+        model = _model_from_halt_times("drawn", lambda code: halts[code - 1])
+        want = dovetail_order_oracle(lambda code: halts[code - 1] or budget + 1, budget)
+        got = take_prefix(dovetail_halting(model), n, budget).values
+        assert list(got) == want[:n], n
+
+    def test_every_code_halting_in_the_last_round_of_its_epoch(self):
+        # with n = 3 the epochs end at rounds 3, 6, 12, 24 and 25; code c halts
+        # in round c, so each epoch's last code is emitted in its last round
+        instant = HaltingModel("instant", lambda code, cap: 1 if cap >= 1 else None)
+        for n in (3, 25, 30):
+            got = take_prefix(dovetail_halting(instant), n, 25).values
+            assert got == tuple(range(1, min(n, 25) + 1)), n
+
+
 def plain_register_machine_steps(code, cap):
     """halt:rm simulated step by step with no cycle check."""
     words = []
@@ -417,22 +442,29 @@ class TestRegisterMachineDecode:
         assert enumerators._decode_program(code) == arithmetic_decode(code)
 
 
+NEVER_HALTS = enumerators._NEVER_HALTS
+
+
+def simulated_rm_steps(code, cap):
+    """halt:rm's simulator on its own, with no outcome table: whatever earlier
+    queries found, every call runs the program and its cycle cut afresh.  A
+    cut answers None, as the model does."""
+    outcome = enumerators._simulate_register_machine(code, cap)
+    return None if outcome == NEVER_HALTS else outcome
+
+
 class TestRegisterMachineCycleCut:
     @pytest.mark.parametrize("cap", [1, 2, 3, 5, 8, 13, 50, 400])
     def test_exact_on_small_codes(self, cap):
         for code in range(1, 3001):
-            assert REGISTER_MACHINE_MODEL.steps(code, cap) == plain_register_machine_steps(
-                code, cap
-            ), code
+            assert simulated_rm_steps(code, cap) == plain_register_machine_steps(code, cap), code
 
     @staticmethod
     def assert_exact_at_dovetail_caps(budget):
         # a drain at `budget` asks each code c for its halt within budget - c + 1 steps
         for code in range(1, budget + 1):
             cap = budget - code + 1
-            assert REGISTER_MACHINE_MODEL.steps(code, cap) == plain_register_machine_steps(
-                code, cap
-            ), code
+            assert simulated_rm_steps(code, cap) == plain_register_machine_steps(code, cap), code
 
     @pytest.mark.slow
     def test_exact_at_dovetail_caps(self):
@@ -446,7 +478,7 @@ class TestRegisterMachineCycleCut:
     @settings(max_examples=200, deadline=None)
     @given(code=st.integers(1, 10**5), cap=st.integers(1, 10**5))
     def test_exact_on_sampled_codes(self, code, cap):
-        assert REGISTER_MACHINE_MODEL.steps(code, cap) == plain_register_machine_steps(code, cap)
+        assert simulated_rm_steps(code, cap) == plain_register_machine_steps(code, cap)
 
     # programs that halt at step 5 after a decrement-or-jump found register 0 at
     # zero and an increment then grew it, e.g. 2351 = [djz(0, 2), inc(0),
@@ -454,7 +486,7 @@ class TestRegisterMachineCycleCut:
     @pytest.mark.parametrize("code", [2351, 2447, 3167, 6447])
     def test_register_grown_after_zero_test_is_not_cut(self, code):
         assert plain_register_machine_steps(code, 20001 - code) == 5
-        assert REGISTER_MACHINE_MODEL.steps(code, 20001 - code) == 5
+        assert simulated_rm_steps(code, 20001 - code) == 5
 
     def test_shrunk_register_is_not_cut(self):
         # r1 = 2, then the loop at words 2..5 counts r1 down (r0 is scratch);
@@ -465,21 +497,134 @@ class TestRegisterMachineCycleCut:
         code = rm_code([inc(1), inc(1), inc(0), djz(1, 0), djz(0, 0), djz(0, 2)])
         assert code == 15950421
         assert plain_register_machine_steps(code, 10**4) == 19
-        assert REGISTER_MACHINE_MODEL.steps(code, 10**4) == 19
+        assert simulated_rm_steps(code, 10**4) == 19
 
     def test_every_non_halting_code_is_cut(self):
         # every code <= 1e4 that has not halted by step 1e4 is cut: run to the
         # cap, any one of them would take minutes, so a lost cut shows as a hang
-        steps = REGISTER_MACHINE_MODEL.steps
-        looping = [c for c in range(1, 10**4 + 1) if steps(c, 10**4) is None]
+        looping = [c for c in range(1, 10**4 + 1) if simulated_rm_steps(c, 10**4) is None]
         assert len(looping) > 2000
         for code in looping:
-            assert steps(code, 10**9) is None, code
+            assert enumerators._simulate_register_machine(code, 10**9) == NEVER_HALTS, code
 
     def test_cycling_code_cut_fast(self):
         # code 3 is a one-word program that jumps to itself forever
         assert plain_register_machine_steps(3, 1000) is None
         start = time.perf_counter()
-        assert REGISTER_MACHINE_MODEL.steps(3, 10**7) is None
+        assert enumerators._simulate_register_machine(3, 10**7) == NEVER_HALTS
         elapsed = time.perf_counter() - start
         assert elapsed < 0.1, f"took {elapsed:.3f}s"
+
+
+@pytest.fixture
+def cold_rm_table():
+    """The shared halt:rm outcome table emptied, as a fresh process finds it,
+    and put back afterwards."""
+    table = enumerators._RM_OUTCOMES
+    saved = table[:]
+    del table[1:]
+    yield table
+    table[:] = saved
+
+
+@functools.cache
+def rm_halt_step(code):
+    """The plain loop's halt step for a code it sees halt by step 1000, else
+    None; every code up to 3000 that halts does so within 5 steps."""
+    return plain_register_machine_steps(code, 1000)
+
+
+@pytest.fixture(scope="module")
+def rm_table_queries():
+    """Every code to 3000 at caps 0, 1 and 2; one that halts at step d also at
+    d - 1, d and 10**4, and one that has not halted by step 1000 at 1000; with
+    the plain loop's answers.  Running the ~700 codes that do not halt to
+    10**4 takes the plain loop over a second, so that cap is in a `slow` test."""
+    queries = []
+    for code in range(1, 3001):
+        d = rm_halt_step(code)
+        caps = (0, 1, 2) + ((1000,) if d is None else (d - 1, d, 10**4))
+        queries += [(code, cap) for cap in caps]
+    return [((code, cap), plain_register_machine_steps(code, cap)) for code, cap in queries]
+
+
+def assert_rm_table_entries(table, codes):
+    """Only codes 1..MAX_BUDGET among `codes` are stored, each with the outcome
+    its unbounded simulation proves."""
+    assert len(table) <= MAX_BUDGET + 1
+    stored = [code for code in set(codes) if 0 < code < len(table) and table[code]]
+    # a code below 1 would have written table[0] or, from the end, a last entry
+    assert len(table) - table.count(0) == len(stored)
+    for code in stored:
+        assert table[code] == enumerators._simulate_register_machine(code, 10**6), code
+
+
+class TestRegisterMachineOutcomeTable:
+    @staticmethod
+    def assert_exact(pairs):
+        got = [REGISTER_MACHINE_MODEL.steps(code, cap) for (code, cap), _ in pairs]
+        for ((code, cap), want), g in zip(pairs, got):
+            assert g == want, (code, cap)
+
+    @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+    def test_exact_cold_and_warm(self, cold_rm_table, rm_table_queries, order):
+        pairs = list(rm_table_queries)
+        if order == "descending":
+            pairs.reverse()
+        elif order == "shuffled":
+            random.Random(12).shuffle(pairs)
+        self.assert_exact(pairs)  # cold: each code met first here
+        assert_rm_table_entries(cold_rm_table, range(1, 3001))
+        self.assert_exact(pairs)  # warm: each outcome read back
+
+    @pytest.mark.slow
+    def test_non_halting_codes_at_a_large_cap(self, cold_rm_table):
+        looping = [code for code in range(1, 3001) if rm_halt_step(code) is None]
+        assert all(plain_register_machine_steps(code, 10**4) is None for code in looping)
+        for _ in ("cold", "warm"):
+            for code in looping:
+                assert REGISTER_MACHINE_MODEL.steps(code, 10**4) is None, code
+        assert all(cold_rm_table[code] == NEVER_HALTS for code in looping)
+
+    def test_capped_runs_are_not_stored(self, cold_rm_table):
+        halting = [(code, rm_halt_step(code)) for code in range(1, 3001)]
+        halting = [(code, d) for code, d in halting if d is not None and d > 1]
+        assert halting
+        for code in range(1, 3001):
+            assert REGISTER_MACHINE_MODEL.steps(code, 0) is None
+        for code, d in halting:
+            assert REGISTER_MACHINE_MODEL.steps(code, d - 1) is None
+        assert not any(cold_rm_table)
+        for code, d in halting:
+            assert REGISTER_MACHINE_MODEL.steps(code, d) == d
+            assert cold_rm_table[code] == d
+
+    # the bare simulator is the reference here: it is held to the plain loop
+    # by TestRegisterMachineCycleCut, and runs a non-halting code to its cut
+    # where the plain loop would run it to a cap of up to 1e5
+    @settings(deadline=None)
+    @given(st.lists(st.tuples(st.integers(-3, 2 * MAX_BUDGET), st.integers(0, 10**5)),
+                    min_size=1, max_size=30))
+    def test_any_order_and_codes_past_the_bound(self, queries):
+        table = enumerators._RM_OUTCOMES
+        saved = table[:]
+        del table[1:]
+        try:
+            for code, cap in queries:
+                assert REGISTER_MACHINE_MODEL.steps(code, cap) == simulated_rm_steps(code, cap)
+                assert len(table) <= MAX_BUDGET + 1
+            assert_rm_table_entries(table, [code for code, _ in queries])
+        finally:
+            table[:] = saved
+
+    def test_table_stops_at_the_budget_cap(self, cold_rm_table):
+        for code in (MAX_BUDGET + 1, 2 * MAX_BUDGET, MAX_BUDGET):
+            REGISTER_MACHINE_MODEL.steps(code, 10**4)
+        assert len(cold_rm_table) == MAX_BUDGET + 1
+        assert cold_rm_table[MAX_BUDGET] == enumerators._simulate_register_machine(
+            MAX_BUDGET, 10**4
+        )
+        # every code below 1 is an empty program, halting at step 1
+        for code in (0, -1, -2):
+            assert REGISTER_MACHINE_MODEL.steps(code, 1) == 1
+        assert_rm_table_entries(cold_rm_table, [MAX_BUDGET + 1, 2 * MAX_BUDGET, MAX_BUDGET])

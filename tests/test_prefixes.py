@@ -132,6 +132,26 @@ class TestStandardize:
         with pytest.raises(ValueError):
             Pattern((1, 3))
 
+    # a repeat, a 0, the value n + 1, and a value between two ranks, each in
+    # ranks whose least is 1 or whose greatest is n
+    @pytest.mark.parametrize(
+        "ranks", [(1, 2, 2), (2, 1, 1, 4), (0, 1, 2), (2, 0, 3), (1, 2, 4), (4, 3, 1), (1, 1.5, 3)]
+    )
+    def test_pattern_rejects_non_permutations(self, ranks):
+        with pytest.raises(ValueError) as info:
+            Pattern(ranks)
+        assert str(info.value) == f"ranks {ranks} are not a permutation of 1..{len(ranks)}"
+
+    @given(st.lists(st.integers(-1, 7), max_size=6))
+    def test_pattern_accepts_exactly_the_permutations(self, ranks):
+        is_permutation = sorted(ranks) == list(range(1, len(ranks) + 1))
+        try:
+            Pattern(tuple(ranks))
+        except ValueError:
+            assert not is_permutation
+        else:
+            assert is_permutation
+
 
 class TestLeqEo:
     def test_doubling_vs_shift(self):
