@@ -10,7 +10,7 @@ Usage: python scripts/halting_order_demo.py [--budget 2000] [--len 40]
 
 import argparse
 
-from enumorder.enumerators import builtin_models, dovetail_halting, take_prefix
+from enumorder.enumerators import MODELS, dovetail_halting, take_prefix
 from enumorder.prefixes import equiv_eo, inversions, make_prefix
 
 
@@ -20,10 +20,10 @@ def main() -> None:
     parser.add_argument("--len", type=int, dest="length", default=40)
     args = parser.parse_args()
 
-    for model in builtin_models():
-        prefix = take_prefix(dovetail_halting(model), args.length, args.budget)
+    for name, steps in MODELS.items():
+        prefix = take_prefix(dovetail_halting(steps), args.length, args.budget)
         asc = make_prefix(sorted(prefix.values))
-        print(f"model {model.name}:")
+        print(f"model {name}:")
         print(f"  emitted  {' '.join(str(v) for v in prefix.values)}")
         print(f"  inversions: {len(inversions(prefix))}")
         print(f"  order-equivalent to ascending: {equiv_eo(prefix, asc)}")

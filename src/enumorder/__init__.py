@@ -20,8 +20,6 @@ _SOURCES = {
     "make_strict_chain": "algebra",
     "transport": "algebra",
     "Enumerator": "enumerators",
-    "HaltingModel": "enumerators",
-    "builtin_models": "enumerators",
     "dovetail_halting": "enumerators",
     "parse_spec": "enumerators",
     "take_prefix": "enumerators",
@@ -29,7 +27,6 @@ _SOURCES = {
     "Membership": "extraction",
     "MembershipReport": "extraction",
     "PairedListings": "extraction",
-    "ascending_view": "extraction",
     "check_inverse_positions": "extraction",
     "decide_membership": "extraction",
     "descent_chain": "extraction",
@@ -37,7 +34,6 @@ _SOURCES = {
     "make_paired": "extraction",
     "predecessor": "extraction",
     "PropertyReport": "oracle",
-    "all_patterns": "oracle",
     "run_property": "oracle",
     "Pattern": "prefixes",
     "PrefixListing": "prefixes",

@@ -18,8 +18,9 @@ and ``prefixes``, which every prefix source needs; the rest are imported
 inside the functions that use them: ``enumerators`` by ``enumerate`` and
 spec sources, ``algebra`` by ``transport``, ``stabilize`` and
 ``chain-make``, ``extraction`` by ``decide``, ``lemma8``, ``pred`` and
-``family``, and ``oracle`` by ``verify``.  ``compare``, ``pattern`` and
-``inversions`` on inline or file sources load nothing more.
+``family``, and ``oracle`` by ``verify``, which loads ``algebra`` or
+``extraction`` only for the properties that use them.  ``compare``,
+``pattern`` and ``inversions`` on inline or file sources load nothing more.
 
 Exit codes: 0 success/pass, 1 property violation, 2 invalid input,
 3 insufficient prefix.

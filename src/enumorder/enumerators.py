@@ -19,7 +19,7 @@ Spec grammar: ``even | nminus:<nat> | asc:<nat>(,<nat>)* | halt:<model-name>``
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Iterator, List, NamedTuple, Optional, Tuple
+from typing import Callable, Iterator, List, Optional, Tuple
 
 from .errors import SpecParseError, TooLarge
 from .prefixes import PrefixListing
@@ -32,20 +32,13 @@ MAX_BUDGET = 200_000
 # called as e(budget, n); see the module docstring
 Enumerator = Callable[[int, int], Iterator[int]]
 
-
-class HaltingModel(NamedTuple):
-    """A deterministic halting-time model over codes 1, 2, ...
-
-    `steps(code, cap)` returns the number of simulation steps at which the
-    code is observed to halt (always >= 1), or None if it has not halted
-    within `cap` steps.  Repeated queries agree.
-    """
-
-    name: str
-    steps: Callable[[int, int], Optional[int]]
+# A halting model over codes 1, 2, ...: steps(code, cap) is the simulation
+# step at which the code is observed to halt (always >= 1), or None if it has
+# not halted within `cap` steps.  Repeated queries agree.
+Steps = Callable[[int, int], Optional[int]]
 
 
-def dovetail(model: HaltingModel, limit: int, n: int) -> Iterator[int]:
+def dovetail(steps: Steps, limit: int, n: int) -> Iterator[int]:
     """Round-robin dovetail over a halting model, up to `limit` rounds.
 
     Round r gives one simulation step to each of codes 1..r, in ascending
@@ -65,7 +58,6 @@ def dovetail(model: HaltingModel, limit: int, n: int) -> Iterator[int]:
     (round, code) pairs do, and one int sort per epoch gives its emission
     order; the code is the key modulo R + 1.
     """
-    steps = model.steps
     running: List[int] = []  # codes not yet seen to halt
     settled, end = 0, min(limit, n)
     while end > settled:
@@ -88,11 +80,11 @@ def dovetail(model: HaltingModel, limit: int, n: int) -> Iterator[int]:
         settled, end = end, min(2 * end, limit)
 
 
-def dovetail_halting(model: HaltingModel) -> Enumerator:
-    """The dovetail over `model`, with the caller's budget as its only round
+def dovetail_halting(steps: Steps) -> Enumerator:
+    """The dovetail over `steps`, with the caller's budget as its only round
     limit.  Fewer rounds are a smaller budget: take_prefix(e, n, min(budget,
     rounds))."""
-    return lambda budget, n: dovetail(model, budget, n)
+    return lambda budget, n: dovetail(steps, budget, n)
 
 
 def take_prefix(e: Enumerator, n: int, budget: int) -> PrefixListing:
@@ -151,9 +143,9 @@ def _collatz_steps(code: int, cap: int) -> Optional[int]:
         taken += 1
     if x != code:  # else the code was 1 or read back from the table
         _remember(table, code, taken)
-    # a walk that reached 1 passed every cap check on its way; one that stopped
-    # at a known value has skipped the checks for the rest of its trajectory
-    return taken if x == 1 or taken <= cap else None
+    # a walk that stopped at a known value has skipped the cap checks for the
+    # rest of its trajectory, and code 1 met none
+    return taken if taken <= cap else None
 
 
 # Register-machine instruction words, least-significant first in base 16:
@@ -241,13 +233,7 @@ def _simulate_register_machine(code: int, cap: int) -> Optional[int]:
     return None
 
 
-COLLATZ_MODEL = HaltingModel("collatz", _collatz_steps)
-REGISTER_MACHINE_MODEL = HaltingModel("rm", _register_machine_steps)
-MODELS = {m.name: m for m in (COLLATZ_MODEL, REGISTER_MACHINE_MODEL)}
-
-
-def builtin_models() -> List[HaltingModel]:
-    return list(MODELS.values())
+MODELS = {"collatz": _collatz_steps, "rm": _register_machine_steps}
 
 
 def _is_positive(text: str) -> bool:
@@ -280,8 +266,8 @@ def parse_spec(text: str) -> Enumerator:
             raise SpecParseError(len("asc:"), "distinct values")
         return lambda budget, n: iter(values[:min(n, budget)])
     if text.startswith("halt:"):
-        model = MODELS.get(text[len("halt:"):])
-        if model is None:
+        steps = MODELS.get(text[len("halt:"):])
+        if steps is None:
             raise SpecParseError(len("halt:"), f"one of: {', '.join(MODELS)}")
-        return dovetail_halting(model)
+        return dovetail_halting(steps)
     raise SpecParseError(0, "even | nminus:<nat> | asc:<nat>,... | halt:<model>")

@@ -29,11 +29,6 @@ from .prefixes import FrozenSlots, Pattern, PrefixListing, SetSample, leq_eo
 MAX_FAMILY_N = 1024
 
 
-def ascending_view(p: PrefixListing) -> Tuple[int, ...]:
-    """The prefix's value set sorted increasing: a_1 < a_2 < ... < a_n."""
-    return tuple(sorted(p.values))
-
-
 class Clause1(NamedTuple):
     fpos: int
     gpos: int
@@ -69,8 +64,8 @@ def check_inverse_positions(f: PrefixListing, g: PrefixListing) -> InversePositi
     verdict = leq_eo(f, g)
     if not verdict.holds:
         raise PreconditionViolated(f"f is not reducible to g (fails at {verdict.fail_at})")
-    a, f_at = ascending_view(f), f.positions
-    b, g_at = ascending_view(g), g.positions
+    a, f_at = sorted(f.values), f.positions
+    b, g_at = sorted(g.values), g.positions
     fpos = [f_at[v] for v in a]
     gpos = [g_at[v] for v in b]
     clause1 = Clause1(fpos[0], gpos[0], fpos[0] <= gpos[0]) if a else Clause1(0, 0, True)

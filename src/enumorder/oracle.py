@@ -19,6 +19,8 @@ per-prefix tables, once per call, and then only read them:
   containment, from which the random descending chains are drawn.
 
 Nothing is kept between calls, so each call sees the current targets.
+The `lemma-2-8`, `transport` and `stabilization` checkers import
+`extraction` or `algebra` as they run; no other check loads them.
 """
 
 from __future__ import annotations
@@ -28,10 +30,8 @@ import random
 import time
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
-from .algebra import Chain, chain_stabilize, transport
 from .errors import TooLarge, UnknownProperty
 from .prefixes import (
-    Pattern,
     PrefixListing,
     SetSample,
     ascending_listing,
@@ -40,9 +40,6 @@ from .prefixes import (
     leq_eo,
     standardize,
 )
-from .extraction import check_inverse_positions
-
-MAX_PATTERN_N = 8
 
 
 class PropertyReport(NamedTuple):
@@ -70,15 +67,8 @@ class PropertyReport(NamedTuple):
         return out
 
 
-def all_patterns(n: int) -> List[Pattern]:
-    """All n! rank sequences over {1..n}, lexicographic."""
-    if not 0 <= n <= MAX_PATTERN_N:
-        raise TooLarge(n, MAX_PATTERN_N)
-    return [Pattern(p) for p in itertools.permutations(range(1, n + 1))]
-
-
 def _prefixes(n: int) -> List[PrefixListing]:
-    """All n! listings of {1..n}, lexicographic, as all_patterns orders them."""
+    """All n! listings of {1..n}, lexicographic."""
     return [PrefixListing(p) for p in itertools.permutations(range(1, n + 1))]
 
 
@@ -169,6 +159,8 @@ def _check_ascending_minimal(n: int):
 
 
 def _check_inverse_position_clauses(n: int):
+    from .extraction import check_inverse_positions
+
     violations = []
     prefixes = _prefixes(n)
     inv = [inversions(p) for p in prefixes]
@@ -183,6 +175,8 @@ def _check_inverse_position_clauses(n: int):
 
 
 def _check_transport(n: int):
+    from .algebra import transport
+
     # the target g' runs through other_values in h''s pattern: the one
     # pattern an exhaustive search over g' would keep for each (h, h')
     violations = []
@@ -203,16 +197,18 @@ def _check_transport(n: int):
     return len(prefixes) ** 2, violations, None
 
 
-def _random_descending_chain(rng, prefixes, down, length: int) -> Chain:
+def _random_descending_chain(rng, prefixes, down, length: int) -> Tuple[PrefixListing, ...]:
     current = rng.choice(prefixes)
     chain = [current]
     while len(chain) < length:
         current = rng.choice(down[current])
         chain.append(current)
-    return Chain(tuple(chain))
+    return tuple(chain)
 
 
 def _check_stabilization(n: int):
+    from .algebra import Chain, chain_stabilize
+
     # pigeonhole: any descending chain longer than the inversion count must repeat
     violations = []
     length = n * (n - 1) // 2 + 2
@@ -226,7 +222,7 @@ def _check_stabilization(n: int):
     }
     walks = 200
     for _ in range(walks):
-        chain = _random_descending_chain(rng, prefixes, down, length)
+        chain = Chain(_random_descending_chain(rng, prefixes, down, length))
         found = chain_stabilize(chain)
         # independent pairwise scan, minimizing (j, i)
         expected = None

@@ -12,11 +12,8 @@ from hypothesis import strategies as st
 
 from enumorder import enumerators
 from enumorder.enumerators import (
-    COLLATZ_MODEL,
     MAX_BUDGET,
-    REGISTER_MACHINE_MODEL,
-    HaltingModel,
-    builtin_models,
+    MODELS,
     dovetail,
     dovetail_halting,
     parse_spec,
@@ -24,6 +21,14 @@ from enumorder.enumerators import (
 )
 from enumorder.errors import SpecParseError, TooLarge
 from enumorder.prefixes import equiv_eo, inversions, make_prefix
+
+collatz_steps = MODELS["collatz"]
+rm_steps = MODELS["rm"]
+
+
+def instant_steps(code, cap):
+    # every code halts at its first step
+    return 1 if cap >= 1 else None
 
 
 def collatz_halt_step(p):
@@ -59,9 +64,9 @@ class TestParseSpec:
         assert take_prefix(parse_spec("asc:9,2,5"), 3, 100).values == (2, 5, 9)
 
     def test_halt_dispatch(self):
-        for name, model in (("collatz", COLLATZ_MODEL), ("rm", REGISTER_MACHINE_MODEL)):
+        for name, steps in MODELS.items():
             got = take_prefix(parse_spec(f"halt:{name}"), 100, 400).values
-            assert got == tuple(itertools.islice(dovetail(model, 400, 100), 100))
+            assert got == tuple(itertools.islice(dovetail(steps, 400, 100), 100))
 
     @pytest.mark.parametrize(
         "bad",
@@ -97,19 +102,20 @@ class TestTakePrefix:
 
 class TestCollatzModel:
     def test_base_case(self):
-        assert COLLATZ_MODEL.steps(1, 100) == 1
+        assert collatz_steps(1, 100) == 1
 
     def test_three(self):
         # 3 -> 10 -> 5 -> 16 -> 8 -> 4 -> 2 -> 1: seven iterations plus one
-        assert COLLATZ_MODEL.steps(3, 100) == 8
+        assert collatz_steps(3, 100) == 8
 
     def test_cap_respected(self):
-        assert COLLATZ_MODEL.steps(3, 7) is None
-        assert COLLATZ_MODEL.steps(3, 8) == 8
+        assert collatz_steps(3, 7) is None
+        assert collatz_steps(3, 8) == 8
+        assert collatz_steps(1, 0) is None
 
     @pytest.mark.parametrize("code", range(1, 30))
     def test_matches_independent_simulation(self, code):
-        assert COLLATZ_MODEL.steps(code, 10**6) == collatz_halt_step(code)
+        assert collatz_steps(code, 10**6) == collatz_halt_step(code)
 
 
 def plain_collatz_steps(code, cap):
@@ -121,7 +127,8 @@ def plain_collatz_steps(code, cap):
             return None
         x = 3 * x + 1 if x % 2 else x // 2
         taken += 1
-    return taken
+    # code 1 halts at step 1, past a cap of 0
+    return taken if taken <= cap else None
 
 
 # the same independent simulation, each code's trajectory walked once
@@ -155,7 +162,7 @@ DRAIN_BUDGETS = [50, 100, 200, 300, 500, 1000, 2000, 3000, 5000, 10000, 20000]
 class TestCollatzHaltStepTable:
     @staticmethod
     def assert_exact(pairs):
-        got = [COLLATZ_MODEL.steps(code, cap) for (code, cap), _ in pairs]
+        got = [collatz_steps(code, cap) for (code, cap), _ in pairs]
         for ((code, cap), want), g in zip(pairs, got):
             assert g == want, (code, cap)
 
@@ -176,7 +183,7 @@ class TestCollatzHaltStepTable:
         table = enumerators._COLLATZ_HALT_STEPS
         del table[2:]
         for code, cap in queries:
-            assert COLLATZ_MODEL.steps(code, cap) == plain_collatz_steps(code, cap), (code, cap)
+            assert collatz_steps(code, cap) == plain_collatz_steps(code, cap), (code, cap)
             assert len(table) <= MAX_BUDGET + 1
             # a code is stored only with its uncapped halt step
             if 1 <= code < len(table):
@@ -184,18 +191,18 @@ class TestCollatzHaltStepTable:
 
     def test_table_stops_at_the_budget_cap(self, cold_table):
         for code in (MAX_BUDGET + 1, 2 * MAX_BUDGET, MAX_BUDGET):
-            assert COLLATZ_MODEL.steps(code, 10**6) == collatz_halt_step(code)
+            assert collatz_steps(code, 10**6) == collatz_halt_step(code)
         assert len(cold_table) == MAX_BUDGET + 1
         assert cold_table[MAX_BUDGET] == collatz_halt_step(MAX_BUDGET)
         # codes below 1 never reach 1, whatever the table's last entries hold
         for code in (0, -1, -2):
-            assert COLLATZ_MODEL.steps(code, 10**4) is None
+            assert collatz_steps(code, 10**4) is None
 
     @pytest.mark.slow
     def test_table_bounded_after_a_drain_at_the_cap(self, cold_table):
         take_prefix(parse_spec("halt:collatz"), MAX_BUDGET, MAX_BUDGET)
         assert len(cold_table) <= MAX_BUDGET + 1
-        COLLATZ_MODEL.steps(2 * MAX_BUDGET, 10**6)
+        collatz_steps(2 * MAX_BUDGET, 10**6)
         assert len(cold_table) <= MAX_BUDGET + 1
 
     @pytest.mark.parametrize(
@@ -208,7 +215,7 @@ class TestCollatzHaltStepTable:
 
 class TestDovetail:
     def test_collatz_prefix(self):
-        got = take_prefix(dovetail_halting(COLLATZ_MODEL), 5, 12)
+        got = take_prefix(dovetail_halting(collatz_steps), 5, 12)
         assert got.values == (1, 2, 4, 3, 5)
 
     def test_matches_schedule_oracle(self):
@@ -217,11 +224,10 @@ class TestDovetail:
             assert list(got.values) == dovetail_order_oracle(collatz_halt_step, budget)
 
     def test_zero_budget(self):
-        assert take_prefix(dovetail_halting(COLLATZ_MODEL), 5, 0).values == ()
+        assert take_prefix(dovetail_halting(collatz_steps), 5, 0).values == ()
 
     def test_uniform_halting_preserves_code_order(self):
-        instant = HaltingModel("instant", lambda code, cap: 1 if cap >= 1 else None)
-        got = take_prefix(dovetail_halting(instant), 8, 8)
+        got = take_prefix(dovetail_halting(instant_steps), 8, 8)
         assert got.values == (1, 2, 3, 4, 5, 6, 7, 8)
         assert inversions(got) == frozenset()
 
@@ -256,16 +262,16 @@ def test_halting_order_demo_golden(capsys, monkeypatch):
 
 class TestRegisterMachineModel:
     def test_deterministic_across_runs(self):
-        first = [REGISTER_MACHINE_MODEL.steps(c, 500) for c in range(1, 101)]
-        second = [REGISTER_MACHINE_MODEL.steps(c, 500) for c in range(1, 101)]
+        first = [rm_steps(c, 500) for c in range(1, 101)]
+        second = [rm_steps(c, 500) for c in range(1, 101)]
         assert first == second
 
     def test_some_programs_halt(self):
-        halts = [c for c in range(1, 200) if REGISTER_MACHINE_MODEL.steps(c, 500)]
+        halts = [c for c in range(1, 200) if rm_steps(c, 500)]
         assert len(halts) > 10
 
     def test_some_programs_loop(self):
-        diverging = [c for c in range(1, 200) if REGISTER_MACHINE_MODEL.steps(c, 500) is None]
+        diverging = [c for c in range(1, 200) if rm_steps(c, 500) is None]
         assert diverging
 
     def test_dovetail_emits_distinct(self):
@@ -285,42 +291,46 @@ class TestDistinctnessAndDeterminism:
         b = take_prefix(parse_spec(spec), 50, 120)
         assert a == b
 
-    def test_builtin_models_present(self):
-        names = [m.name for m in builtin_models()]
-        assert "collatz" in names and "rm" in names
+    def test_models_present(self):
+        assert set(MODELS) == {"collatz", "rm"}
 
 
-def eager_dovetail(model, budget):
+def eager_dovetail(steps, budget):
     """The dovetail as it was before epochs: simulate every code up to the
     budget's round, then sort.  The reference for the lazy stream."""
     emissions = []
     for code in range(1, budget + 1):
         # by round `budget`, code has received budget - code + 1 steps
-        d = model.steps(code, budget - code + 1)
+        d = steps(code, budget - code + 1)
         if d is not None:
             emissions.append((code + d - 1, code))
     return [code for _, code in sorted(emissions)]
 
 
-def _model_from_halt_times(name, halt_time):
+def _model_from_halt_times(halt_time):
     def steps(code, cap):
         d = halt_time(code)
         return d if d is not None and d <= cap else None
 
-    return HaltingModel(name, steps)
+    return steps
 
 
-# codes 3k, 3k+1 and 3k+2 all halt in round 3k+2, so the tie order decides
-TIES_MODEL = _model_from_halt_times("ties", lambda code: 3 - code % 3)
-# halting times far past the first epochs, and codes that never halt
-SPARSE_MODEL = _model_from_halt_times(
-    "sparse", lambda code: None if code % 7 == 0 else code * code % 97 + 1
+EQUIVALENCE_MODELS = {
+    **MODELS,
+    # codes 3k, 3k+1 and 3k+2 all halt in round 3k+2, so the tie order decides
+    "ties": _model_from_halt_times(lambda code: 3 - code % 3),
+    # halting times far past the first epochs, and codes that never halt
+    "sparse": _model_from_halt_times(
+        lambda code: None if code % 7 == 0 else code * code % 97 + 1
+    ),
+}
+BY_MODEL = pytest.mark.parametrize(
+    "model", list(EQUIVALENCE_MODELS.values()), ids=list(EQUIVALENCE_MODELS)
 )
-EQUIVALENCE_MODELS = [COLLATZ_MODEL, REGISTER_MACHINE_MODEL, TIES_MODEL, SPARSE_MODEL]
 
 
 class TestLazyDovetailMatchesEager:
-    @pytest.mark.parametrize("model", EQUIVALENCE_MODELS, ids=lambda m: m.name)
+    @BY_MODEL
     def test_exhaustive_small_budgets(self, model):
         for budget in range(301):
             want = eager_dovetail(model, budget)
@@ -328,7 +338,7 @@ class TestLazyDovetailMatchesEager:
                 got = take_prefix(dovetail_halting(model), n, budget).values
                 assert list(got) == want[:n], (budget, n)
 
-    @pytest.mark.parametrize("model", EQUIVALENCE_MODELS, ids=lambda m: m.name)
+    @BY_MODEL
     def test_fixed_rounds_below_and_above_budget(self, model):
         # a fixed round cap is a smaller budget, min(budget, rounds), while n
         # still asks for up to budget + 5 values
@@ -342,7 +352,7 @@ class TestLazyDovetailMatchesEager:
 
     @settings(deadline=None)
     @given(
-        model=st.sampled_from(EQUIVALENCE_MODELS),
+        model=st.sampled_from(list(EQUIVALENCE_MODELS.values())),
         budget=st.integers(0, 3000),
         data=st.data(),
     )
@@ -363,7 +373,7 @@ class TestPackedEpochOrder:
         n = data.draw(st.integers(0, budget + 5), label="n")
         rng = random.Random(seed)
         halts = [rng.choice((None, 1, 2, 3, 4)) for _ in range(200)]
-        model = _model_from_halt_times("drawn", lambda code: halts[code - 1])
+        model = _model_from_halt_times(lambda code: halts[code - 1])
         want = dovetail_order_oracle(lambda code: halts[code - 1] or budget + 1, budget)
         got = take_prefix(dovetail_halting(model), n, budget).values
         assert list(got) == want[:n], n
@@ -371,9 +381,8 @@ class TestPackedEpochOrder:
     def test_every_code_halting_in_the_last_round_of_its_epoch(self):
         # with n = 3 the epochs end at rounds 3, 6, 12, 24 and 25; code c halts
         # in round c, so each epoch's last code is emitted in its last round
-        instant = HaltingModel("instant", lambda code, cap: 1 if cap >= 1 else None)
         for n in (3, 25, 30):
-            got = take_prefix(dovetail_halting(instant), n, 25).values
+            got = take_prefix(dovetail_halting(instant_steps), n, 25).values
             assert got == tuple(range(1, min(n, 25) + 1)), n
 
 
@@ -500,12 +509,12 @@ class TestRegisterMachineCycleCut:
         assert simulated_rm_steps(code, 10**4) == 19
 
     def test_every_non_halting_code_is_cut(self):
-        # every code <= 1e4 that has not halted by step 1e4 is cut: run to the
-        # cap, any one of them would take minutes, so a lost cut shows as a hang
+        # every code <= 1e4 that has not halted by step 1e4 is cut by step 8;
+        # a small cap makes a lost cut fail, not run each code to the cap
         looping = [c for c in range(1, 10**4 + 1) if simulated_rm_steps(c, 10**4) is None]
         assert len(looping) > 2000
         for code in looping:
-            assert enumerators._simulate_register_machine(code, 10**9) == NEVER_HALTS, code
+            assert enumerators._simulate_register_machine(code, 64) == NEVER_HALTS, code
 
     def test_cycling_code_cut_fast(self):
         # code 3 is a one-word program that jumps to itself forever
@@ -562,7 +571,7 @@ def assert_rm_table_entries(table, codes):
 class TestRegisterMachineOutcomeTable:
     @staticmethod
     def assert_exact(pairs):
-        got = [REGISTER_MACHINE_MODEL.steps(code, cap) for (code, cap), _ in pairs]
+        got = [rm_steps(code, cap) for (code, cap), _ in pairs]
         for ((code, cap), want), g in zip(pairs, got):
             assert g == want, (code, cap)
 
@@ -583,7 +592,7 @@ class TestRegisterMachineOutcomeTable:
         assert all(plain_register_machine_steps(code, 10**4) is None for code in looping)
         for _ in ("cold", "warm"):
             for code in looping:
-                assert REGISTER_MACHINE_MODEL.steps(code, 10**4) is None, code
+                assert rm_steps(code, 10**4) is None, code
         assert all(cold_rm_table[code] == NEVER_HALTS for code in looping)
 
     def test_capped_runs_are_not_stored(self, cold_rm_table):
@@ -591,12 +600,12 @@ class TestRegisterMachineOutcomeTable:
         halting = [(code, d) for code, d in halting if d is not None and d > 1]
         assert halting
         for code in range(1, 3001):
-            assert REGISTER_MACHINE_MODEL.steps(code, 0) is None
+            assert rm_steps(code, 0) is None
         for code, d in halting:
-            assert REGISTER_MACHINE_MODEL.steps(code, d - 1) is None
+            assert rm_steps(code, d - 1) is None
         assert not any(cold_rm_table)
         for code, d in halting:
-            assert REGISTER_MACHINE_MODEL.steps(code, d) == d
+            assert rm_steps(code, d) == d
             assert cold_rm_table[code] == d
 
     # the bare simulator is the reference here: it is held to the plain loop
@@ -611,7 +620,7 @@ class TestRegisterMachineOutcomeTable:
         del table[1:]
         try:
             for code, cap in queries:
-                assert REGISTER_MACHINE_MODEL.steps(code, cap) == simulated_rm_steps(code, cap)
+                assert rm_steps(code, cap) == simulated_rm_steps(code, cap)
                 assert len(table) <= MAX_BUDGET + 1
             assert_rm_table_entries(table, [code for code, _ in queries])
         finally:
@@ -619,12 +628,12 @@ class TestRegisterMachineOutcomeTable:
 
     def test_table_stops_at_the_budget_cap(self, cold_rm_table):
         for code in (MAX_BUDGET + 1, 2 * MAX_BUDGET, MAX_BUDGET):
-            REGISTER_MACHINE_MODEL.steps(code, 10**4)
+            rm_steps(code, 10**4)
         assert len(cold_rm_table) == MAX_BUDGET + 1
         assert cold_rm_table[MAX_BUDGET] == enumerators._simulate_register_machine(
             MAX_BUDGET, 10**4
         )
         # every code below 1 is an empty program, halting at step 1
         for code in (0, -1, -2):
-            assert REGISTER_MACHINE_MODEL.steps(code, 1) == 1
+            assert rm_steps(code, 1) == 1
         assert_rm_table_entries(cold_rm_table, [MAX_BUDGET + 1, 2 * MAX_BUDGET, MAX_BUDGET])

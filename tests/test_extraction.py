@@ -18,7 +18,6 @@ from enumorder.extraction import (
     MAX_FAMILY_N,
     Membership,
     PairedListings,
-    ascending_view,
     check_inverse_positions,
     decide_membership,
     descent_chain,
@@ -280,8 +279,3 @@ class TestFamilyBelow:
         for s in fam:
             assert len(s.elements ^ a) <= n
             assert s.bound == 10
-
-
-class TestAscendingView:
-    def test_sorted(self):
-        assert ascending_view(make_prefix([6, 2, 4])) == (2, 4, 6)

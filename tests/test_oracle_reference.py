@@ -16,13 +16,12 @@ import sys
 
 import pytest
 
-from enumorder import extraction, oracle
 from enumorder.algebra import Chain, chain_stabilize, transport
 from enumorder.extraction import check_inverse_positions
-from enumorder.oracle import REGISTRY, _prefixes, all_patterns
-from enumorder.prefixes import ReducibilityVerdict, inversions, leq_eo, standardize
+from enumorder.oracle import REGISTRY, _prefixes
+from enumorder.prefixes import Pattern, ReducibilityVerdict, inversions, leq_eo, standardize
 
-from test_oracle import PLANTED_FAULTS
+from test_oracle import PLANTED_FAULTS, owner
 
 
 def _check_transitive(n: int):
@@ -75,7 +74,8 @@ def _check_transport(n: int):
     prefixes = _prefixes(n)
     other_values = tuple(range(n + 1, 2 * n + 1))
     count = 0
-    for h, h_prime, g_pat in itertools.product(prefixes, prefixes, all_patterns(n)):
+    g_patterns = [Pattern(p) for p in itertools.permutations(range(1, n + 1))]
+    for h, h_prime, g_pat in itertools.product(prefixes, prefixes, g_patterns):
         g_prime = g_pat.apply(other_values)
         if standardize(g_prime) != standardize(h_prime):
             continue
@@ -158,9 +158,10 @@ def _leq_eo_within_one_inversion(f, g):
     return ReducibilityVerdict() if holds else ReducibilityVerdict(fail_at=(1, 2))
 
 
-def _clauses_fail_everywhere(f, g):
-    # through the module: this module's own name is the one patched
-    report = extraction.check_inverse_positions(f, g)
+def _clauses_fail_everywhere(f, g, real=check_inverse_positions):
+    # bound before any patch: the names it is planted on are this module's
+    # and extraction's own
+    report = real(f, g)
     return report._replace(clause1=report.clause1._replace(holds=False))
 
 
@@ -194,7 +195,7 @@ FAULT_CASES = sorted(
     ids=[f"{pid}-{fault.__name__}" for pid, _, fault in FAULT_CASES],
 )
 def test_matches_reference_under_fault(monkeypatch, pid, target, fault):
-    monkeypatch.setattr(oracle, target, fault)
+    monkeypatch.setattr(owner(target), target, fault)
     monkeypatch.setattr(sys.modules[__name__], target, fault)
     for n in range(min(REGISTRY[pid][0], 4) + 1):
         _assert_same(pid, n)

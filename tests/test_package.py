@@ -13,34 +13,47 @@ import pytest
 
 import enumorder
 
-# the public names, as the package listed them when it imported every
-# submodule up front
+# the public names
 PUBLIC = [
-    "Chain", "Enumerator", "HaltingModel", "InversePositionReport", "Membership",
-    "MembershipReport", "PairedListings", "Pattern", "PrefixListing", "PropertyReport",
-    "ReducibilityVerdict", "SetSample", "all_patterns", "ascending_listing",
-    "ascending_view", "builtin_models", "chain_stabilize", "check_inverse_positions",
+    "Chain", "Enumerator", "InversePositionReport", "Membership", "MembershipReport",
+    "PairedListings", "Pattern", "PrefixListing", "PropertyReport", "ReducibilityVerdict",
+    "SetSample", "ascending_listing", "chain_stabilize", "check_inverse_positions",
     "decide_membership", "descent_chain", "dovetail_halting", "equiv_eo", "family_below",
     "inverse_lookup", "inversions", "leq_eo", "make_paired", "make_prefix",
     "make_strict_chain", "parse_spec", "predecessor", "run_property", "standardize",
     "take_prefix", "transport",
 ]
 
-# runs in a fresh interpreter: the modules `import enumorder` adds, then
-# those a `pattern` call adds, each against the bare interpreter's set
+# runs in a fresh interpreter with the CLI arguments after it: the modules
+# `import enumorder` adds, then those the CLI call adds, each against the bare
+# interpreter's set
 PROBE = """
 import sys
 bare = set(sys.modules)
 import json, runpy
 import enumorder
 package = sorted(set(sys.modules) - bare)
-sys.argv = ["enumorder", "pattern", "inline", "6 2 4"]
+sys.argv = ["enumorder", *sys.argv[1:]]
 try:
     runpy.run_module("enumorder.cli", run_name="__main__", alter_sys=True)
 except SystemExit as exc:
     code = exc.code
 print(json.dumps({"package": package, "cli": sorted(set(sys.modules) - bare), "code": code}))
 """
+
+
+def _cold_call(*argv):
+    """The CLI's stdout for `argv` in a fresh interpreter, and the probe."""
+    src = str(Path(enumorder.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", PROBE, *argv],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    out, probe = proc.stdout.rsplit("\n", 2)[:2]
+    return out, json.loads(probe)
+
 
 NOT_FOR_PATTERN = {
     "dataclasses",
@@ -52,20 +65,24 @@ NOT_FOR_PATTERN = {
 
 
 def test_cold_pattern_call_loads_only_what_it_runs():
-    src = str(Path(enumorder.__file__).parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", PROBE],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, check=False,
-    )
-    assert proc.returncode == 0, proc.stderr
-    out, probe = proc.stdout.rsplit("\n", 2)[:2]
-    probe = json.loads(probe)
+    out, probe = _cold_call("pattern", "inline", "6 2 4")
     assert out == '{"values": [6, 2, 4], "pattern": [3, 1, 2]}' and probe["code"] == 0
     assert [m for m in probe["package"] if m.startswith("enumorder")] == ["enumorder"]
     assert "dataclasses" not in probe["package"]
     assert {"enumorder.errors", "enumorder.prefixes"} <= set(probe["cli"])
     assert NOT_FOR_PATTERN.isdisjoint(probe["cli"])
+
+
+def test_cold_verify_call_loads_only_the_oracle():
+    # the reflexive checker runs on prefixes alone: no algebra or extraction
+    out, probe = _cold_call("verify", "--property", "reflexive", "--n", "3")
+    assert out == (
+        '{"property": "reflexive", "n": 3, "instances": 6, "violations": [], "pass": true}'
+    )
+    assert probe["code"] == 0
+    assert [m for m in probe["cli"] if m.startswith("enumorder.")] == [
+        "enumorder.errors", "enumorder.oracle", "enumorder.prefixes"
+    ]
 
 
 def test_public_names():

@@ -7,7 +7,6 @@ import pickle
 import pytest
 
 from enumorder.algebra import Chain
-from enumorder.enumerators import HaltingModel
 from enumorder.errors import DuplicateValue, InvalidPairing, ValueSetMismatch, ZeroValue
 from enumorder.extraction import (
     Clause1,
@@ -84,10 +83,6 @@ RECORDS = {
         "PropertyReport(property_id='reflexive', n=2, instances=2, violations=(), "
         "elapsed=0.5, witness=None)",
         "violations",
-    ),
-    "HaltingModel": (
-        lambda: HaltingModel("m", min), lambda: HaltingModel("m", max),
-        "HaltingModel(name='m', steps=<built-in function min>)", "name",
     ),
 }
 
