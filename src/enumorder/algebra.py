@@ -38,11 +38,14 @@ class Chain(FrozenSlots):
         return len(self.listings)
 
     def validate(self) -> None:
+        # equal lengths and distinct values make one superset test per
+        # listing against the first listing's values decide set equality
+        first = set(self.listings[0].values) if self.listings else set()
         for k in range(len(self.listings) - 1):
             a, b = self.listings[k], self.listings[k + 1]
             if len(a) != len(b):
                 raise LengthMismatch(len(a), len(b))
-            if a.value_set != b.value_set:
+            if not first.issuperset(b.values):
                 raise ValueSetMismatch(f"value set changes at step {k + 1}")
             if not leq_eo(b, a).holds:
                 raise ChainInvariantViolated(k + 1)
@@ -71,10 +74,13 @@ def transport(h: PrefixListing, h_prime: PrefixListing, g_prime: PrefixListing) 
         raise LengthMismatch(len(h), len(h_prime))
     if len(h) != len(g_prime):
         raise LengthMismatch(len(h), len(g_prime))
-    if h.value_set != h_prime.value_set:
-        raise ValueSetMismatch("h and h_prime enumerate different values")
     gv, pos = g_prime.values, h_prime.positions
-    return PrefixListing(tuple(gv[pos[v] - 1] for v in h))
+    # equal lengths and distinct values: every h value has a position in
+    # h_prime exactly when the two value sets are equal
+    try:
+        return PrefixListing(tuple([gv[pos[v] - 1] for v in h.values]))
+    except KeyError:
+        raise ValueSetMismatch("h and h_prime enumerate different values") from None
 
 
 def chain_stabilize(c: Chain) -> Optional[Tuple[int, int]]:

@@ -108,10 +108,9 @@ def validate_pairing(f: PrefixListing, g: PrefixListing, m: int) -> None:
         raise InvalidPairing(f"lengths differ: {len(f)} != {len(g)}")
     if len(f) == 0:
         raise InvalidPairing("empty pairing")
-    a_set = g.value_set
-    if m in a_set:
+    if m in g.positions:
         raise InvalidPairing(f"extra element {m} occurs in g")
-    if m >= min(a_set):
+    if m >= min(g.values):
         raise InvalidPairing(f"extra element {m} is not below min of g's values")
     if f.values[0] != m:
         raise InvalidPairing(f"f(1) = {f.values[0]}, expected the extra element {m}")
@@ -195,22 +194,19 @@ def decide_membership(p: PairedListings, x: int) -> MembershipReport:
 
     A direct occurrence in g settles membership.  Otherwise the least
     enumerated witness a > x has a descent chain listing everything in A
-    below a, so x ∈ A iff x appears there.
+    below a, and x is not in it.  A valid pairing gives f the values of g
+    less its maximum, plus m, so every predecessor of a value of g is in g
+    or is m: the chain never runs out of prefix, and it holds only values
+    of g, which x is not.
     """
     if x < 1:
         raise ValueError("x must be >= 1")
-    if x in p.g.value_set:
+    if x in p.g.positions:
         return MembershipReport(x, Membership.IN_A, ())
     above = [v for v in p.g.values if v > x]
     if not above:
         return MembershipReport(x, Membership.INSUFFICIENT, ())
-    witness = min(above)
-    try:
-        chain = descent_chain(p, witness)
-    except InsufficientPrefix:
-        return MembershipReport(x, Membership.INSUFFICIENT, ())
-    result = Membership.IN_A if x in chain else Membership.NOT_IN_A
-    return MembershipReport(x, result, tuple(chain))
+    return MembershipReport(x, Membership.NOT_IN_A, tuple(descent_chain(p, min(above))))
 
 
 def family_below(a_sample: SetSample, n: int) -> List[SetSample]:

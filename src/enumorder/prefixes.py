@@ -8,22 +8,12 @@ to g when every inversion of f is also an inversion of g.
 
 from __future__ import annotations
 
-from typing import (
-    Callable,
-    Iterable,
-    Iterator,
-    Mapping,
-    NamedTuple,
-    Optional,
-    Sequence,
-    Tuple,
-    TypeVar,
-)
+import functools
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import DuplicateValue, LengthMismatch, TooLarge, ValueSetMismatch, ZeroValue
 
 PositionPair = Tuple[int, int]
-T = TypeVar("T")
 
 # leq_eo keeps the early-exit double loop up to this length, where it beats
 # the Fenwick scan's set-up (see CHANGES.md for the measured crossover)
@@ -40,7 +30,10 @@ class FrozenSlots:
     A subclass lists its fields in `_fields` and stores them in __init__
     with object.__setattr__, after its checks.  Instances compare, hash and
     print by those fields, as a frozen dataclass does; assigning or
-    deleting any attribute raises AttributeError.
+    deleting any attribute raises AttributeError.  A subclass that also
+    declares a `__dict__` slot may keep derived indexes there, as
+    functools.cached_property does: they stay outside `_fields`, so
+    equality, hashing, repr, copy and pickle ignore them.
     """
 
     __slots__ = ()
@@ -72,36 +65,16 @@ class FrozenSlots:
         return type(self), self._key()
 
 
-def _computed_once(build: Callable[..., T]) -> property:
-    """A read-only property built on first use and kept on the instance.
-
-    The value is stored with object.__setattr__ in the slot named `_` plus
-    the decorated function's name, which the class must declare; it stays
-    out of `_fields`, so equality, hashing and repr ignore it.  A slot keeps
-    every attribute load a fixed-offset read, where
-    functools.cached_property would need an instance __dict__.
-    """
-    name = "_" + build.__name__
-
-    def get(self) -> T:
-        try:
-            return getattr(self, name)
-        except AttributeError:
-            value = build(self)
-            object.__setattr__(self, name, value)
-            return value
-
-    return property(get, doc=build.__doc__)
-
-
 class PrefixListing(FrozenSlots):
     """An initial segment of a listing: distinct naturals at positions 1..n.
 
     Construction rejects a value below 1 with ZeroValue and a repeated
-    value with DuplicateValue (naming its first repeat).
+    value with DuplicateValue (naming its first repeat).  The derived
+    indexes `ranks` and `positions` are built on first read and cached in
+    the instance `__dict__`, outside `_fields`.
     """
 
-    __slots__ = ("values", "_value_set", "_ranks", "_positions")
+    __slots__ = ("values", "__dict__")
     _fields = ("values",)
     values: Tuple[int, ...]
 
@@ -142,11 +115,7 @@ class PrefixListing(FrozenSlots):
 
     # derived indexes, each O(n) in size
 
-    @_computed_once
-    def value_set(self) -> frozenset:
-        return frozenset(self.values)
-
-    @_computed_once
+    @functools.cached_property
     def ranks(self) -> Tuple[int, ...]:
         """Rank of each position's value, from 1, read off the argsort: the
         listing's pattern."""
@@ -156,7 +125,7 @@ class PrefixListing(FrozenSlots):
             ranks[k] = rank
         return tuple(ranks)
 
-    @_computed_once
+    @functools.cached_property
     def positions(self) -> Mapping[int, int]:
         """Each value's 1-based position.  Shared by every caller: read it,
         never change it."""

@@ -60,6 +60,15 @@ class TestTransport:
         with pytest.raises(ValueSetMismatch):
             transport(make_prefix([1, 2]), make_prefix([1, 3]), make_prefix([4, 5]))
 
+    @pytest.mark.parametrize(
+        "h_prime", [[9, 3, 7, 5], [5, 9, 3, 7]], ids=["lacks-first", "lacks-last"]
+    )
+    def test_value_set_mismatch_at_either_end(self, h_prime):
+        # h = 2 3 5 7; h_prime swaps out its first value, then its last
+        with pytest.raises(ValueSetMismatch) as exc:
+            transport(make_prefix([2, 3, 5, 7]), make_prefix(h_prime), make_prefix([1, 2, 3, 4]))
+        assert str(exc.value) == "h and h_prime enumerate different values"
+
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             transport(make_prefix([1, 2]), make_prefix([2, 1]), make_prefix([4]))
@@ -101,6 +110,16 @@ class TestChainStabilize:
         chain = Chain((make_prefix([1, 2]), make_prefix([3, 4])))
         with pytest.raises(ValueSetMismatch):
             chain_stabilize(chain)
+
+    def test_value_set_change_names_its_step(self):
+        # listings 1..3 share {1, 2, 3}; listing 4 swaps 3 for 4
+        chain = Chain(
+            (make_prefix([3, 2, 1]), make_prefix([3, 1, 2]), make_prefix([1, 2, 3]),
+             make_prefix([1, 2, 4]))
+        )
+        with pytest.raises(ValueSetMismatch) as exc:
+            chain.validate()
+        assert str(exc.value) == "value set changes at step 3"
 
     def test_tie_breaking_prefers_early_j(self):
         a, b = make_prefix([2, 1, 3]), make_prefix([1, 2, 3])

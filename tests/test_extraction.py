@@ -8,6 +8,7 @@ from enumorder.errors import (
     BadBound,
     BadExtra,
     BadPattern,
+    InsufficientPrefix,
     InvalidPairing,
     PreconditionViolated,
     TooLarge,
@@ -214,6 +215,12 @@ class TestDescentChain:
                 (x for x in a_set if x < a), reverse=True
             )
 
+    @pytest.mark.parametrize("a", [1, 3, 5, 9])
+    def test_start_outside_g_is_insufficient(self, paired, a):
+        with pytest.raises(InsufficientPrefix) as exc:
+            descent_chain(paired, a)
+        assert exc.value.value == a
+
 
 class TestDecideMembership:
     def test_excluded_by_descent(self, paired):
@@ -240,6 +247,33 @@ class TestDecideMembership:
                     assert x in elements
                 elif result is Membership.NOT_IN_A:
                     assert x not in elements
+
+
+@st.composite
+def canonical_pairs(draw):
+    """A make_paired pair: a drawn set A, an extra m below min(A), and a
+    pattern that opens with rank 1."""
+    a = draw(st.lists(st.integers(2, 40), min_size=1, max_size=8, unique=True))
+    m = draw(st.integers(1, min(a) - 1))
+    tail = draw(st.permutations(range(2, len(a) + 1)))
+    return make_paired(SetSample(frozenset(a), max(a)), m, Pattern((1, *tail)))
+
+
+@given(canonical_pairs())
+def test_membership_closed_form(p):
+    # in iff x is in g; insufficient iff x > max(g); otherwise out, with the
+    # descent listing g's values below the least one above x, descending
+    a = set(p.g.values)
+    for x in range(1, max(a) + 4):
+        report = decide_membership(p, x)
+        if x in a:
+            assert report == (x, Membership.IN_A, ())
+        elif x > max(a):
+            assert report == (x, Membership.INSUFFICIENT, ())
+        else:
+            witness = min(v for v in a if v > x)
+            below = tuple(sorted((v for v in a if v < witness), reverse=True))
+            assert report == (x, Membership.NOT_IN_A, below)
 
 
 class TestFamilyBelow:

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 from hypothesis import given
@@ -201,6 +202,72 @@ class TestEquivEo:
             return
         f, g = make_prefix(a), make_prefix(b)
         assert equiv_eo(f, g) == (standardize(f) == standardize(g))
+
+
+def leq_eo_up_sets(n):
+    """The listings of {1..n} and, for each, the bitmask of its up-set read
+    from n!^2 leq_eo verdicts: bit m is set when it is reducible to the m-th."""
+    listings = [PrefixListing(p) for p in itertools.permutations(range(1, n + 1))]
+    up = [
+        sum(1 << m for m, g in enumerate(listings) if leq_eo(f, g).holds)
+        for f in listings
+    ]
+    return listings, up
+
+
+def cover_up_sets(n):
+    """The same up-set bitmasks, and the number of covers, built without
+    leq_eo by closing the cover relation of the weak order.
+
+    A cover swaps the values k and k + 1 where k comes first: that adds the
+    one inversion of their two positions and changes no other pair.
+    Listings are closed in decreasing inversion count, so the up-set of each
+    cover is complete before it is read.
+    """
+    perms = list(itertools.permutations(range(1, n + 1)))
+    index = {p: i for i, p in enumerate(perms)}
+    up = [0] * len(perms)
+    covers = 0
+    for p in sorted(perms, key=lambda p: len(brute_inversions(p)), reverse=True):
+        mask = 1 << index[p]
+        for k in range(1, n):
+            a, b = p.index(k), p.index(k + 1)
+            if a < b:
+                q = list(p)
+                q[a], q[b] = k + 1, k
+                mask |= up[index[tuple(q)]]
+                covers += 1
+        up[index[p]] = mask
+    return up, covers
+
+
+class TestWeakOrder:
+    """leq_eo against the weak order on S_n, with no code shared with it."""
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_up_sets_are_the_cover_closure(self, n):
+        up, covers = cover_up_sets(n)
+        assert covers == math.factorial(n) * (n - 1) // 2
+        assert up == leq_eo_up_sets(n)[1]
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_every_pair_has_one_greatest_common_lower_bound(self, n):
+        # the weak order is a lattice (Bjorner and Brenti, Combinatorics of
+        # Coxeter Groups, ch. 3): each pair's common down-set has exactly one
+        # maximal element, their meet
+        listings, up = leq_eo_up_sets(n)
+        down = [0] * len(listings)
+        for k, mask in enumerate(up):
+            for m in range(len(listings)):
+                if mask >> m & 1:
+                    down[m] |= 1 << k
+        for i, j in itertools.combinations_with_replacement(range(len(listings)), 2):
+            common = down[i] & down[j]
+            maximal = [
+                k for k in range(len(listings))
+                if common >> k & 1 and up[k] & common == 1 << k
+            ]
+            assert len(maximal) == 1, (listings[i], listings[j], maximal)
 
 
 class TestAscendingListing:

@@ -127,11 +127,27 @@ def test_copy_and_pickle_keep_the_value(make, other, text, field):
 def test_cached_indexes_stay_out_of_value_and_repr():
     p, q = PrefixListing((3, 1, 2)), PrefixListing((3, 1, 2))
     assert p.ranks == (3, 1, 2) and p.ranks is p.ranks
-    assert p.positions == {3: 1, 1: 2, 2: 3} and p.value_set == {1, 2, 3}
+    assert p.positions == {3: 1, 1: 2, 2: 3}
     assert p == q and hash(p) == hash(q)
     assert repr(p) == "PrefixListing(values=(3, 1, 2))"
     with pytest.raises(AttributeError):
         p.ranks = (1, 2, 3)
+    with pytest.raises(AttributeError):
+        p.positions = {}
+    with pytest.raises(AttributeError):
+        del p.ranks
+    assert p.ranks == (3, 1, 2)
+
+
+def test_a_listing_with_cached_indexes_copies_and_pickles_by_values():
+    p = PrefixListing((5, 2, 7))
+    p.ranks, p.positions  # fill both caches
+    # copy and pickle rebuild from the values alone, never the caches
+    assert pickle.dumps(p) == pickle.dumps(PrefixListing((5, 2, 7)))
+    for q in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+        assert q == p and hash(q) == hash(p) and q.values == p.values
+        assert q.ranks == p.ranks and q.positions == p.positions
+    assert PrefixListing((5, 2, 7)) == p and hash(PrefixListing((5, 2, 7))) == hash(p)
 
 
 def test_plain_records_are_tuples():
