@@ -10,8 +10,10 @@ per-prefix tables, once per call, and then only read them:
   verdicts; a violation is a bit of up(g) missing from up(f) for some g in
   up(f).  It reads nothing of its target but those verdicts.
 - `subset-characterization`: one int mask per prefix of its out-of-order
-  position pairs, from its own double loop.  It shares nothing with its
-  target: no `inversions`, `leq_eo` verdict or table derived from them.
+  position pairs, bit k for the k-th pair in lexicographic order, from its
+  own double loop.  Its target's small path tests masks too, with bit i*n + j
+  of `inversion_mask`; the two share no code, and this reads no
+  `inversions`, `inversion_mask` or table derived from them.
 - `lemma-2-8`: the inversion set of each prefix.
 - `transport`: the pattern of each prefix, and the target g' that realizes
   it on the values n+1..2n.

@@ -15,8 +15,8 @@ from .errors import DuplicateValue, LengthMismatch, TooLarge, ValueSetMismatch, 
 
 PositionPair = Tuple[int, int]
 
-# leq_eo keeps the early-exit double loop up to this length, where it beats
-# the Fenwick scan's set-up (see CHANGES.md for the measured crossover)
+# up to this length leq_eo ANDs cached inversion masks; on fresh listings the
+# Fenwick scan ties with it at 32-64 positions and wins above (CHANGES.md)
 LEQ_EO_SMALL_N = 32
 
 # inversions on a reversed listing of this many positions takes ~2 s and
@@ -70,8 +70,8 @@ class PrefixListing(FrozenSlots):
 
     Construction rejects a value below 1 with ZeroValue and a repeated
     value with DuplicateValue (naming its first repeat).  The derived
-    indexes `ranks` and `positions` are built on first read and cached in
-    the instance `__dict__`, outside `_fields`.
+    indexes `ranks`, `positions` and `inversion_mask` are built on first
+    read and cached in the instance `__dict__`, outside `_fields`.
     """
 
     __slots__ = ("values", "__dict__")
@@ -131,6 +131,18 @@ class PrefixListing(FrozenSlots):
         never change it."""
         return dict(zip(self.values, range(1, len(self.values) + 1)))
 
+    @functools.cached_property
+    def inversion_mask(self) -> int:
+        """Bit i*n + j set for each 0-based inversion i < j: taken in
+        ascending value order, i inverts with each position seen right of it."""
+        values = self.values
+        n = len(values)
+        mask = seen = 0
+        for i in sorted(range(n), key=values.__getitem__):
+            mask |= (seen >> i) << (i * (n + 1))
+            seen |= 1 << i
+        return mask
+
     def take(self, k: int) -> "PrefixListing":
         """First k positions, as an explicit truncation (never implicit)."""
         return PrefixListing(self.values[: max(k, 0)])
@@ -175,6 +187,13 @@ class ReducibilityVerdict(NamedTuple):
 
 # the one holding verdict: frozen, and equal to any other by value
 _HOLDS = ReducibilityVerdict()
+
+
+@functools.cache
+def _failure_at(i: int, j: int) -> ReducibilityVerdict:
+    """The shared failing verdict at the 0-based pair i < j; leq_eo's small
+    path asks only for i < j < LEQ_EO_SMALL_N, so at most 496 are kept."""
+    return ReducibilityVerdict(fail_at=(i + 1, j + 1))
 
 
 class SetSample(FrozenSlots):
@@ -230,23 +249,21 @@ def leq_eo(f: PrefixListing, g: PrefixListing) -> ReducibilityVerdict:
     """Is every inversion of f also an inversion of g?
 
     Returns the lexicographically least violating (i, j) on failure.  Up to
-    LEQ_EO_SMALL_N positions this is an early-exit double loop, O(n^2) in
-    the worst case; above it, a Fenwick scan in O(n log n) time and O(n)
-    space that finds the same witness.
+    LEQ_EO_SMALL_N positions the inversions missing from g are one AND-NOT
+    of the cached `inversion_mask`s, and the lowest missing bit is the least
+    witness; above it, a Fenwick scan in O(n log n) time and O(n) space
+    finds the same witness.
     """
-    fv, gv = f.values, g.values
-    n = len(fv)
-    if n != len(gv):
-        raise LengthMismatch(n, len(gv))
+    n, m = len(f.values), len(g.values)
+    if n != m:
+        raise LengthMismatch(n, m)
     if n > LEQ_EO_SMALL_N:
         fail_at = _fenwick_fail_at(f, g)
         return _HOLDS if fail_at is None else ReducibilityVerdict(fail_at=fail_at)
-    for i in range(n):
-        a, b = fv[i], gv[i]
-        for j in range(i + 1, n):
-            if a > fv[j] and b < gv[j]:
-                return ReducibilityVerdict(fail_at=(i + 1, j + 1))
-    return _HOLDS
+    missing = f.inversion_mask & ~g.inversion_mask
+    if not missing:
+        return _HOLDS
+    return _failure_at(*divmod((missing & -missing).bit_length() - 1, n))
 
 
 def _fenwick_fail_at(f: PrefixListing, g: PrefixListing) -> Optional[PositionPair]:
@@ -292,8 +309,9 @@ def equiv_eo(f: PrefixListing, g: PrefixListing) -> bool:
     decided by comparing the two cached rank sequences: O(n log n) on a
     listing's first call, O(n) after, with no small-n path.
     """
-    if len(f) != len(g):
-        raise LengthMismatch(len(f), len(g))
+    n, m = len(f.values), len(g.values)
+    if n != m:
+        raise LengthMismatch(n, m)
     return f.ranks == g.ranks
 
 

@@ -2,9 +2,10 @@
 
 Each reference below is the straightforward loop: the double loop for the
 least reducibility witness, tuple.index for positions, the pairwise scan for
-chain repeats.  The Fenwick kernel is checked exhaustively at small n, and
-the public entries with hypothesis at sizes well above leq_eo's small-n
-threshold, where the fast paths run.
+chain repeats.  The Fenwick kernel and leq_eo's inversion-mask path are
+checked exhaustively at small n, and the public entries with hypothesis both
+up to leq_eo's small-n threshold and well above it, where the Fenwick scan
+runs.
 """
 
 import itertools
@@ -133,6 +134,16 @@ class TestFenwickKernel:
 
 
 class TestLeqEoFastPath:
+    @pytest.mark.parametrize("n", range(6))
+    def test_exhaustive_on_permutations(self, n):
+        # every ordered pair, g relabelled so that only its pattern agrees
+        perms = list(itertools.permutations(range(1, n + 1)))
+        listings = [PrefixListing(p) for p in perms]
+        relabelled = [PrefixListing(tuple(3 * v + 7 for v in p)) for p in perms]
+        for fv, f in zip(perms, listings):
+            for gv, g in zip(perms, relabelled):
+                assert leq_eo(f, g).fail_at == least_witness(fv, gv)
+
     @settings(deadline=None)
     @given(listing_pairs())
     def test_least_witness_both_directions(self, pair):
@@ -141,7 +152,15 @@ class TestLeqEoFastPath:
         assert leq_eo(f, g).fail_at == least_witness(fv, gv)
         assert leq_eo(g, f).fail_at == least_witness(gv, fv)
 
-    @pytest.mark.parametrize("n", [LEQ_EO_SMALL_N + 1, 100, 400])
+    @given(listing_pairs(max_n=LEQ_EO_SMALL_N))
+    def test_least_witness_on_the_mask_path(self, pair):
+        fv, gv = pair
+        f, g = PrefixListing(fv), PrefixListing(gv)
+        assert leq_eo(f, g).fail_at == least_witness(fv, gv)
+        assert leq_eo(g, f).fail_at == least_witness(gv, fv)
+
+    # 2, 31 and 32 put the last pair at the end of the mask's last row
+    @pytest.mark.parametrize("n", [2, 31, LEQ_EO_SMALL_N, LEQ_EO_SMALL_N + 1, 100, 400])
     def test_planted_failure_at_the_last_pair(self, n):
         # the only violation sits at the very end of the scan order
         asc = tuple(range(1, n + 1))

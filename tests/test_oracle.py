@@ -159,6 +159,16 @@ def test_class_count_reads_no_ranks(monkeypatch):
     assert report.violations == ("1 classes vs 24 distinct patterns",)
 
 
+def test_subset_characterization_sees_a_faulty_inversion_mask(monkeypatch):
+    # leq_eo's small path reads one bit fewer than the listing's inversions;
+    # the oracle's own pair masks must not share the fault
+    real = PrefixListing.__dict__["inversion_mask"].func
+    one_bit_short = property(lambda p: real(p) & (real(p) - 1))
+    monkeypatch.setattr(PrefixListing, "inversion_mask", one_bit_short)
+    report = run_property("subset-characterization", 3)
+    assert not report.passed and report.violations
+
+
 def test_subset_characterization_never_reads_inversions(monkeypatch):
     monkeypatch.setattr(oracle, "inversions", _inversions_of_reversal)
     assert run_property("subset-characterization", 4).passed

@@ -244,7 +244,7 @@ def cover_up_sets(n):
 class TestWeakOrder:
     """leq_eo against the weak order on S_n, with no code shared with it."""
 
-    @pytest.mark.parametrize("n", range(1, 6))
+    @pytest.mark.parametrize("n", [*range(1, 6), pytest.param(6, marks=pytest.mark.slow)])
     def test_up_sets_are_the_cover_closure(self, n):
         up, covers = cover_up_sets(n)
         assert covers == math.factorial(n) * (n - 1) // 2

@@ -128,6 +128,8 @@ def test_cached_indexes_stay_out_of_value_and_repr():
     p, q = PrefixListing((3, 1, 2)), PrefixListing((3, 1, 2))
     assert p.ranks == (3, 1, 2) and p.ranks is p.ranks
     assert p.positions == {3: 1, 1: 2, 2: 3}
+    # the inversions (0, 1) and (0, 2), at bits 0*3 + 1 and 0*3 + 2
+    assert p.inversion_mask == 0b110
     assert p == q and hash(p) == hash(q)
     assert repr(p) == "PrefixListing(values=(3, 1, 2))"
     with pytest.raises(AttributeError):
@@ -135,18 +137,24 @@ def test_cached_indexes_stay_out_of_value_and_repr():
     with pytest.raises(AttributeError):
         p.positions = {}
     with pytest.raises(AttributeError):
+        p.inversion_mask = 0
+    with pytest.raises(AttributeError):
         del p.ranks
-    assert p.ranks == (3, 1, 2)
+    with pytest.raises(AttributeError):
+        del p.inversion_mask
+    assert p.ranks == (3, 1, 2) and p.inversion_mask == 0b110
 
 
 def test_a_listing_with_cached_indexes_copies_and_pickles_by_values():
     p = PrefixListing((5, 2, 7))
-    p.ranks, p.positions  # fill both caches
+    p.ranks, p.positions, p.inversion_mask  # fill every cache
     # copy and pickle rebuild from the values alone, never the caches
     assert pickle.dumps(p) == pickle.dumps(PrefixListing((5, 2, 7)))
     for q in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
         assert q == p and hash(q) == hash(p) and q.values == p.values
+        assert "inversion_mask" not in q.__dict__
         assert q.ranks == p.ranks and q.positions == p.positions
+        assert q.inversion_mask == p.inversion_mask
     assert PrefixListing((5, 2, 7)) == p and hash(PrefixListing((5, 2, 7))) == hash(p)
 
 
