@@ -3,8 +3,9 @@
 Every command emits a single JSON object per result line (``--format json``,
 the default) or a human-oriented text rendering (``--format text``).  Prefix
 inputs are uniform across commands: the literal word ``inline`` followed by
-space-separated naturals (or a JSON array), ``file:<path>`` for the one-line
-prefix file format, or an enumerator spec materialized with ``--prefix-len``
+space-separated naturals (or a flat JSON array), ``file:<path>`` for the
+one-line prefix file format (a regular file, with lines of at most
+MAX_LINE_CHARS), or an enumerator spec materialized with ``--prefix-len``
 and ``--budget``.
 
 Each command is one ``COMMANDS`` entry: its number of prefix sources, its
@@ -31,10 +32,12 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
+import stat
 import sys
 from typing import TYPE_CHECKING, Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from .errors import EnumOrderError
+from .errors import EnumOrderError, TooLarge
 from .prefixes import (
     PrefixListing,
     SetSample,
@@ -53,6 +56,11 @@ EXIT_BAD_INPUT = 2
 EXIT_INSUFFICIENT = 3
 
 Row = Tuple[dict, str, int]
+
+# the longest line, in characters with its newline, that a file source may
+# hold: a MAX_BUDGET prefix written out is ~1.4 MB, and a valid line is ASCII,
+# so this is its size in bytes too
+MAX_LINE_CHARS = 8 * 2**20
 
 
 def _int_at_least(low: int, text: str) -> int:
@@ -75,6 +83,10 @@ def pos(text: str) -> int:
 def _parse_values(text: str) -> List[int]:
     text = text.strip()
     if text.startswith("["):
+        # a flat array holds one "[" and no "{"; refusing anything else here
+        # also keeps json.loads from recursing into deep nesting
+        if text.count("[") != 1 or "{" in text:
+            raise EnumOrderError("JSON input must be a flat array of integers")
         try:
             data = json.loads(text)
         except ValueError as exc:
@@ -90,10 +102,19 @@ def _parse_values(text: str) -> List[int]:
 
 
 def _nonblank_lines(path: str) -> Iterator[str]:
-    """The file's non-blank lines, stripped, read only as far as consumed."""
+    """The file's non-blank lines, stripped, read only as far as consumed.
+
+    Refuses a path that is not a regular file, which open() could block on
+    (a FIFO) or read without end (a device), and a line longer than
+    MAX_LINE_CHARS with TooLarge.
+    """
     try:
+        if not stat.S_ISREG(os.stat(path).st_mode):
+            raise EnumOrderError(f"cannot read {path}: not a regular file")
         with open(path, encoding="utf-8") as fh:
-            for line in fh:
+            while line := fh.readline(MAX_LINE_CHARS + 1):
+                if len(line) > MAX_LINE_CHARS:
+                    raise TooLarge(len(line), MAX_LINE_CHARS)
                 if line.strip():
                     yield line.strip()
     except (OSError, UnicodeDecodeError) as exc:
@@ -144,7 +165,7 @@ def load_paired_file(path: str) -> PairedListings:
 
 
 def _words(values) -> str:
-    return " ".join(str(v) for v in values)
+    return " ".join(map(str, values))
 
 
 def _compare(args, f: PrefixListing, g: PrefixListing) -> Iterator[Row]:

@@ -1,11 +1,14 @@
 """Producers of listing prefixes.
 
-An enumerator is a function `(budget, n)` returning an iterator over
-distinct naturals.  The budget's unit is per kind: one emission for the
-closed forms, one dovetail round for a halting model.  `n` is how many
-values the caller will take: the stream may stop after them and does no
-work past them, and what it yields is a prefix of what it would yield for
-any larger `n`.  Each call starts a fresh, identical stream.
+An enumerator is a function `(budget, n)` returning the first at most `n`
+values of its stream within the budget: distinct naturals, in an order that
+depends on neither argument.  The budget's unit is per kind: one emission
+for the closed forms, one dovetail round for a halting model.  An
+enumerator does no work past the `n` values it returns, and what it
+returns is a prefix of what it would return for any larger `n`.  Each call
+yields the identical stream; a halting model's enumerator also keeps the
+rounds it has settled, so a later call reads them back instead of running
+them again.
 
 Closed forms cover the worked examples (doubling, shifted identity,
 explicit ascending lists).  The dovetail stands in for a halting-set
@@ -18,19 +21,23 @@ Spec grammar: ``even | nminus:<nat> | asc:<nat>(,<nat>)* | halt:<model-name>``
 
 from __future__ import annotations
 
-import itertools
-from typing import Callable, Iterator, List, Optional, Tuple
+from array import array
+from bisect import bisect_right
+from typing import Callable, Iterable, List, Optional, Tuple
 
 from .errors import SpecParseError, TooLarge
 from .prefixes import PrefixListing
 
 # a drain at this size from cold tables, in process, takes 0.69-0.86 s with
 # halt:rm, the slower model, and 0.46-0.54 s with halt:collatz (2-core host,
-# Python 3.11, five runs each)
+# Python 3.11, five runs each).  It leaves the model's shared dovetail with
+# 200,000 rounds settled: at most 1.6 MB in its two arrays.  A prefix of this
+# many values at a larger budget settles 400,000 (3.2 MB), and no call
+# settles 800,000 (6.4 MB; see _Dovetail).
 MAX_BUDGET = 200_000
 
 # called as e(budget, n); see the module docstring
-Enumerator = Callable[[int, int], Iterator[int]]
+Enumerator = Callable[[int, int], Iterable[int]]
 
 # A halting model over codes 1, 2, ...: steps(code, cap) is the simulation
 # step at which the code is observed to halt (always >= 1), or None if it has
@@ -38,32 +45,64 @@ Enumerator = Callable[[int, int], Iterator[int]]
 Steps = Callable[[int, int], Optional[int]]
 
 
-def dovetail(steps: Steps, limit: int, n: int) -> Iterator[int]:
-    """Round-robin dovetail over a halting model, up to `limit` rounds.
+class _Dovetail:
+    """Round-robin dovetail over a halting model, as an Enumerator whose
+    budget is its round limit.
 
     Round r gives one simulation step to each of codes 1..r, in ascending
     code order; a code halting at its d-th step is emitted in round
-    code + d - 1, ties broken by code.
+    code + d - 1, ties broken by code.  That order is a fact about the
+    model, so the enumerator keeps it: `codes` and `rounds` hold the
+    emissions of rounds 1..`settled` in order, and `running` the codes not
+    yet seen to halt.
 
     Rounds are settled in epochs.  After epoch R every code c <= R has had
     R - c + 1 steps, so each emission in a round <= R is final whatever the
-    limit: c + d - 1 <= limit exactly when d <= limit - c + 1.  The first
-    epoch is min(limit, n) rounds, since n distinct emissions need at least
-    n rounds; each later epoch doubles R up to the limit.  A prefix thus
-    costs only the rounds that settle its first n emissions, and a drain
-    (n >= limit) runs a single epoch.
+    limit: c + d - 1 <= limit exactly when d <= limit - c + 1.  A call
+    (limit, n) settles epochs only while fewer than n emissions are known
+    and the limit lies past `settled`.  The first epoch runs to min(limit,
+    n), since n distinct emissions need at least n rounds, and each later
+    one to min(limit, max(n, 2 * settled)).  A prefix thus costs only the
+    rounds that settle its first n emissions, a cold drain (n >= limit) runs
+    a single epoch, and a call within the settled rounds runs none: its
+    answer is the emissions in rounds <= limit, found by bisecting `rounds`.
 
-    Within an epoch every round and every code is at most R, so an emission
-    is kept as the one int round * (R + 1) + code.  These ints sort as the
-    (round, code) pairs do, and one int sort per epoch gives its emission
-    order; the code is the key modulo R + 1.
+    `running` is in ascending code order: the codes left over from earlier
+    epochs, then the epoch's new ones.  So one stable sort of the codes an
+    epoch emits, keyed by their rounds (small ints, indexed by code), gives
+    its emission order with ties in code order.  Every code the epoch emits
+    ran past round `settled`, so its emissions follow all earlier ones.
+
+    Each code up to `settled` is either emitted, at 4 bytes in each array,
+    or running.  Through take_prefix, rounds past MAX_BUDGET run only for a
+    call of n <= MAX_BUDGET values, from a settled round with fewer than n
+    emissions.  Both models emit MAX_BUDGET codes by round 2 * MAX_BUDGET,
+    so such an epoch starts below that round and ends below 4 * MAX_BUDGET.
+    Like the tables, the state takes no lock: callers on several threads
+    must not call one dovetail at once.
     """
-    running: List[int] = []  # codes not yet seen to halt
-    settled, end = 0, min(limit, n)
-    while end > settled:
-        running.extend(range(settled + 1, end + 1))
-        width = end + 1
-        emissions: List[int] = []
+
+    __slots__ = ("steps", "settled", "running", "codes", "rounds")
+
+    def __init__(self, steps: Steps):
+        self.steps = steps
+        self.settled = 0
+        self.running: List[int] = []
+        self.codes = array("i")
+        self.rounds = array("i")
+
+    def __call__(self, limit: int, n: int) -> Iterable[int]:
+        codes = self.codes
+        while self.settled < limit and len(codes) < n:
+            self._settle(min(limit, max(n, 2 * self.settled)))
+        return codes[:min(n, bisect_right(self.rounds, limit))]
+
+    def _settle(self, end: int) -> None:
+        steps = self.steps
+        running = self.running
+        running.extend(range(self.settled + 1, end + 1))
+        round_of = [0] * (end + 1)
+        emitted: List[int] = []
         still: List[int] = []
         for code in running:
             # by round `end`, code has received end - code + 1 steps
@@ -71,20 +110,20 @@ def dovetail(steps: Steps, limit: int, n: int) -> Iterator[int]:
             if d is None:
                 still.append(code)
             else:
-                emissions.append((code + d - 1) * width + code)
-        running = still
-        # these codes all ran past round `settled`, so their emissions follow
-        # every earlier one
-        emissions.sort()
-        yield from [key % width for key in emissions]
-        settled, end = end, min(2 * end, limit)
+                emitted.append(code)
+                round_of[code] = code + d - 1
+        emitted.sort(key=round_of.__getitem__)
+        self.codes.fromlist(emitted)
+        self.rounds.fromlist(list(map(round_of.__getitem__, emitted)))
+        self.running = still
+        self.settled = end
 
 
 def dovetail_halting(steps: Steps) -> Enumerator:
-    """The dovetail over `steps`, with the caller's budget as its only round
-    limit.  Fewer rounds are a smaller budget: take_prefix(e, n, min(budget,
-    rounds))."""
-    return lambda budget, n: dovetail(steps, budget, n)
+    """A fresh dovetail over `steps`, with the caller's budget as its only
+    round limit.  Fewer rounds are a smaller budget: take_prefix(e, n,
+    min(budget, rounds))."""
+    return _Dovetail(steps)
 
 
 def take_prefix(e: Enumerator, n: int, budget: int) -> PrefixListing:
@@ -99,7 +138,7 @@ def take_prefix(e: Enumerator, n: int, budget: int) -> PrefixListing:
         raise ValueError("n and budget must be >= 0")
     if min(n, budget) > MAX_BUDGET:
         raise TooLarge(min(n, budget), MAX_BUDGET)
-    return PrefixListing(tuple(itertools.islice(e(budget, n), n)))
+    return PrefixListing(tuple(e(budget, n)))
 
 
 # _COLLATZ_HALT_STEPS[c] is the uncapped halt step d(c) of code c, 0 while
@@ -235,6 +274,10 @@ def _simulate_register_machine(code: int, cap: int) -> Optional[int]:
 
 MODELS = {"collatz": _collatz_steps, "rm": _register_machine_steps}
 
+# one dovetail per model, handed out by parse_spec, so that every halt: call
+# in a process shares the rounds settled so far, as it shares the tables
+_HALTING = {name: dovetail_halting(steps) for name, steps in MODELS.items()}
+
 
 def _is_positive(text: str) -> bool:
     # str.isdigit alone admits non-ASCII digits such as "²", which int() rejects
@@ -246,7 +289,7 @@ def parse_spec(text: str) -> Enumerator:
 
     even: h(i) = 2i.  nminus:k: i below position k, then i + 1 (a gap at
     k).  asc:...: the listed values in increasing order.  halt:<model>: the
-    dovetail over that model, with the budget as its round limit.
+    model's one shared dovetail, with the budget as its round limit.
     """
     if text == "even":
         return lambda budget, n: (2 * i for i in range(1, min(n, budget) + 1))
@@ -264,10 +307,10 @@ def parse_spec(text: str) -> Enumerator:
         values = tuple(sorted(int(p) for p in parts))
         if len(set(values)) != len(values):
             raise SpecParseError(len("asc:"), "distinct values")
-        return lambda budget, n: iter(values[:min(n, budget)])
+        return lambda budget, n: values[:min(n, budget)]
     if text.startswith("halt:"):
-        steps = MODELS.get(text[len("halt:"):])
-        if steps is None:
+        e = _HALTING.get(text[len("halt:"):])
+        if e is None:
             raise SpecParseError(len("halt:"), f"one of: {', '.join(MODELS)}")
-        return dovetail_halting(steps)
+        return e
     raise SpecParseError(0, "even | nminus:<nat> | asc:<nat>,... | halt:<model>")

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -12,7 +13,15 @@ from hypothesis import strategies as st
 
 import enumorder
 from enumorder import oracle
-from enumorder.cli import COMMANDS, PROPERTY_IDS, build_parser, main
+from enumorder.cli import COMMANDS, MAX_LINE_CHARS, PROPERTY_IDS, build_parser, main
+
+
+def child_env():
+    """The environment for a child `python -m enumorder.cli` that imports
+    this package."""
+    src = str(Path(enumorder.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
 
 
 def run(capsys, *argv):
@@ -218,12 +227,9 @@ class TestParserReuse:
         assert code == 2 and out == "" and "invalid choice" in err and "bogus" in err
         code, again, _ = run(capsys, *self.VALID)
         assert (code, again) == (0, first)
-        src = str(Path(enumorder.__file__).parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = {**os.environ, "PYTHONPATH": path}
         fresh = subprocess.run(
             [sys.executable, "-m", "enumorder.cli", *self.VALID],
-            capture_output=True, text=True, env=env, check=False,
+            capture_output=True, text=True, env=child_env(), check=False,
         )
         assert (fresh.returncode, fresh.stdout) == (0, first)
 
@@ -466,6 +472,73 @@ def test_bad_input_exits_2(capsys, tmp_path, monkeypatch, argv):
     assert code == 2 and "error" in err
 
 
+def run_limited(cwd, *argv):
+    """The CLI in a child process held to 1 GiB of address space and 20 s of
+    CPU, and killed after 60 s, so that an input it fails to refuse fails the
+    test instead of taking the host."""
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+        resource.setrlimit(resource.RLIMIT_CPU, (20, 20))
+
+    return subprocess.run(
+        [sys.executable, "-m", "enumorder.cli", *argv], cwd=cwd, capture_output=True,
+        text=True, env=child_env(), preexec_fn=limit, timeout=60,
+    )
+
+
+# JSON nesting deeper than json.loads can recurse
+DEEP_ARRAY = "[" * 1000
+DEEP_OBJECT = "[" + '{"a": ' * 1000 + "1" + "}" * 1000 + "]"
+
+
+class TestInputLimits:
+    """Inputs that once gave a traceback, unbounded memory or a hang: each
+    exits 2 with one error line."""
+
+    @staticmethod
+    def assert_refused(code, out, err):
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("value", [DEEP_ARRAY, DEEP_OBJECT, "[[1]]", '[1, {"a": 2}]'])
+    def test_nested_json_inline(self, capsys, value):
+        code, out, err = run(capsys, "pattern", "inline", value)
+        self.assert_refused(code, out, err)
+        assert "JSON input must be a flat array of integers" in err
+
+    def test_deep_json_in_a_file(self, capsys, tmp_path):
+        (tmp_path / "deep.txt").write_text("[" * 20000 + "\n")
+        self.assert_refused(*run(capsys, "pattern", f"file:{tmp_path / 'deep.txt'}"))
+
+    def test_fifo(self, tmp_path):
+        # os.stat does not block on a FIFO, as open() would
+        os.mkfifo(tmp_path / "p")
+        done = run_limited(tmp_path, "pattern", "file:p")
+        self.assert_refused(done.returncode, done.stdout, done.stderr)
+        assert "not a regular file" in done.stderr
+
+    def test_device(self, tmp_path):
+        done = run_limited(tmp_path, "pattern", "file:/dev/zero")
+        self.assert_refused(done.returncode, done.stdout, done.stderr)
+
+    def test_endless_line(self, tmp_path):
+        # one valid line of 9.6 MiB, which a reader without the bound would accept
+        line = " ".join(map(str, range(1, 1_400_000)))
+        assert len(line) > 9 * 2**20
+        (tmp_path / "long.txt").write_text(line + "\n")
+        done = run_limited(tmp_path, "pattern", "file:long.txt")
+        self.assert_refused(done.returncode, done.stdout, done.stderr)
+        assert f"exceeds the limit {MAX_LINE_CHARS}" in done.stderr
+
+    def test_longest_line_accepted(self, capsys, tmp_path):
+        # a line of MAX_LINE_CHARS characters with its newline is read whole
+        line = "1" + " " * (MAX_LINE_CHARS - 3) + "2"
+        (tmp_path / "wide.txt").write_text(line + "\n")
+        code, out, _ = run(capsys, "pattern", f"file:{tmp_path / 'wide.txt'}")
+        assert (code, out) == (0, '{"values": [1, 2], "pattern": [1, 2]}\n')
+
+
 FUZZ_FILES = {"pair.txt": PAIR_FILE, "chain.txt": CHAIN_FILE, "p.txt": "2 4 6\n"}
 
 
@@ -489,7 +562,8 @@ def argvs(draw, files):
     values = st.one_of(
         value_lists.map(lambda v: " ".join(map(str, v))),
         value_lists.map(json.dumps),
-        st.sampled_from(["[true, 2]", "[1,", "x 1", "[[1]]", "0 1", "2 2"]),
+        st.sampled_from(["[true, 2]", "[1,", "x 1", "[[1]]", "0 1", "2 2", DEEP_ARRAY,
+                         DEEP_OBJECT]),
     )
     token = st.one_of(
         st.sampled_from(["even", "nminus:2", "asc:3,1,2", "halt:collatz", "halt:rm"]).map(

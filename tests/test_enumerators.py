@@ -1,9 +1,10 @@
 import functools
-import itertools
+import math
 import random
 import runpy
 import sys
 import time
+from bisect import bisect_right
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,6 @@ from enumorder import enumerators
 from enumorder.enumerators import (
     MAX_BUDGET,
     MODELS,
-    dovetail,
     dovetail_halting,
     parse_spec,
     take_prefix,
@@ -66,7 +66,9 @@ class TestParseSpec:
     def test_halt_dispatch(self):
         for name, steps in MODELS.items():
             got = take_prefix(parse_spec(f"halt:{name}"), 100, 400).values
-            assert got == tuple(itertools.islice(dovetail(steps, 400, 100), 100))
+            assert got == take_prefix(dovetail_halting(steps), 100, 400).values
+            # one shared dovetail per model
+            assert parse_spec(f"halt:{name}") is parse_spec(f"halt:{name}")
 
     @pytest.mark.parametrize(
         "bad",
@@ -136,8 +138,18 @@ cached_halt_step = functools.cache(collatz_halt_step)
 
 
 @pytest.fixture
-def cold_table():
-    """The shared halt-step table emptied, as a fresh process finds it."""
+def cold_schedule(monkeypatch):
+    """A fresh dovetail in place of each model's shared one, as a fresh
+    process finds it, so that a drain simulates its codes again; the shared
+    ones are put back afterwards."""
+    for name, steps in MODELS.items():
+        monkeypatch.setitem(enumerators._HALTING, name, dovetail_halting(steps))
+
+
+@pytest.fixture
+def cold_table(cold_schedule):
+    """The shared halt-step table emptied, and the schedule fresh, as a fresh
+    process finds them."""
     table = enumerators._COLLATZ_HALT_STEPS
     del table[2:]
     return table
@@ -362,11 +374,11 @@ class TestLazyDovetailMatchesEager:
         assert list(got) == eager_dovetail(model, budget)[:n]
 
 
-class TestPackedEpochOrder:
+class TestEpochOrder:
     # halt steps of 1..4 or never over codes 1..200, built from one drawn seed
     # (drawing 200 list items takes hypothesis ~50 ms an example): many codes
-    # share a round, and many halt in the last round of an epoch, where both
-    # the round and the code reach the epoch's end
+    # share a round, so the tie order decides, and many halt in the last round
+    # of an epoch
     @settings(deadline=None)
     @given(seed=st.integers(0, 2**32), budget=st.integers(0, 200), data=st.data())
     def test_matches_schedule_oracle(self, seed, budget, data):
@@ -526,9 +538,9 @@ class TestRegisterMachineCycleCut:
 
 
 @pytest.fixture
-def cold_rm_table():
-    """The shared halt:rm outcome table emptied, as a fresh process finds it,
-    and put back afterwards."""
+def cold_rm_table(cold_schedule):
+    """The shared halt:rm outcome table emptied, and the schedule fresh, as a
+    fresh process finds them; the table is put back afterwards."""
     table = enumerators._RM_OUTCOMES
     saved = table[:]
     del table[1:]
@@ -637,3 +649,84 @@ class TestRegisterMachineOutcomeTable:
         for code in (0, -1, -2):
             assert rm_steps(code, 1) == 1
         assert_rm_table_entries(cold_rm_table, [MAX_BUDGET + 1, 2 * MAX_BUDGET, MAX_BUDGET])
+
+
+# each model's halt step for dovetail_order_oracle: rm's is exact at budgets
+# to 1000, where no code runs past rm_halt_step's 1000 steps
+HALT_STEPS = {
+    "collatz": cached_halt_step,
+    "rm": lambda code: rm_halt_step(code) or math.inf,
+}
+
+
+class TestSharedSchedule:
+    """A model's dovetail keeps the rounds it has settled, and answers a call
+    within them by a bisect and a slice."""
+
+    @staticmethod
+    def assert_calls(e, model, calls):
+        for n, budget in calls:
+            want = dovetail_order_oracle(HALT_STEPS[model], budget)[:n]
+            assert list(take_prefix(e, n, budget).values) == want, (n, budget)
+
+    # `shared` is the process's dovetail, warm from earlier tests and examples;
+    # else each example starts a fresh one
+    @settings(deadline=None)
+    @given(
+        model=st.sampled_from(sorted(MODELS)),
+        shared=st.booleans(),
+        calls=st.lists(st.tuples(st.integers(0, 450), st.integers(0, 400)),
+                       min_size=1, max_size=10),
+    )
+    def test_call_sequences_match_schedule_oracle(self, model, shared, calls):
+        e = parse_spec(f"halt:{model}") if shared else dovetail_halting(MODELS[model])
+        self.assert_calls(e, model, calls)
+
+    @pytest.mark.parametrize("model", sorted(MODELS))
+    def test_calls_below_the_settled_round(self, model):
+        # a prefix settles 400 rounds in two epochs, to 250 and 400; the calls
+        # after it ask for none, one, some and more values than rounds <=
+        # budget emit, at budgets 0 to 400, and then one round past it
+        e = dovetail_halting(MODELS[model])
+        calls = [(250, 400), (0, 400), (5, 0), (1000, 1), (1000, 150), (20, 399),
+                 (1000, 400), (1000, 401)]
+        self.assert_calls(e, model, calls)
+        assert e.settled == 401
+
+    def test_settled_rounds_are_not_run_again(self):
+        queried = []
+
+        def counting_steps(code, cap):
+            queried.append(code)
+            return collatz_steps(code, cap)
+
+        e = dovetail_halting(counting_steps)
+        take_prefix(e, 200, 200)
+        assert queried == list(range(1, 201))  # a drain is one epoch
+        for n, budget in [(200, 200), (5, 50), (0, 0), (1000, 199), (3, 10**9)]:
+            take_prefix(e, n, budget)
+        assert len(queried) == 200
+
+    def test_a_drain_settles_its_budget(self, cold_schedule):
+        for name in MODELS:
+            e = parse_spec(f"halt:{name}")
+            take_prefix(e, 20000, 20000)
+            assert e.settled == 20000
+            # each code up to the settled round is emitted or running
+            assert len(e.codes) == len(e.rounds) == 20000 - len(e.running)
+            assert e.codes.itemsize == e.rounds.itemsize == 4
+
+    @pytest.mark.slow
+    def test_state_bounded_at_the_cap(self, cold_schedule):
+        for name in MODELS:
+            e = parse_spec(f"halt:{name}")
+            take_prefix(e, MAX_BUDGET, MAX_BUDGET)
+            assert e.settled == MAX_BUDGET
+            assert len(e.codes) == len(e.rounds) == MAX_BUDGET - len(e.running)
+            # the longest prefix a larger budget may ask for: MAX_BUDGET codes
+            # are emitted by round 2 * MAX_BUDGET, so no epoch starts past it
+            # and none ends at 4 * MAX_BUDGET or later
+            assert len(take_prefix(e, MAX_BUDGET, 10**9)) == MAX_BUDGET
+            assert e.settled == 2 * MAX_BUDGET
+            assert bisect_right(e.rounds, 2 * MAX_BUDGET) >= MAX_BUDGET
+            assert len(e.codes) == len(e.rounds) == 2 * MAX_BUDGET - len(e.running)

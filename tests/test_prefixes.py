@@ -250,6 +250,28 @@ class TestWeakOrder:
         assert covers == math.factorial(n) * (n - 1) // 2
         assert up == leq_eo_up_sets(n)[1]
 
+    @pytest.mark.parametrize(
+        "n, intervals, chains",
+        [(1, 1, 1), (2, 3, 1), (3, 17, 2), (4, 151, 16), (5, 1899, 768),
+         pytest.param(6, 31711, 292864, marks=pytest.mark.slow)],
+    )
+    def test_interval_and_maximal_chain_counts(self, n, intervals, chains):
+        # the pairs f <= g are the weak order's intervals (OEIS A007767); its
+        # maximal chains, bottom to top by covers, are the reduced words of the
+        # reversal (A005118; Stanley, 1984)
+        listings, up = leq_eo_up_sets(n)
+        assert sum(bin(mask).count("1") for mask in up) == intervals
+        # g covers f when f <= g and g has one inversion more
+        level = [len(brute_inversions(f.values)) for f in listings]
+        top = max(level)
+        above = [0] * len(listings)  # maximal chains from each listing up
+        for k in sorted(range(len(listings)), key=level.__getitem__, reverse=True):
+            above[k] = 1 if level[k] == top else sum(
+                above[m] for m in range(len(listings))
+                if up[k] >> m & 1 and level[m] == level[k] + 1
+            )
+        assert above[level.index(0)] == chains
+
     @pytest.mark.parametrize("n", range(1, 6))
     def test_every_pair_has_one_greatest_common_lower_bound(self, n):
         # the weak order is a lattice (Bjorner and Brenti, Combinatorics of
