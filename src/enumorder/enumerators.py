@@ -28,7 +28,7 @@ from typing import Callable, Iterable, List, Optional, Tuple
 from .errors import SpecParseError, TooLarge
 from .prefixes import PrefixListing
 
-# a drain at this size from cold tables, in process, takes 0.69-0.86 s with
+# a drain at this size from a cold start, in process, takes 0.69-0.86 s with
 # halt:rm, the slower model, and 0.46-0.54 s with halt:collatz (2-core host,
 # Python 3.11, five runs each).  It leaves the model's shared dovetail with
 # 200,000 rounds settled: at most 1.6 MB in its two arrays.  A prefix of this
@@ -74,12 +74,13 @@ class _Dovetail:
     ran past round `settled`, so its emissions follow all earlier ones.
 
     Each code up to `settled` is either emitted, at 4 bytes in each array,
-    or running.  Through take_prefix, rounds past MAX_BUDGET run only for a
+    or running, and a running code is simulated again from its first step
+    in each later epoch.  Through take_prefix, rounds past MAX_BUDGET run only for a
     call of n <= MAX_BUDGET values, from a settled round with fewer than n
     emissions.  Both models emit MAX_BUDGET codes by round 2 * MAX_BUDGET,
     so such an epoch starts below that round and ends below 4 * MAX_BUDGET.
-    Like the tables, the state takes no lock: callers on several threads
-    must not call one dovetail at once.
+    Like the Collatz table, the state takes no lock: callers on several
+    threads must not call one dovetail at once.
     """
 
     __slots__ = ("steps", "settled", "running", "codes", "rounds")
@@ -146,10 +147,10 @@ def take_prefix(e: Enumerator, n: int, budget: int) -> PrefixListing:
 # whose halt step is known, plus that value's, less the one observation step
 # both count.  Once the codes below it are known, the walk is the code's glide
 # to its first smaller value (Terras, 1976; Lagarias, 1985): 5.2 steps on
-# average over codes up to 200,000, against 115 for the whole trajectory.  The
-# table is shared by every call, so a later epoch, pass or prefix reads back
-# what an earlier one found; it holds only codes <= MAX_BUDGET, so it never
-# grows past MAX_BUDGET + 1 entries (1.6 MB).
+# average over codes up to 200,000, against 115 for the whole trajectory.  So
+# the table serves each walk's glide.  It is shared by every call and holds
+# only codes <= MAX_BUDGET, so it never grows past MAX_BUDGET + 1 entries
+# (1.6 MB).
 _COLLATZ_HALT_STEPS: List[int] = [0, 1]
 
 
@@ -203,32 +204,11 @@ def _decode_program(code: int) -> List[Tuple[int, int, int]]:
     return program
 
 
-# _RM_OUTCOMES[c] is what simulating code c has proved: its halt step d >= 1,
-# _NEVER_HALTS once a cycle cut has fired, 0 while unknown.  A run that only
-# reached its cap proves neither and is not kept.  Both outcomes hold at every
-# cap: a code that halts at step d answers d exactly when d <= cap, and a cut
-# is a proof that the code never halts.  Like _COLLATZ_HALT_STEPS the table is
-# shared by every call, so a code cut in one epoch is not simulated again in
-# the next, and it holds only codes 1..MAX_BUDGET.
-_NEVER_HALTS = -1
-_RM_OUTCOMES: List[int] = [0]
-
-
 def _register_machine_steps(code: int, cap: int) -> Optional[int]:
-    table = _RM_OUTCOMES
-    known = table[code] if 0 < code < len(table) else 0
-    if not known:
-        known = _simulate_register_machine(code, cap)
-        if known is None:
-            return None
-        if code > 0:
-            _remember(table, code, known)
-    return known if 0 < known <= cap else None
-
-
-def _simulate_register_machine(code: int, cap: int) -> Optional[int]:
-    """The halt step of `code` if it halts within `cap` steps, _NEVER_HALTS if
-    a cycle cut proves it never does, else None."""
+    """The halt step of `code` if it halts within `cap` steps, else None.  A
+    cycle cut answers None once it proves the code never halts, by step 15
+    for every such code up to MAX_BUDGET, so a code cut in one dovetail
+    epoch is cut again within a few steps when the next one runs it."""
     program = _decode_program(code)
     size = len(program)
     regs = [0, 0]
@@ -254,7 +234,7 @@ def _simulate_register_machine(code: int, cap: int) -> Optional[int]:
             r0, r1 = regs
             if (saved0 <= r0 and (r0 == saved0 or not zeroed[0])
                     and saved1 <= r1 and (r1 == saved1 or not zeroed[1])):
-                return _NEVER_HALTS
+                return None
         if taken == mark:
             mark, saved_pc, (saved0, saved1), zeroed = 2 * mark, pc, regs, [False, False]
         op, reg, arg = program[pc]
@@ -275,7 +255,7 @@ def _simulate_register_machine(code: int, cap: int) -> Optional[int]:
 MODELS = {"collatz": _collatz_steps, "rm": _register_machine_steps}
 
 # one dovetail per model, handed out by parse_spec, so that every halt: call
-# in a process shares the rounds settled so far, as it shares the tables
+# in a process shares the rounds settled so far, as it shares the Collatz table
 _HALTING = {name: dovetail_halting(steps) for name, steps in MODELS.items()}
 
 

@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
-Every error carries the offending datum so callers (and the CLI) can report
-it without re-deriving anything.
+Each error's message names the offending datum.  Only the data some caller
+reads are kept as attributes: `value` on DuplicateValue, ValueAbsent and
+InsufficientPrefix, and ChainInvariantViolated's `index`.
 """
 
 
@@ -22,8 +23,6 @@ class ZeroValue(EnumOrderError):
 
 class LengthMismatch(EnumOrderError):
     def __init__(self, left: int, right: int):
-        self.left = left
-        self.right = right
         super().__init__(f"prefix lengths differ: {left} != {right}")
 
 
@@ -71,15 +70,11 @@ class InsufficientPrefix(EnumOrderError):
 
 class BadBound(EnumOrderError):
     def __init__(self, bound: int, n: int):
-        self.bound = bound
-        self.n = n
         super().__init__(f"sample bound {bound} is below n={n}")
 
 
 class SpecParseError(EnumOrderError):
     def __init__(self, position: int, expected: str):
-        self.position = position
-        self.expected = expected
         super().__init__(f"bad enumerator spec at position {position}: expected {expected}")
 
 
@@ -87,12 +82,9 @@ class TooLarge(EnumOrderError):
     """A size past the limit set for work that grows steeply with it."""
 
     def __init__(self, n: int, limit: int):
-        self.n = n
-        self.limit = limit
         super().__init__(f"n={n} exceeds the limit {limit}")
 
 
 class UnknownProperty(EnumOrderError):
     def __init__(self, name: str):
-        self.name = name
         super().__init__(f"unknown property: {name}")

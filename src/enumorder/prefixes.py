@@ -143,10 +143,6 @@ class PrefixListing(FrozenSlots):
             seen |= 1 << i
         return mask
 
-    def take(self, k: int) -> "PrefixListing":
-        """First k positions, as an explicit truncation (never implicit)."""
-        return PrefixListing(self.values[: max(k, 0)])
-
 
 class Pattern(FrozenSlots):
     """The rank sequence of a prefix: a permutation of {1..n}."""

@@ -463,29 +463,18 @@ class TestRegisterMachineDecode:
         assert enumerators._decode_program(code) == arithmetic_decode(code)
 
 
-NEVER_HALTS = enumerators._NEVER_HALTS
-
-
-def simulated_rm_steps(code, cap):
-    """halt:rm's simulator on its own, with no outcome table: whatever earlier
-    queries found, every call runs the program and its cycle cut afresh.  A
-    cut answers None, as the model does."""
-    outcome = enumerators._simulate_register_machine(code, cap)
-    return None if outcome == NEVER_HALTS else outcome
-
-
 class TestRegisterMachineCycleCut:
     @pytest.mark.parametrize("cap", [1, 2, 3, 5, 8, 13, 50, 400])
     def test_exact_on_small_codes(self, cap):
         for code in range(1, 3001):
-            assert simulated_rm_steps(code, cap) == plain_register_machine_steps(code, cap), code
+            assert rm_steps(code, cap) == plain_register_machine_steps(code, cap), code
 
     @staticmethod
     def assert_exact_at_dovetail_caps(budget):
         # a drain at `budget` asks each code c for its halt within budget - c + 1 steps
         for code in range(1, budget + 1):
             cap = budget - code + 1
-            assert simulated_rm_steps(code, cap) == plain_register_machine_steps(code, cap), code
+            assert rm_steps(code, cap) == plain_register_machine_steps(code, cap), code
 
     @pytest.mark.slow
     def test_exact_at_dovetail_caps(self):
@@ -499,7 +488,7 @@ class TestRegisterMachineCycleCut:
     @settings(max_examples=200, deadline=None)
     @given(code=st.integers(1, 10**5), cap=st.integers(1, 10**5))
     def test_exact_on_sampled_codes(self, code, cap):
-        assert simulated_rm_steps(code, cap) == plain_register_machine_steps(code, cap)
+        assert rm_steps(code, cap) == plain_register_machine_steps(code, cap)
 
     # programs that halt at step 5 after a decrement-or-jump found register 0 at
     # zero and an increment then grew it, e.g. 2351 = [djz(0, 2), inc(0),
@@ -507,7 +496,7 @@ class TestRegisterMachineCycleCut:
     @pytest.mark.parametrize("code", [2351, 2447, 3167, 6447])
     def test_register_grown_after_zero_test_is_not_cut(self, code):
         assert plain_register_machine_steps(code, 20001 - code) == 5
-        assert simulated_rm_steps(code, 20001 - code) == 5
+        assert rm_steps(code, 20001 - code) == 5
 
     def test_shrunk_register_is_not_cut(self):
         # r1 = 2, then the loop at words 2..5 counts r1 down (r0 is scratch);
@@ -518,34 +507,27 @@ class TestRegisterMachineCycleCut:
         code = rm_code([inc(1), inc(1), inc(0), djz(1, 0), djz(0, 0), djz(0, 2)])
         assert code == 15950421
         assert plain_register_machine_steps(code, 10**4) == 19
-        assert simulated_rm_steps(code, 10**4) == 19
+        assert rm_steps(code, 10**4) == 19
 
     def test_every_non_halting_code_is_cut(self):
-        # every code <= 1e4 that has not halted by step 1e4 is cut by step 8;
-        # a small cap makes a lost cut fail, not run each code to the cap
-        looping = [c for c in range(1, 10**4 + 1) if simulated_rm_steps(c, 10**4) is None]
+        # every code <= 1e4 that has not halted by step 64 is cut by step 8, so
+        # asking each at cap 1e6 takes ~0.02 s; a lost cut fails once the loop
+        # has taken over 1 s, instead of running every code to the cap
+        looping = [c for c in range(1, 10**4 + 1) if rm_steps(c, 64) is None]
         assert len(looping) > 2000
+        start = time.perf_counter()
         for code in looping:
-            assert enumerators._simulate_register_machine(code, 64) == NEVER_HALTS, code
+            assert rm_steps(code, 10**6) is None, code
+            elapsed = time.perf_counter() - start
+            assert elapsed < 1, f"{elapsed:.2f}s by code {code}"
 
     def test_cycling_code_cut_fast(self):
         # code 3 is a one-word program that jumps to itself forever
         assert plain_register_machine_steps(3, 1000) is None
         start = time.perf_counter()
-        assert enumerators._simulate_register_machine(3, 10**7) == NEVER_HALTS
+        assert rm_steps(3, 10**7) is None
         elapsed = time.perf_counter() - start
         assert elapsed < 0.1, f"took {elapsed:.3f}s"
-
-
-@pytest.fixture
-def cold_rm_table(cold_schedule):
-    """The shared halt:rm outcome table emptied, and the schedule fresh, as a
-    fresh process finds them; the table is put back afterwards."""
-    table = enumerators._RM_OUTCOMES
-    saved = table[:]
-    del table[1:]
-    yield table
-    table[:] = saved
 
 
 @functools.cache
@@ -553,102 +535,6 @@ def rm_halt_step(code):
     """The plain loop's halt step for a code it sees halt by step 1000, else
     None; every code up to 3000 that halts does so within 5 steps."""
     return plain_register_machine_steps(code, 1000)
-
-
-@pytest.fixture(scope="module")
-def rm_table_queries():
-    """Every code to 3000 at caps 0, 1 and 2; one that halts at step d also at
-    d - 1, d and 10**4, and one that has not halted by step 1000 at 1000; with
-    the plain loop's answers.  Running the ~700 codes that do not halt to
-    10**4 takes the plain loop over a second, so that cap is in a `slow` test."""
-    queries = []
-    for code in range(1, 3001):
-        d = rm_halt_step(code)
-        caps = (0, 1, 2) + ((1000,) if d is None else (d - 1, d, 10**4))
-        queries += [(code, cap) for cap in caps]
-    return [((code, cap), plain_register_machine_steps(code, cap)) for code, cap in queries]
-
-
-def assert_rm_table_entries(table, codes):
-    """Only codes 1..MAX_BUDGET among `codes` are stored, each with the outcome
-    its unbounded simulation proves."""
-    assert len(table) <= MAX_BUDGET + 1
-    stored = [code for code in set(codes) if 0 < code < len(table) and table[code]]
-    # a code below 1 would have written table[0] or, from the end, a last entry
-    assert len(table) - table.count(0) == len(stored)
-    for code in stored:
-        assert table[code] == enumerators._simulate_register_machine(code, 10**6), code
-
-
-class TestRegisterMachineOutcomeTable:
-    @staticmethod
-    def assert_exact(pairs):
-        got = [rm_steps(code, cap) for (code, cap), _ in pairs]
-        for ((code, cap), want), g in zip(pairs, got):
-            assert g == want, (code, cap)
-
-    @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
-    def test_exact_cold_and_warm(self, cold_rm_table, rm_table_queries, order):
-        pairs = list(rm_table_queries)
-        if order == "descending":
-            pairs.reverse()
-        elif order == "shuffled":
-            random.Random(12).shuffle(pairs)
-        self.assert_exact(pairs)  # cold: each code met first here
-        assert_rm_table_entries(cold_rm_table, range(1, 3001))
-        self.assert_exact(pairs)  # warm: each outcome read back
-
-    @pytest.mark.slow
-    def test_non_halting_codes_at_a_large_cap(self, cold_rm_table):
-        looping = [code for code in range(1, 3001) if rm_halt_step(code) is None]
-        assert all(plain_register_machine_steps(code, 10**4) is None for code in looping)
-        for _ in ("cold", "warm"):
-            for code in looping:
-                assert rm_steps(code, 10**4) is None, code
-        assert all(cold_rm_table[code] == NEVER_HALTS for code in looping)
-
-    def test_capped_runs_are_not_stored(self, cold_rm_table):
-        halting = [(code, rm_halt_step(code)) for code in range(1, 3001)]
-        halting = [(code, d) for code, d in halting if d is not None and d > 1]
-        assert halting
-        for code in range(1, 3001):
-            assert rm_steps(code, 0) is None
-        for code, d in halting:
-            assert rm_steps(code, d - 1) is None
-        assert not any(cold_rm_table)
-        for code, d in halting:
-            assert rm_steps(code, d) == d
-            assert cold_rm_table[code] == d
-
-    # the bare simulator is the reference here: it is held to the plain loop
-    # by TestRegisterMachineCycleCut, and runs a non-halting code to its cut
-    # where the plain loop would run it to a cap of up to 1e5
-    @settings(deadline=None)
-    @given(st.lists(st.tuples(st.integers(-3, 2 * MAX_BUDGET), st.integers(0, 10**5)),
-                    min_size=1, max_size=30))
-    def test_any_order_and_codes_past_the_bound(self, queries):
-        table = enumerators._RM_OUTCOMES
-        saved = table[:]
-        del table[1:]
-        try:
-            for code, cap in queries:
-                assert rm_steps(code, cap) == simulated_rm_steps(code, cap)
-                assert len(table) <= MAX_BUDGET + 1
-            assert_rm_table_entries(table, [code for code, _ in queries])
-        finally:
-            table[:] = saved
-
-    def test_table_stops_at_the_budget_cap(self, cold_rm_table):
-        for code in (MAX_BUDGET + 1, 2 * MAX_BUDGET, MAX_BUDGET):
-            rm_steps(code, 10**4)
-        assert len(cold_rm_table) == MAX_BUDGET + 1
-        assert cold_rm_table[MAX_BUDGET] == enumerators._simulate_register_machine(
-            MAX_BUDGET, 10**4
-        )
-        # every code below 1 is an empty program, halting at step 1
-        for code in (0, -1, -2):
-            assert rm_steps(code, 1) == 1
-        assert_rm_table_entries(cold_rm_table, [MAX_BUDGET + 1, 2 * MAX_BUDGET, MAX_BUDGET])
 
 
 # each model's halt step for dovetail_order_oracle: rm's is exact at budgets

@@ -63,10 +63,6 @@ class TestMakePrefix:
         p = make_prefix([5, 9])
         assert p(1) == 5 and p(2) == 9
 
-    def test_take(self):
-        assert make_prefix([5, 9, 7]).take(2).values == (5, 9)
-        assert make_prefix([5]).take(0).values == ()
-
 
 class TestInversions:
     def test_ascending_has_none(self):
