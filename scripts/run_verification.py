@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Run every registered brute-force property at its largest supported size
-and emit one JSON report per line.
+and emit one JSON report per line on stdout, with a summary line per
+property on stderr.
 
-Usage: python scripts/run_verification.py [--out reports.jsonl]
+Usage: python scripts/run_verification.py [> reports.jsonl]
 """
 
 import argparse
@@ -13,23 +14,17 @@ from enumorder.oracle import REGISTRY, run_property
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--out", default=None, help="write JSON lines here instead of stdout")
-    args = parser.parse_args()
-
-    sink = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
+    argparse.ArgumentParser(description=__doc__).parse_args()
     all_pass = True
     for pid, (cap, _) in REGISTRY.items():
         report = run_property(pid, cap)
         all_pass &= report.passed
-        sink.write(json.dumps(report.to_json()) + "\n")
+        print(json.dumps(report.to_json()))
         print(
             f"{pid:<25} n={report.n} instances={report.instances:>6} "
             f"{'pass' if report.passed else 'FAIL'} ({report.elapsed:.2f}s)",
             file=sys.stderr,
         )
-    if args.out:
-        sink.close()
     return 0 if all_pass else 1
 
 

@@ -10,9 +10,11 @@ and ``--budget``.
 
 Each command is one ``COMMANDS`` entry: its number of prefix sources, its
 extra arguments, and a function yielding ``(json_obj, text, exit_code)``
-rows.  ``main`` prints each row and exits with the highest code.  The
-argparse parser is built once per process, on the first ``main`` call, and
-is only read after that: each parse makes a fresh namespace.
+rows.  ``main`` prints each row and exits with the highest code; ``text``
+is a zero-argument callable, called only for ``--format text``, so JSON
+output never builds the text rendering.  The argparse parser is built once
+per process, on the first ``main`` call, and is only read after that: each
+parse makes a fresh namespace.
 
 A command loads only the modules it runs.  This module imports ``errors``
 and ``prefixes``, which every prefix source needs; the rest are imported
@@ -55,7 +57,7 @@ EXIT_VIOLATION = 1
 EXIT_BAD_INPUT = 2
 EXIT_INSUFFICIENT = 3
 
-Row = Tuple[dict, str, int]
+Row = Tuple[dict, Callable[[], str], int]
 
 # the longest line, in characters with its newline, that a file source may
 # hold: a MAX_BUDGET prefix written out is ~1.4 MB, and a valid line is ASCII,
@@ -183,7 +185,7 @@ def _compare(args, f: PrefixListing, g: PrefixListing) -> Iterator[Row]:
     text = f"f <=eo g: {fg.holds}; g <=eo f: {gf.holds}; equivalent: {equiv}"
     if fail_at:
         text += f"; first violation at positions {fail_at}"
-    yield obj, text, EXIT_OK
+    yield obj, lambda: text, EXIT_OK
 
 
 def _verify(args) -> Iterator[Row]:
@@ -196,7 +198,7 @@ def _verify(args) -> Iterator[Row]:
         report = oracle.run_property(pid, n)
         status = "pass" if report.passed else "FAIL"
         text = f"{pid} (n={report.n}): {status} over {report.instances} instances"
-        yield report.to_json(), text, EXIT_OK if report.passed else EXIT_VIOLATION
+        yield report.to_json(), lambda: text, EXIT_OK if report.passed else EXIT_VIOLATION
 
 
 def _decide(args) -> Iterator[Row]:
@@ -207,20 +209,21 @@ def _decide(args) -> Iterator[Row]:
     descent = list(report.descent)
     obj = {"x": report.x, "result": report.result.value, "descent": descent}
     text = f"x={report.x}: {report.result.value}; descent {descent}"
-    yield obj, text, EXIT_INSUFFICIENT if report.result is Membership.INSUFFICIENT else EXIT_OK
+    code = EXIT_INSUFFICIENT if report.result is Membership.INSUFFICIENT else EXIT_OK
+    yield obj, lambda: text, code
 
 
 def _pattern(args, p: PrefixListing) -> Iterator[Row]:
     """Standardized rank sequence of a prefix."""
     ranks = standardize(p).ranks
-    yield {"values": list(p.values), "pattern": list(ranks)}, _words(ranks), EXIT_OK
+    yield {"values": list(p.values), "pattern": list(ranks)}, lambda: _words(ranks), EXIT_OK
 
 
 def _inversions(args, p: PrefixListing) -> Iterator[Row]:
     """Inverted position pairs of a prefix."""
     pairs = sorted(inversions(p))
     obj = {"values": list(p.values), "inversions": [list(pr) for pr in pairs]}
-    yield obj, " ".join(f"({i},{j})" for i, j in pairs) or "(none)", EXIT_OK
+    yield obj, lambda: " ".join(f"({i},{j})" for i, j in pairs) or "(none)", EXIT_OK
 
 
 def _transport(args, h, h_prime, g_prime) -> Iterator[Row]:
@@ -228,7 +231,7 @@ def _transport(args, h, h_prime, g_prime) -> Iterator[Row]:
     from .algebra import transport
 
     result = transport(h, h_prime, g_prime)
-    yield {"result": list(result.values)}, _words(result.values), EXIT_OK
+    yield {"result": list(result.values)}, lambda: _words(result.values), EXIT_OK
 
 
 def _stabilize(args) -> Iterator[Row]:
@@ -238,7 +241,7 @@ def _stabilize(args) -> Iterator[Row]:
     chain = Chain(tuple(make_prefix(_parse_values(ln)) for ln in _nonblank_lines(args.chain)))
     repeat = chain_stabilize(chain)
     obj = {"length": len(chain), "repeat": list(repeat) if repeat else None}
-    yield obj, f"repeat at {repeat}" if repeat else "no repeat in chain", EXIT_OK
+    yield obj, lambda: f"repeat at {repeat}" if repeat else "no repeat in chain", EXIT_OK
 
 
 def _lemma8(args, f: PrefixListing, g: PrefixListing) -> Iterator[Row]:
@@ -257,7 +260,7 @@ def _lemma8(args, f: PrefixListing, g: PrefixListing) -> Iterator[Row]:
         "all_hold": report.all_hold,
     }
     text = f"all clauses hold: {report.all_hold}"
-    yield obj, text, EXIT_OK if report.all_hold else EXIT_VIOLATION
+    yield obj, lambda: text, EXIT_OK if report.all_hold else EXIT_VIOLATION
 
 
 def _pred(args) -> Iterator[Row]:
@@ -265,7 +268,7 @@ def _pred(args) -> Iterator[Row]:
     from .extraction import predecessor
 
     value = predecessor(load_paired_file(args.paired), args.a)
-    yield {"a": args.a, "predecessor": value}, str(value), EXIT_OK
+    yield {"a": args.a, "predecessor": value}, lambda: str(value), EXIT_OK
 
 
 def _family(args) -> Iterator[Row]:
@@ -275,7 +278,7 @@ def _family(args) -> Iterator[Row]:
     sample = SetSample(frozenset(_parse_values(args.elements)), args.bound)
     family = [sorted(s.elements) for s in extraction.family_below(sample, args.n)]
     obj = {"bound": args.bound, "family": family}
-    yield obj, "\n".join(_words(elements) for elements in family), EXIT_OK
+    yield obj, lambda: "\n".join(_words(elements) for elements in family), EXIT_OK
 
 
 def _enumerate(args) -> Iterator[Row]:
@@ -284,7 +287,7 @@ def _enumerate(args) -> Iterator[Row]:
 
     e = enumerators.parse_spec(args.spec)
     p = enumerators.take_prefix(e, args.prefix_len, args.budget)
-    yield {"spec": args.spec, "values": list(p.values)}, _words(p.values), EXIT_OK
+    yield {"spec": args.spec, "values": list(p.values)}, lambda: _words(p.values), EXIT_OK
 
 
 def _chain_make(args) -> Iterator[Row]:
@@ -293,7 +296,7 @@ def _chain_make(args) -> Iterator[Row]:
 
     listings = [list(p.values) for p in make_strict_chain(args.n).listings]
     obj = {"n": args.n, "chain": listings}
-    yield obj, "\n".join(_words(values) for values in listings), EXIT_OK
+    yield obj, lambda: "\n".join(_words(values) for values in listings), EXIT_OK
 
 
 class Command(NamedTuple):
@@ -375,7 +378,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if len(prefixes) != command.sources:
             raise EnumOrderError(f"{args.command} takes {command.sources} prefix source(s)")
         for obj, text, row_code in command.run(args, *prefixes):
-            print(json.dumps(obj, separators=(", ", ": ")) if args.format == "json" else text)
+            print(json.dumps(obj, separators=(", ", ": ")) if args.format == "json" else text())
             code = max(code, row_code)
     except EnumOrderError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -154,17 +154,6 @@ def take_prefix(e: Enumerator, n: int, budget: int) -> PrefixListing:
 _COLLATZ_HALT_STEPS: List[int] = [0, 1]
 
 
-def _remember(table: List[int], code: int, value: int) -> None:
-    # table[code] = value for codes up to MAX_BUDGET, growing the table by
-    # doubling, so it never holds more than MAX_BUDGET + 1 entries
-    size = len(table)
-    if code >= size:
-        if code > MAX_BUDGET:
-            return
-        table.extend([0] * (min(2 * code, MAX_BUDGET + 1) - size))
-    table[code] = value
-
-
 def _collatz_steps(code: int, cap: int) -> Optional[int]:
     # halving/tripling iterations down to 1, plus one observation step
     if code < 1:
@@ -181,8 +170,12 @@ def _collatz_steps(code: int, cap: int) -> Optional[int]:
             return None
         x = 3 * x + 1 if x % 2 else x // 2
         taken += 1
-    if x != code:  # else the code was 1 or read back from the table
-        _remember(table, code, taken)
+    # store codes up to MAX_BUDGET, growing the table by doubling; a code of
+    # 1 or one read back from the table is known already
+    if x != code and code <= MAX_BUDGET:
+        if code >= size:
+            table.extend([0] * (min(2 * code, MAX_BUDGET + 1) - size))
+        table[code] = taken
     # a walk that stopped at a known value has skipped the cap checks for the
     # rest of its trajectory, and code 1 met none
     return taken if taken <= cap else None

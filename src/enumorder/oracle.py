@@ -2,23 +2,23 @@
 over all permutations at small n.
 
 Each property is checked by machinery kept independent of the code under
-test wherever the claim pairs an implementation with an oracle.  The
-checkers that loop over pairs or triples of prefixes first build their
-per-prefix tables, once per call, and then only read them:
+test.  The oracle keeps one inversion table, `_inversion_masks`, from its
+own double loop: bit k of a prefix's int is set when the k-th position pair
+in lexicographic order is out of order, so f's inversion set lies in g's
+exactly when `fm & ~gm == 0`.  It shares no code with the target's
+`inversion_mask`, and the oracle reads no inversion set, mask or rank that
+the package computes.  Each checker builds its per-prefix tables once per
+call and then only reads them:
 
 - `transitive`: one int up-set bitmask per prefix from n!^2 `leq_eo`
   verdicts; a violation is a bit of up(g) missing from up(f) for some g in
-  up(f).  It reads nothing of its target but those verdicts.
-- `subset-characterization`: one int mask per prefix of its out-of-order
-  position pairs, bit k for the k-th pair in lexicographic order, from its
-  own double loop.  Its target's small path tests masks too, with bit i*n + j
-  of `inversion_mask`; the two share no code, and this reads no
-  `inversions`, `inversion_mask` or table derived from them.
-- `lemma-2-8`: the inversion set of each prefix.
-- `transport`: the pattern of each prefix, and the target g' that realizes
-  it on the values n+1..2n.
-- `stabilization`: the down-set of each prefix under inversion-set
-  containment, from which the random descending chains are drawn.
+  up(f).
+- `subset-characterization`, `lemma-2-8` and `stabilization`: the inversion
+  table, to judge each `leq_eo` verdict, to pick the contained pairs whose
+  clauses are checked, and to draw random descending chains from down-sets.
+- `transport`: the target g' is h' + n on the values n+1..2n.  Each listing
+  of 1..n is its own pattern, so a result keeps h's pattern when it places
+  its own sorted values in h's order.
 
 Nothing is kept between calls, so each call sees the current targets.
 The `lemma-2-8`, `transport` and `stabilization` checkers import
@@ -33,15 +33,7 @@ import time
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .errors import TooLarge, UnknownProperty
-from .prefixes import (
-    PrefixListing,
-    SetSample,
-    ascending_listing,
-    equiv_eo,
-    inversions,
-    leq_eo,
-    standardize,
-)
+from .prefixes import PrefixListing, SetSample, ascending_listing, equiv_eo, leq_eo
 
 
 class PropertyReport(NamedTuple):
@@ -128,11 +120,8 @@ def _check_non_antisymmetric(n: int):
     return 1, violations, witness
 
 
-def _check_subset_characterization(n: int):
-    # independent oracle: one mask per prefix with bit k set when the k-th
-    # position pair (i, j), i < j, is out of order, from this double loop
-    violations = []
-    prefixes = _prefixes(n)
+def _inversion_masks(prefixes: List[PrefixListing], n: int) -> List[int]:
+    """Each prefix's inversion set: bit k for the k-th pair (i, j), i < j."""
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     masks = []
     for p in prefixes:
@@ -141,6 +130,13 @@ def _check_subset_characterization(n: int):
             if pv[i] > pv[j]:
                 mask |= 1 << k
         masks.append(mask)
+    return masks
+
+
+def _check_subset_characterization(n: int):
+    violations = []
+    prefixes = _prefixes(n)
+    masks = _inversion_masks(prefixes, n)
     for f, fm in zip(prefixes, masks):
         for g, gm in zip(prefixes, masks):
             # on distinct values, f(i) > f(j) and g(i) <= g(j) for some pair
@@ -165,10 +161,10 @@ def _check_inverse_position_clauses(n: int):
 
     violations = []
     prefixes = _prefixes(n)
-    inv = [inversions(p) for p in prefixes]
-    for f, f_inv in zip(prefixes, inv):
-        for g, g_inv in zip(prefixes, inv):
-            if not f_inv <= g_inv:
+    masks = _inversion_masks(prefixes, n)
+    for f, fm in zip(prefixes, masks):
+        for g, gm in zip(prefixes, masks):
+            if fm & ~gm:
                 continue
             report = check_inverse_positions(f, g)
             if not report.all_hold:
@@ -179,22 +175,22 @@ def _check_inverse_position_clauses(n: int):
 def _check_transport(n: int):
     from .algebra import transport
 
-    # the target g' runs through other_values in h''s pattern: the one
-    # pattern an exhaustive search over g' would keep for each (h, h')
+    # g' = h' + n: the one target an exhaustive search would keep per (h, h')
     violations = []
     prefixes = _prefixes(n)
-    other_values = tuple(range(n + 1, 2 * n + 1))
-    patterns = [standardize(p) for p in prefixes]
-    targets = [pattern.apply(other_values) for pattern in patterns]
-    for h, h_pattern in zip(prefixes, patterns):
+    other_values = list(range(n + 1, 2 * n + 1))
+    targets = [PrefixListing(tuple(v + n for v in p.values)) for p in prefixes]
+    for h in prefixes:
         for h_prime, g_prime in zip(prefixes, targets):
             result = transport(h, h_prime, g_prime)
-            if standardize(result) != h_pattern:
+            placed = sorted(result.values)
+            # h is its own pattern: the result's k-th smallest value goes where h has k
+            if len(placed) != n or tuple(placed[v - 1] for v in h.values) != result.values:
                 violations.append(
                     f"transport breaks pattern: h={list(h.values)} h'={list(h_prime.values)} "
                     f"g'={list(g_prime.values)} -> {list(result.values)}"
                 )
-            if sorted(result.values) != sorted(g_prime.values):
+            if placed != other_values:
                 violations.append(f"transport leaves target values: {list(result.values)}")
     return len(prefixes) ** 2, violations, None
 
@@ -216,11 +212,11 @@ def _check_stabilization(n: int):
     length = n * (n - 1) // 2 + 2
     rng = random.Random(f"stabilization:{n}")
     prefixes = _prefixes(n)
-    inv = [inversions(p) for p in prefixes]
+    masks = _inversion_masks(prefixes, n)
     # each prefix's down-set, in prefixes order: the seeded walks pick by index
     down = {
-        q: [p for p, p_inv in zip(prefixes, inv) if p_inv <= q_inv]
-        for q, q_inv in zip(prefixes, inv)
+        q: [p for p, pm in zip(prefixes, masks) if not pm & ~qm]
+        for q, qm in zip(prefixes, masks)
     }
     walks = 200
     for _ in range(walks):

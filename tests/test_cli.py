@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import enumorder
-from enumorder import oracle
+from enumorder import cli, oracle
 from enumorder.cli import COMMANDS, MAX_LINE_CHARS, PROPERTY_IDS, build_parser, main
 
 
@@ -171,6 +171,24 @@ class TestThinWrappers:
         code, lines = run_json(capsys, "chain-make", "--n", "3")
         assert code == 0
         assert lines[0]["chain"][0] == [3, 2, 1] and lines[0]["chain"][-1] == [1, 2, 3]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("enumerate", "even", "--prefix-len", "4"),
+            ("chain-make", "--n", "3"),
+            ("pattern", "inline", "3 1 2"),
+            ("transport", "inline", "2 1", "inline", "1 2", "inline", "5 7"),
+            ("family", "--elements", "2 4", "--bound", "5", "--n", "1"),
+        ],
+    )
+    def test_json_builds_no_text(self, capsys, monkeypatch, argv):
+        def refuse(values):
+            raise AssertionError("text built for --format json")
+
+        monkeypatch.setattr(cli, "_words", refuse)
+        code, lines = run_json(capsys, *argv)
+        assert code == 0 and lines
 
 
 class TestRoundTrip:

@@ -169,8 +169,13 @@ def test_subset_characterization_sees_a_faulty_inversion_mask(monkeypatch):
     assert not report.passed and report.violations
 
 
-def test_subset_characterization_never_reads_inversions(monkeypatch):
-    monkeypatch.setattr(oracle, "inversions", _inversions_of_reversal)
-    assert run_property("subset-characterization", 4).passed
+def test_oracle_reads_no_package_inversions_or_ranks(monkeypatch):
+    # the complement of each inversion set, planted where a top-level import
+    # would bind it, and ranks that are the raw values: right on 1..n, and
+    # no pattern on n+1..2n, where transport's targets live
+    monkeypatch.setattr(oracle, "inversions", _inversions_of_reversal, raising=False)
+    monkeypatch.setattr(PrefixListing, "ranks", property(lambda p: p.values))
+    for pid in ("subset-characterization", "lemma-2-8", "stabilization", "transport"):
+        assert run_property(pid, 4).passed, pid
     monkeypatch.setattr(oracle, "leq_eo", _leq_eo_missing_top)
     assert not run_property("subset-characterization", 4).passed
