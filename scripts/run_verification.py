@@ -10,18 +10,17 @@ import argparse
 import json
 import sys
 
-from enumorder.oracle import REGISTRY, run_property
+from enumorder.oracle import REGISTRY, run_properties
 
 
 def main() -> int:
     argparse.ArgumentParser(description=__doc__).parse_args()
     all_pass = True
-    for pid, (cap, _) in REGISTRY.items():
-        report = run_property(pid, cap)
+    for report in run_properties((pid, cap) for pid, (cap, _) in REGISTRY.items()):
         all_pass &= report.passed
         print(json.dumps(report.to_json()))
         print(
-            f"{pid:<25} n={report.n} instances={report.instances:>6} "
+            f"{report.property_id:<25} n={report.n} instances={report.instances:>6} "
             f"{'pass' if report.passed else 'FAIL'} ({report.elapsed:.2f}s)",
             file=sys.stderr,
         )

@@ -192,12 +192,13 @@ def _verify(args) -> Iterator[Row]:
     """Run brute-force property checks."""
     from . import oracle
 
-    every = args.property == "all"
-    for pid in oracle.REGISTRY if every else [args.property]:
-        n = min(args.n, oracle.REGISTRY[pid][0]) if every else args.n
-        report = oracle.run_property(pid, n)
+    if args.property == "all":
+        jobs = [(pid, min(args.n, cap)) for pid, (cap, _) in oracle.REGISTRY.items()]
+    else:
+        jobs = [(args.property, args.n)]
+    for report in oracle.run_properties(jobs):
         status = "pass" if report.passed else "FAIL"
-        text = f"{pid} (n={report.n}): {status} over {report.instances} instances"
+        text = f"{report.property_id} (n={report.n}): {status} over {report.instances} instances"
         yield report.to_json(), lambda: text, EXIT_OK if report.passed else EXIT_VIOLATION
 
 

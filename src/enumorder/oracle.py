@@ -23,14 +23,21 @@ call and then only reads them:
 Nothing is kept between calls, so each call sees the current targets.
 The `lemma-2-8`, `transport` and `stabilization` checkers import
 `extraction` or `algebra` as they run; no other check loads them.
+
+`run_properties` runs a list of jobs, on a second CPU in a forked child
+when there is one.  The child is a copy of the calling process, so it runs
+the same checkers on the same targets, patched ones included; it exits
+when the call's jobs are done, and nothing is kept between calls.
 """
 
 from __future__ import annotations
 
 import itertools
+import marshal
+import os
 import random
 import time
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 from .errors import TooLarge, UnknownProperty
 from .prefixes import PrefixListing, SetSample, ascending_listing, equiv_eo, leq_eo
@@ -282,3 +289,101 @@ def run_property(property_id: str, n: int) -> PropertyReport:
     return PropertyReport(
         property_id, n, instances, tuple(sorted(violations)), elapsed, witness
     )
+
+
+def run_properties(jobs: Iterable[Tuple[str, int]]) -> Iterator[PropertyReport]:
+    """`run_property` over each (property_id, n) job, yielded in job order.
+
+    With 2 to 256 jobs, `os.fork` and a second CPU, a forked child claims
+    jobs from the same pipe as this process, one index byte each, and sends
+    its reports back; otherwise this process claims every job.  A job the
+    child did not report (it raised, or the child died) runs again here at
+    its turn, so it raises here as it would in a serial run.  Since it may
+    fork, call it while no other thread runs.
+    """
+    jobs = list(jobs)
+    reports: Dict[int, object] = {}
+    claims: Iterator[int] = iter(range(len(jobs)))
+    received: Iterator[Tuple[int, PropertyReport]] = iter(())
+    child = results = None
+    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
+    if 2 <= len(jobs) <= 256 and len(cpus) >= 2 and hasattr(os, "fork"):
+        claims_r, claims_w = os.pipe()
+        os.write(claims_w, bytes(range(len(jobs))))
+        os.close(claims_w)
+        claims = (b[0] for b in iter(lambda: os.read(claims_r, 1), b""))
+        results_r, results_w = os.pipe()
+        # a forked child can share its parent's CPU for its whole run (Linux
+        # 6.18 on 2 vCPUs), so it leaves that CPU to the parent
+        others = cpus - {_current_cpu()}
+        try:
+            child = os.fork()
+        except OSError:  # no process to spare: this one claims every job
+            pass
+        if child == 0:
+            try:
+                os.close(results_r)
+                os.sched_setaffinity(0, others)
+                _work(jobs, claims, results_w)
+            finally:
+                os._exit(0)
+        os.close(results_w)
+        results = os.fdopen(results_r, "rb")
+        received = _receive(results)
+    try:
+        for i, job in enumerate(jobs):
+            while i not in reports:
+                k = next(claims, None)
+                if k is not None:
+                    try:
+                        reports[k] = run_property(*jobs[k])
+                    except Exception as exc:
+                        reports[k] = exc
+                else:
+                    k, report = next(received, (i, None))
+                    reports[k] = report or run_property(*job)
+            report = reports.pop(i)
+            if isinstance(report, Exception):
+                raise report
+            yield report
+    finally:
+        if results is not None:
+            os.close(claims_r)
+            results.close()
+        if child:
+            import signal
+
+            os.kill(child, signal.SIGKILL)
+            os.waitpid(child, 0)
+
+
+def _current_cpu() -> int:
+    """The CPU this process last ran on, or -1 without /proc."""
+    try:
+        with open("/proc/self/stat", "rb") as stat:
+            return int(stat.read().rsplit(b")", 1)[1].split()[36])
+    except (OSError, IndexError, ValueError):
+        return -1
+
+
+def _receive(results) -> Iterator[Tuple[int, PropertyReport]]:
+    """The child's (job index, report) pairs, until it exits or dies."""
+    while True:
+        try:
+            k, *fields = marshal.load(results)
+        except (EOFError, ValueError, TypeError):  # a report cut short reads as garbled
+            return
+        yield k, PropertyReport(*fields)
+
+
+def _work(jobs: List[Tuple[str, int]], claims: Iterator[int], fd: int) -> None:
+    """The forked child's loop: run each job it claims and send the report
+    back, leaving a job that raises to the parent."""
+    with os.fdopen(fd, "wb") as out:
+        for k in claims:
+            try:
+                report = run_property(*jobs[k])
+            except Exception:
+                continue
+            marshal.dump((k, *report), out)
+            out.flush()

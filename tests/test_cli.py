@@ -12,8 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import enumorder
-from enumorder import cli, oracle
+from enumorder import cli, extraction, oracle
 from enumorder.cli import COMMANDS, MAX_LINE_CHARS, PROPERTY_IDS, build_parser, main
+from enumorder.errors import PreconditionViolated
+from enumorder.prefixes import ReducibilityVerdict, leq_eo
 
 
 def child_env():
@@ -71,7 +73,35 @@ class TestCompare:
         assert code == 0 and lines[0]["equiv"] is True
 
 
+def _refuse_clauses(f, g):
+    raise PreconditionViolated("planted")
+
+
+def _leq_eo_missing_top(f, g):
+    # ascending <= reversal fails: violations in three properties, no error
+    n = len(f)
+    if n > 1 and f.values == tuple(range(1, n + 1)) and g.values == tuple(range(n, 0, -1)):
+        return ReducibilityVerdict(fail_at=(1, 2))
+    return leq_eo(f, g)
+
+
 class TestVerify:
+    # lemma-2-8 is the sixth property: a raise there ends the reports after five
+    @pytest.mark.parametrize("module, target, fault, code, lines, err", [
+        (extraction, "check_inverse_positions", _refuse_clauses, 2, 5, "error: planted\n"),
+        (oracle, "leq_eo", _leq_eo_missing_top, 1, 9, ""),
+    ])
+    def test_all_on_two_cpus_prints_as_on_one(
+        self, capsys, cpus, monkeypatch, module, target, fault, code, lines, err
+    ):
+        monkeypatch.setattr(module, target, fault)
+        argv = ("verify", "--property", "all", "--n", "5")
+        cpus(1)
+        serial = run(capsys, *argv)
+        assert (serial[0], serial[1].count("\n"), serial[2]) == (code, lines, err)
+        cpus(2)
+        assert run(capsys, *argv) == serial
+
     def test_single_property(self, capsys):
         code, lines = run_json(capsys, "verify", "--property", "lemma-2-8", "--n", "4")
         assert code == 0

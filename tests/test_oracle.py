@@ -1,10 +1,12 @@
+import os
+
 import pytest
 
 from enumorder import algebra, extraction, oracle
 from enumorder.algebra import inverse_lookup
 from enumorder.errors import TooLarge, UnknownProperty
 from enumorder.extraction import check_inverse_positions
-from enumorder.oracle import REGISTRY, run_property
+from enumorder.oracle import REGISTRY, run_properties, run_property
 from enumorder.prefixes import PrefixListing, ReducibilityVerdict, inversions, leq_eo
 
 # the oracle calls the prefixes functions through its own names, and imports
@@ -179,3 +181,53 @@ def test_oracle_reads_no_package_inversions_or_ranks(monkeypatch):
         assert run_property(pid, 4).passed, pid
     monkeypatch.setattr(oracle, "leq_eo", _leq_eo_missing_top)
     assert not run_property("subset-characterization", 4).passed
+
+
+def _timeless(reports):
+    return [report._replace(elapsed=0.0) for report in reports]
+
+
+def _jobs(n=None):
+    """Every property at n, or at its cap."""
+    return [(pid, cap if n is None else n) for pid, (cap, _) in REGISTRY.items()]
+
+
+class TestRunProperties:
+    @pytest.mark.parametrize("n", [3, None])
+    def test_same_reports_as_run_property(self, cpus, n):
+        cpus(2)
+        serial = [run_property(*job) for job in _jobs(n)]
+        assert _timeless(run_properties(_jobs(n))) == _timeless(serial)
+
+    def test_child_dies(self, cpus, monkeypatch):
+        # every checker exits the child that claims it; the parent reruns
+        # whatever the child never reported
+        parent = os.getpid()
+
+        def dying(checker):
+            def run(n):
+                if os.getpid() != parent:
+                    os._exit(1)
+                return checker(n)
+            return run
+
+        serial = [run_property(*job) for job in _jobs()]
+        for pid, (cap, checker) in list(REGISTRY.items()):
+            monkeypatch.setitem(REGISTRY, pid, (cap, dying(checker)))
+        cpus(2)
+        assert _timeless(run_properties(_jobs())) == _timeless(serial)
+
+    def test_closed_early(self, cpus):
+        cpus(2)
+        reports = run_properties(_jobs())
+        assert next(reports).property_id == "reflexive"
+        reports.close()
+
+    @pytest.mark.parametrize("count, jobs", [(1, _jobs(3)), (2, _jobs(3)[:1])])
+    def test_no_fork_on_the_serial_path(self, cpus, monkeypatch, count, jobs):
+        def fork():
+            raise AssertionError("forked on the serial path")
+
+        cpus(count)
+        monkeypatch.setattr(os, "fork", fork, raising=False)
+        assert _timeless(run_properties(jobs)) == _timeless(run_property(*j) for j in jobs)
