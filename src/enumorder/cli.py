@@ -40,14 +40,7 @@ import sys
 from typing import TYPE_CHECKING, Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import EnumOrderError, TooLarge
-from .prefixes import (
-    PrefixListing,
-    SetSample,
-    inversions,
-    leq_eo,
-    make_prefix,
-    standardize,
-)
+from .prefixes import PrefixListing, SetSample, inversions, leq_eo, make_prefix
 
 if TYPE_CHECKING:
     from .extraction import PairedListings
@@ -216,7 +209,7 @@ def _decide(args) -> Iterator[Row]:
 
 def _pattern(args, p: PrefixListing) -> Iterator[Row]:
     """Standardized rank sequence of a prefix."""
-    ranks = standardize(p).ranks
+    ranks = p.ranks
     yield {"values": list(p.values), "pattern": list(ranks)}, lambda: _words(ranks), EXIT_OK
 
 

@@ -252,9 +252,18 @@ MODELS = {"collatz": _collatz_steps, "rm": _register_machine_steps}
 _HALTING = {name: dovetail_halting(steps) for name, steps in MODELS.items()}
 
 
-def _is_positive(text: str) -> bool:
-    # str.isdigit alone admits non-ASCII digits such as "²", which int() rejects
-    return text.isascii() and text.isdigit() and int(text) >= 1
+def _positives(parts: List[str], position: int, expected: str) -> List[int]:
+    """Each part as an integer >= 1, or SpecParseError at position."""
+    # str.isdigit alone admits non-ASCII digits such as "²", which int()
+    # rejects, and int() refuses more digits than sys.get_int_max_str_digits()
+    try:
+        if all(p.isascii() and p.isdigit() for p in parts):
+            values = [int(p) for p in parts]
+            if min(values) >= 1:
+                return values
+    except ValueError:
+        pass
+    raise SpecParseError(position, expected)
 
 
 def parse_spec(text: str) -> Enumerator:
@@ -267,17 +276,11 @@ def parse_spec(text: str) -> Enumerator:
     if text == "even":
         return lambda budget, n: (2 * i for i in range(1, min(n, budget) + 1))
     if text.startswith("nminus:"):
-        arg = text[len("nminus:"):]
-        if not _is_positive(arg):
-            raise SpecParseError(len("nminus:"), "a natural number")
-        k = int(arg)
+        (k,) = _positives([text[len("nminus:"):]], len("nminus:"), "a natural number")
         return lambda budget, n: (i if i < k else i + 1 for i in range(1, min(n, budget) + 1))
     if text.startswith("asc:"):
-        arg = text[len("asc:"):]
-        parts = arg.split(",")
-        if not all(_is_positive(p) for p in parts):
-            raise SpecParseError(len("asc:"), "comma-separated naturals")
-        values = tuple(sorted(int(p) for p in parts))
+        parts = text[len("asc:"):].split(",")
+        values = tuple(sorted(_positives(parts, len("asc:"), "comma-separated naturals")))
         if len(set(values)) != len(values):
             raise SpecParseError(len("asc:"), "distinct values")
         return lambda budget, n: values[:min(n, budget)]

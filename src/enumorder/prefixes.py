@@ -9,7 +9,7 @@ to g when every inversion of f is also an inversion of g.
 from __future__ import annotations
 
 import functools
-from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Tuple
 
 from .errors import DuplicateValue, LengthMismatch, TooLarge, ValueSetMismatch, ZeroValue
 
@@ -157,15 +157,6 @@ class Pattern(FrozenSlots):
         if not set(ranks).issuperset(range(1, n + 1)):
             raise ValueError(f"ranks {ranks} are not a permutation of 1..{n}")
         object.__setattr__(self, "ranks", ranks)
-
-    def __len__(self) -> int:
-        return len(self.ranks)
-
-    def apply(self, ascending: Sequence[int]) -> PrefixListing:
-        """Reorder an ascending value sequence by these ranks."""
-        if len(ascending) < len(self.ranks):
-            raise ValueError("not enough values to realize pattern")
-        return PrefixListing(tuple(ascending[r - 1] for r in self.ranks))
 
 
 class ReducibilityVerdict(NamedTuple):

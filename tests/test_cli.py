@@ -490,6 +490,9 @@ def test_verify_all_at_caps_golden(capsys):
     assert run(capsys, "verify", "--property", "all", "--n", "8")[:2] == (0, VERIFY_ALL_AT_CAPS)
 
 
+DECIDE = ("decide", "--paired", "in.txt", "--x", "2")
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -510,6 +513,9 @@ def test_verify_all_at_caps_golden(capsys):
         ("enumerate", "halt:rm", "--prefix-len", "200001", "--budget", "200001"),
         ("inversions", "even", "--prefix-len", "1025"),
         ("family", "--elements", "2", "--bound", "2000", "--n", "2000"),
+        ("enumerate", "nminus:" + "9" * 5000),
+        ("enumerate", "asc:1," + "9" * 5000),
+        ("compare", "nminus:" + "9" * 5000, "even"),
     ],
 )
 def test_bad_input_exits_2(capsys, tmp_path, monkeypatch, argv):
@@ -518,6 +524,23 @@ def test_bad_input_exits_2(capsys, tmp_path, monkeypatch, argv):
     (tmp_path / "undecodable.txt").write_bytes(b"\xff\xfe 1\n")
     code, _, err = run(capsys, *argv)
     assert code == 2 and "error" in err
+
+
+@pytest.mark.parametrize(
+    "argv, text, message",
+    [
+        (DECIDE, "1 4 2 6\n2 6 4 8\n", "paired file needs two prefix lines then 'm=<nat>'"),
+        (DECIDE, "1 4\n2 4\nm=x\n", "bad m line: 'm=x'"),
+        (DECIDE, "1 2\n2 3 4\nm=1\n", "lengths differ: 2 != 3"),
+        (DECIDE, "[]\n[]\nm=1\n", "empty pairing"),
+        (DECIDE, "5 3\n3 4\nm=5\n", "extra element 5 is not below min of g's values"),
+        (("stabilize", "--chain", "in.txt"), "2 1\n1 2 3\n", "prefix lengths differ: 2 != 3"),
+    ],
+)
+def test_file_input_refusals(capsys, tmp_path, monkeypatch, argv, text, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "in.txt").write_text(text)
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
 def run_limited(cwd, *argv):
@@ -579,6 +602,16 @@ class TestInputLimits:
         self.assert_refused(done.returncode, done.stdout, done.stderr)
         assert f"exceeds the limit {MAX_LINE_CHARS}" in done.stderr
 
+    def test_family_with_a_long_tail(self, capsys, tmp_path):
+        # |A| = 20,000 in one argument: n = 1024 is refused before any member
+        # is built, and n = 2 gives three members
+        elements = " ".join(map(str, range(1, 20_001)))
+        argv = ("family", "--elements", elements, "--bound", "20000", "--n")
+        done = run_limited(tmp_path, *argv, "1024")
+        self.assert_refused(done.returncode, done.stdout, done.stderr)
+        code, lines = run_json(capsys, *argv, "2")
+        assert code == 0 and [len(s) for s in lines[0]["family"]] == [19_998, 19_999, 20_000]
+
     def test_longest_line_accepted(self, capsys, tmp_path):
         # a line of MAX_LINE_CHARS characters with its newline is read whole
         line = "1" + " " * (MAX_LINE_CHARS - 3) + "2"
@@ -617,9 +650,9 @@ def argvs(draw, files):
         st.sampled_from(["even", "nminus:2", "asc:3,1,2", "halt:collatz", "halt:rm"]).map(
             lambda t: [t]
         ),
-        st.sampled_from(["nminus:0", "nminus:\u00b2", "asc:1,1", "bogus", "inline"]).map(
-            lambda t: [t]
-        ),
+        # past int()'s default limit of 4,300 digits
+        st.sampled_from(["nminus:0", "nminus:\u00b2", "asc:1,1", "bogus", "inline",
+                         "nminus:" + "9" * 4301, "asc:1," + "9" * 4301]).map(lambda t: [t]),
         files.map(lambda f: ["file:" + f]),
         values.map(lambda v: ["inline", v]),
     )

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from enumorder import extraction
 from enumorder.errors import (
     BadBound,
     BadExtra,
@@ -163,7 +164,7 @@ def candidate_pairs(draw):
 
 @given(candidate_pairs())
 def test_accepted_pairs_are_order_equivalent(pair):
-    # validate_pairing leaves order-equivalence to its rank loop, which implies it
+    # PairedListings leaves order-equivalence to its rank loop, which implies it
     f, g, m, aligned = pair
     try:
         PairedListings(f, g, m)
@@ -302,6 +303,20 @@ class TestFamilyBelow:
         assert len(family_below(sample, MAX_FAMILY_N)) == MAX_FAMILY_N + 1
         with pytest.raises(TooLarge):
             family_below(sample, MAX_FAMILY_N + 1)
+
+    def test_refuses_a_large_answer_before_building(self, monkeypatch):
+        # a tail of MAX_FAMILY_N elements above n = MAX_FAMILY_N is the largest
+        # answer accepted; one more element is refused before any member is built
+        n = MAX_FAMILY_N
+        assert len(family_below(SetSample(frozenset(range(n + 1, 2 * n + 1)), 2 * n), n)) == n + 1
+
+        def refuse(elements, bound):
+            raise AssertionError("a member was built")
+
+        sample = SetSample(frozenset(range(n + 1, 2 * n + 2)), 2 * n + 1)
+        monkeypatch.setattr(extraction, "SetSample", refuse)
+        with pytest.raises(TooLarge, match=f"n={(n + 1) * (2 * n + 1)} exceeds the limit"):
+            family_below(sample, n)
 
     @pytest.mark.parametrize("n", range(5))
     def test_distinct_and_bounded_difference(self, n):

@@ -19,7 +19,14 @@ import pytest
 from enumorder.algebra import Chain, chain_stabilize, transport
 from enumorder.extraction import check_inverse_positions
 from enumorder.oracle import REGISTRY, _prefixes
-from enumorder.prefixes import Pattern, ReducibilityVerdict, inversions, leq_eo, standardize
+from enumorder.prefixes import (
+    Pattern,
+    PrefixListing,
+    ReducibilityVerdict,
+    inversions,
+    leq_eo,
+    standardize,
+)
 
 from test_oracle import PLANTED_FAULTS, owner
 
@@ -76,7 +83,7 @@ def _check_transport(n: int):
     count = 0
     g_patterns = [Pattern(p) for p in itertools.permutations(range(1, n + 1))]
     for h, h_prime, g_pat in itertools.product(prefixes, prefixes, g_patterns):
-        g_prime = g_pat.apply(other_values)
+        g_prime = PrefixListing(tuple(other_values[r - 1] for r in g_pat.ranks))
         if standardize(g_prime) != standardize(h_prime):
             continue
         count += 1

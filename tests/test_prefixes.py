@@ -192,6 +192,10 @@ class TestEquivEo:
     def test_strict_pair(self):
         assert not equiv_eo(make_prefix([1, 3, 2]), make_prefix([1, 2, 3]))
 
+    def test_length_mismatch(self):
+        with pytest.raises(LengthMismatch):
+            equiv_eo(make_prefix([1, 2]), make_prefix([1, 2, 3]))
+
     @given(distinct_naturals, distinct_naturals)
     def test_agrees_with_pattern_equality(self, a, b):
         if len(a) != len(b):
