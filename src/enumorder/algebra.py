@@ -112,7 +112,7 @@ def make_strict_chain(n: int) -> Chain:
     if n < 1:
         raise ValueError("n must be >= 1")
     if n > MAX_CHAIN_N:
-        raise TooLarge(n, MAX_CHAIN_N)
+        raise TooLarge("listing length", n, MAX_CHAIN_N)
     current = list(range(n, 0, -1))
     out = [PrefixListing(tuple(current))]
     pos = {v: i for i, v in enumerate(current)}

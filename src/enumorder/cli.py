@@ -6,7 +6,8 @@ inputs are uniform across commands: the literal word ``inline`` followed by
 space-separated naturals (or a flat JSON array), ``file:<path>`` for the
 one-line prefix file format (a regular file, with lines of at most
 MAX_LINE_CHARS), or an enumerator spec materialized with ``--prefix-len``
-and ``--budget``.
+and ``--budget``.  ``prefixes.parse_naturals`` reads every natural given
+as text, ASCII digits only: prefix values, numeric options, ``m=`` lines.
 
 Each command is one ``COMMANDS`` entry: its number of prefix sources, its
 extra arguments, and a function yielding ``(json_obj, text, exit_code)``
@@ -40,7 +41,7 @@ import sys
 from typing import TYPE_CHECKING, Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import EnumOrderError, TooLarge
-from .prefixes import PrefixListing, SetSample, inversions, leq_eo, make_prefix
+from .prefixes import PrefixListing, SetSample, inversions, leq_eo, make_prefix, parse_naturals
 
 if TYPE_CHECKING:
     from .extraction import PairedListings
@@ -59,25 +60,20 @@ MAX_LINE_CHARS = 8 * 2**20
 
 
 def _int_at_least(low: int, text: str) -> int:
-    value = int(text)
+    """argparse type, as `nat` (>= 0) and `pos` (>= 1)."""
+    error = argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text[:40]}")
+    (value,) = parse_naturals([text], error)
     if value < low:
-        raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {value}")
+        raise error
     return value
 
 
-def nat(text: str) -> int:
-    """argparse type: an integer >= 0."""
-    return _int_at_least(0, text)
-
-
-def pos(text: str) -> int:
-    """argparse type: an integer >= 1."""
-    return _int_at_least(1, text)
+nat = functools.partial(_int_at_least, 0)
+pos = functools.partial(_int_at_least, 1)
 
 
 def _parse_values(text: str) -> List[int]:
-    text = text.strip()
-    if text.startswith("["):
+    if text.lstrip().startswith("["):
         # a flat array holds one "[" and no "{"; refusing anything else here
         # also keeps json.loads from recursing into deep nesting
         if text.count("[") != 1 or "{" in text:
@@ -90,10 +86,7 @@ def _parse_values(text: str) -> List[int]:
         if not isinstance(data, list) or not all(type(v) is int for v in data):
             raise EnumOrderError("JSON input must be a flat array of integers")
         return data
-    try:
-        return [int(tok) for tok in text.split()]
-    except ValueError:
-        raise EnumOrderError(f"not a space-separated list of naturals: {text!r}")
+    return parse_naturals(text.split())
 
 
 def _nonblank_lines(path: str) -> Iterator[str]:
@@ -109,7 +102,7 @@ def _nonblank_lines(path: str) -> Iterator[str]:
         with open(path, encoding="utf-8") as fh:
             while line := fh.readline(MAX_LINE_CHARS + 1):
                 if len(line) > MAX_LINE_CHARS:
-                    raise TooLarge(len(line), MAX_LINE_CHARS)
+                    raise TooLarge("line length", len(line), MAX_LINE_CHARS)
                 if line.strip():
                     yield line.strip()
     except (OSError, UnicodeDecodeError) as exc:
@@ -150,12 +143,8 @@ def load_paired_file(path: str) -> PairedListings:
     lines = list(_nonblank_lines(path))
     if len(lines) != 3 or not lines[2].startswith("m="):
         raise EnumOrderError("paired file needs two prefix lines then 'm=<nat>'")
-    f = make_prefix(_parse_values(lines[0]))
-    g = make_prefix(_parse_values(lines[1]))
-    try:
-        m = int(lines[2][2:])
-    except ValueError:
-        raise EnumOrderError(f"bad m line: {lines[2]!r}")
+    f, g = (make_prefix(_parse_values(line)) for line in lines[:2])
+    (m,) = parse_naturals([lines[2][2:]], EnumOrderError(f"bad m line: {lines[2][:40]!r}"))
     return PairedListings(f, g, m)
 
 

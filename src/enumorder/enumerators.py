@@ -16,7 +16,8 @@ enumeration: it interleaves simulation of all codes and emits each code in
 the round where its halt is observed, so the emission order reflects
 halting times rather than magnitude.
 
-Spec grammar: ``even | nminus:<nat> | asc:<nat>(,<nat>)* | halt:<model-name>``
+Spec grammar: ``even | nminus:<nat> | asc:<nat>(,<nat>)* | halt:<model-name>``,
+where each <nat> is read by ``prefixes.parse_naturals`` and must be >= 1.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from bisect import bisect_right
 from typing import Callable, Iterable, List, Optional, Tuple
 
 from .errors import SpecParseError, TooLarge
-from .prefixes import PrefixListing
+from .prefixes import PrefixListing, parse_naturals
 
 # a drain at this size from a cold start, in process, takes 0.69-0.86 s with
 # halt:rm, the slower model, and 0.46-0.54 s with halt:collatz (2-core host,
@@ -138,7 +139,7 @@ def take_prefix(e: Enumerator, n: int, budget: int) -> PrefixListing:
     if n < 0 or budget < 0:
         raise ValueError("n and budget must be >= 0")
     if min(n, budget) > MAX_BUDGET:
-        raise TooLarge(min(n, budget), MAX_BUDGET)
+        raise TooLarge("min(n, budget)", min(n, budget), MAX_BUDGET)
     return PrefixListing(tuple(e(budget, n)))
 
 
@@ -254,16 +255,11 @@ _HALTING = {name: dovetail_halting(steps) for name, steps in MODELS.items()}
 
 def _positives(parts: List[str], position: int, expected: str) -> List[int]:
     """Each part as an integer >= 1, or SpecParseError at position."""
-    # str.isdigit alone admits non-ASCII digits such as "²", which int()
-    # rejects, and int() refuses more digits than sys.get_int_max_str_digits()
-    try:
-        if all(p.isascii() and p.isdigit() for p in parts):
-            values = [int(p) for p in parts]
-            if min(values) >= 1:
-                return values
-    except ValueError:
-        pass
-    raise SpecParseError(position, expected)
+    error = SpecParseError(position, expected)
+    values = parse_naturals(parts, error)
+    if min(values) < 1:
+        raise error
+    return values
 
 
 def parse_spec(text: str) -> Enumerator:

@@ -33,8 +33,7 @@ class ValueAbsent(EnumOrderError):
 
 
 class ValueSetMismatch(EnumOrderError):
-    def __init__(self, msg: str = "value sets differ"):
-        super().__init__(msg)
+    pass
 
 
 class ChainInvariantViolated(EnumOrderError):
@@ -79,10 +78,10 @@ class SpecParseError(EnumOrderError):
 
 
 class TooLarge(EnumOrderError):
-    """A size past the limit set for work that grows steeply with it."""
+    """A named quantity past the limit set for work that grows steeply with it."""
 
-    def __init__(self, n: int, limit: int):
-        super().__init__(f"n={n} exceeds the limit {limit}")
+    def __init__(self, quantity: str, value: int, limit: int):
+        super().__init__(f"{quantity} {value} exceeds the limit {limit}")
 
 
 class UnknownProperty(EnumOrderError):

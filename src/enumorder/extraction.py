@@ -219,12 +219,12 @@ def family_below(a_sample: SetSample, n: int) -> List[SetSample]:
     MAX_FAMILY_N and an answer of (n+1)·(n + |tail|) > MAX_FAMILY_SIZE.
     """
     if n > MAX_FAMILY_N:
-        raise TooLarge(n, MAX_FAMILY_N)
+        raise TooLarge("family n", n, MAX_FAMILY_N)
     if a_sample.bound < n:
         raise BadBound(a_sample.bound, n)
     tail = frozenset(e for e in a_sample.elements if e > n)
     size = (n + 1) * (n + len(tail))
     if size > MAX_FAMILY_SIZE:
-        raise TooLarge(size, MAX_FAMILY_SIZE)
+        raise TooLarge("answer size", size, MAX_FAMILY_SIZE)
     low = list(range(1, n + 1))  # one int object per low value, shared by the members
     return [SetSample(tail.union(low[:k - 1]), a_sample.bound) for k in range(1, n + 2)]

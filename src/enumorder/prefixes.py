@@ -9,9 +9,10 @@ to g when every inversion of f is also an inversion of g.
 from __future__ import annotations
 
 import functools
-from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Tuple
+from typing import Iterable, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
-from .errors import DuplicateValue, LengthMismatch, TooLarge, ValueSetMismatch, ZeroValue
+from .errors import DuplicateValue, EnumOrderError, LengthMismatch, TooLarge
+from .errors import ValueSetMismatch, ZeroValue
 
 PositionPair = Tuple[int, int]
 
@@ -203,6 +204,31 @@ class SetSample(FrozenSlots):
         object.__setattr__(self, "bound", bound)
 
 
+def parse_naturals(tokens: Sequence[str], error: Optional[Exception] = None) -> List[int]:
+    """The one parser of naturals from outside text: ASCII digits only, so
+    no sign, underscore, space or other script's digits, and no more digits
+    than int() reads.  The first bad token raises `error`, or else an
+    EnumOrderError naming its 1-based index and its first 40 characters."""
+    # one C-level test for the valid case; the loop runs only to name the bad
+    # token, which may also be an empty one or one past int()'s digit limit
+    joined = "".join(tokens)
+    if joined.isascii() and joined.isdigit():
+        try:
+            return list(map(int, tokens))
+        except ValueError:
+            pass
+    values = []
+    for index, token in enumerate(tokens, 1):
+        if token.isascii() and token.isdigit():
+            try:
+                values.append(int(token))
+                continue
+            except ValueError:
+                pass
+        raise error or EnumOrderError(f"token {index} is not a natural: {token[:40]!r}")
+    return values
+
+
 def make_prefix(values: Iterable[int]) -> PrefixListing:
     """Build a prefix from any iterable: distinct values, all >= 1."""
     return PrefixListing(tuple(values))
@@ -217,7 +243,7 @@ def inversions(p: PrefixListing) -> frozenset:
     vals = p.values
     n = len(vals)
     if n > MAX_INVERSIONS_N:
-        raise TooLarge(n, MAX_INVERSIONS_N)
+        raise TooLarge("prefix length", n, MAX_INVERSIONS_N)
     return frozenset(
         (i, j)
         for i in range(1, n + 1)

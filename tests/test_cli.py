@@ -543,6 +543,79 @@ def test_file_input_refusals(capsys, tmp_path, monkeypatch, argv, text, message)
     assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
+# every place the CLI reads a natural from text: its argv and files, with
+# "{}" where the natural goes, and a natural that makes the command exit 0
+NATURAL_INPUTS = {
+    "inline": (("pattern", "inline", "3 {}"), {}, "7"),
+    "file": (("pattern", "file:in.txt"), {"in.txt": "3 {}\n"}, "7"),
+    "chain": (("stabilize", "--chain", "in.txt"), {"in.txt": "{} 1\n1 {}\n"}, "7"),
+    "paired": (DECIDE, {"in.txt": "1 4 2 6\n2 6 4 {}\nm=1\n"}, "8"),
+    "m": (DECIDE, {"in.txt": "1 4 2 6\n2 6 4 8\nm={}\n"}, "1"),
+    "elements": (("family", "--elements", "2 {}", "--bound", "9", "--n", "2"), {}, "4"),
+    "n": (("verify", "--property", "reflexive", "--n", "{}"), {}, "3"),
+    "x": (("decide", "--paired", "pair.txt", "--x", "{}"), {"pair.txt": PAIR_FILE}, "5"),
+    "a": (("pred", "--paired", "pair.txt", "--a", "{}"), {"pair.txt": PAIR_FILE}, "6"),
+    "bound": (("family", "--elements", "2", "--bound", "{}", "--n", "2"), {}, "9"),
+    "prefix-len": (("enumerate", "even", "--prefix-len", "{}"), {}, "5"),
+    "budget": (("enumerate", "even", "--budget", "{}"), {}, "5"),
+    "chain-make": (("chain-make", "--n", "{}"), {}, "4"),
+    "nminus": (("enumerate", "nminus:{}"), {}, "3"),
+    "asc": (("enumerate", "asc:1,{}"), {}, "3"),
+}
+
+
+def run_with_natural(capsys, tmp_path, monkeypatch, site, natural):
+    argv, files, _ = NATURAL_INPUTS[site]
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text.replace("{}", natural), encoding="utf-8")
+    return run(capsys, *(arg.replace("{}", natural) for arg in argv))
+
+
+@pytest.mark.parametrize("site", NATURAL_INPUTS)
+@pytest.mark.parametrize(
+    "token", ["1_0", "+2", "\u0663", "9" * 5000], ids=["underscore", "sign", "arabic", "long"]
+)
+def test_every_natural_is_ascii_digits(capsys, tmp_path, monkeypatch, site, token):
+    code, out, err = run_with_natural(capsys, tmp_path, monkeypatch, site, token)
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert (code, out) == (2, "") and err.endswith("\n")
+    assert len(errors) == 1 and err.endswith(errors[0] + "\n") and len(errors[0]) < 200, err
+    # refused as a number, not later as a value that parsed
+    assert any(why in errors[0] for why in ("not a natural", "bad m line", "expected")), err
+
+
+@pytest.mark.parametrize("site", NATURAL_INPUTS)
+def test_every_natural_takes_leading_zeros(capsys, tmp_path, monkeypatch, site):
+    good = NATURAL_INPUTS[site][2]
+    code, out, _ = run_with_natural(capsys, tmp_path, monkeypatch, site, good)
+    assert code == 0 and out
+    code, padded, err = run_with_natural(capsys, tmp_path, monkeypatch, site, "00" + good)
+    # only enumerate's echo of its spec may differ
+    assert (code, padded.replace("00" + good, good), err) == (0, out, "")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("enumerate", "halt:rm", "--prefix-len", "200001", "--budget", "200001"),
+         "min(n, budget) 200001 exceeds the limit 200000"),
+        (("inversions", "even", "--prefix-len", "1025"),
+         "prefix length 1025 exceeds the limit 1024"),
+        (("verify", "--property", "reflexive", "--n", "7"),
+         "permutation size 7 exceeds the limit 6"),
+        (("chain-make", "--n", "257"), "listing length 257 exceeds the limit 256"),
+        (("family", "--elements", "2", "--bound", "2000", "--n", "2000"),
+         "family n 2000 exceeds the limit 1024"),
+        (("family", "--elements", " ".join(map(str, range(1025, 2050))), "--bound", "2049",
+          "--n", "1024"), "answer size 2100225 exceeds the limit 2099200"),
+    ],
+    ids=["budget", "inversions", "verify", "chain-make", "family-n", "family-size"],
+)
+def test_too_large_names_its_quantity(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
 def run_limited(cwd, *argv):
     """The CLI in a child process held to 1 GiB of address space and 20 s of
     CPU, and killed after 60 s, so that an input it fails to refuse fails the
@@ -600,7 +673,8 @@ class TestInputLimits:
         (tmp_path / "long.txt").write_text(line + "\n")
         done = run_limited(tmp_path, "pattern", "file:long.txt")
         self.assert_refused(done.returncode, done.stdout, done.stderr)
-        assert f"exceeds the limit {MAX_LINE_CHARS}" in done.stderr
+        refusal = f"error: line length {MAX_LINE_CHARS + 1} exceeds the limit {MAX_LINE_CHARS}"
+        assert refusal in done.stderr
 
     def test_family_with_a_long_tail(self, capsys, tmp_path):
         # |A| = 20,000 in one argument: n = 1024 is refused before any member
@@ -611,6 +685,13 @@ class TestInputLimits:
         self.assert_refused(done.returncode, done.stdout, done.stderr)
         code, lines = run_json(capsys, *argv, "2")
         assert code == 0 and [len(s) for s in lines[0]["family"]] == [19_998, 19_999, 20_000]
+
+    def test_bad_token_at_the_end_of_a_long_line(self, capsys, tmp_path):
+        # the error names the token, not the 1.3 MB line around it
+        (tmp_path / "bad.txt").write_text(" ".join(map(str, range(1, 200_000))) + " x\n")
+        code, out, err = run(capsys, "pattern", f"file:{tmp_path / 'bad.txt'}")
+        self.assert_refused(code, out, err)
+        assert err == "error: token 200000 is not a natural: 'x'\n"
 
     def test_longest_line_accepted(self, capsys, tmp_path):
         # a line of MAX_LINE_CHARS characters with its newline is read whole
@@ -637,14 +718,17 @@ def argvs(draw, files):
     name = draw(st.sampled_from(sorted(COMMANDS)))
     command = COMMANDS[name]
     # small numbers keep every run quick: verify and chain-make grow steeply in n
-    numbers = st.integers(-3, {"verify": 5, "chain-make": 40}.get(name, 200))
+    numbers = st.one_of(
+        st.integers(-3, {"verify": 5, "chain-make": 40}.get(name, 200)),
+        st.sampled_from(["+3", "1_0", "\u0663"]),
+    )
     files = st.sampled_from([*files, "missing.txt"])
     value_lists = st.lists(st.integers(1, 12), unique=True, max_size=6)
     values = st.one_of(
         value_lists.map(lambda v: " ".join(map(str, v))),
         value_lists.map(json.dumps),
         st.sampled_from(["[true, 2]", "[1,", "x 1", "[[1]]", "0 1", "2 2", DEEP_ARRAY,
-                         DEEP_OBJECT]),
+                         DEEP_OBJECT, "1_0 2", "+2 3", "\u0663 1"]),
     )
     token = st.one_of(
         st.sampled_from(["even", "nminus:2", "asc:3,1,2", "halt:collatz", "halt:rm"]).map(

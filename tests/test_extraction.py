@@ -315,7 +315,8 @@ class TestFamilyBelow:
 
         sample = SetSample(frozenset(range(n + 1, 2 * n + 2)), 2 * n + 1)
         monkeypatch.setattr(extraction, "SetSample", refuse)
-        with pytest.raises(TooLarge, match=f"n={(n + 1) * (2 * n + 1)} exceeds the limit"):
+        refusal = f"answer size {(n + 1) * (2 * n + 1)} exceeds the limit"
+        with pytest.raises(TooLarge, match=refusal):
             family_below(sample, n)
 
     @pytest.mark.parametrize("n", range(5))

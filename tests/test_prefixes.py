@@ -1,11 +1,12 @@
 import itertools
 import math
+import re
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from enumorder.errors import DuplicateValue, LengthMismatch, TooLarge, ZeroValue
+from enumorder.errors import DuplicateValue, EnumOrderError, LengthMismatch, TooLarge, ZeroValue
 from enumorder.prefixes import (
     MAX_INVERSIONS_N,
     Pattern,
@@ -16,6 +17,7 @@ from enumorder.prefixes import (
     inversions,
     leq_eo,
     make_prefix,
+    parse_naturals,
     standardize,
 )
 
@@ -62,6 +64,48 @@ class TestMakePrefix:
     def test_positions_are_one_based(self):
         p = make_prefix([5, 9])
         assert p(1) == 5 and p(2) == 9
+
+
+def brute_naturals(tokens):
+    """The 1-based index of the first token that is not ASCII digits, or
+    the tokens as ints."""
+    for index, token in enumerate(tokens, 1):
+        if not re.fullmatch("[0-9]+", token):
+            return index
+    return [int(token) for token in tokens]
+
+
+class TestParseNaturals:
+    def test_ascii_digits(self):
+        assert parse_naturals(["007", "0", "12"]) == [7, 0, 12]
+        assert parse_naturals([]) == []
+
+    @pytest.mark.parametrize(
+        "tokens, index",
+        [(["1_0"], 1), (["2", "+2"], 2), (["\u0663"], 1), (["1", "\u00b2"], 2),
+         (["1", ""], 2), (["-1"], 1), ([" 3"], 1), (["3", "9" * 5000, "x"], 2)],
+    )
+    def test_names_the_first_bad_token(self, tokens, index):
+        with pytest.raises(EnumOrderError) as exc:
+            parse_naturals(tokens)
+        shown = tokens[index - 1][:40]
+        assert str(exc.value) == f"token {index} is not a natural: {shown!r}"
+
+    def test_raises_the_given_error(self):
+        error = EnumOrderError("bad m line")
+        with pytest.raises(EnumOrderError) as exc:
+            parse_naturals(["1", "+1"], error)
+        assert exc.value is error
+        assert parse_naturals(["1"], error) == [1]
+
+    @given(st.lists(st.text(alphabet="0129_+- \u0663\u00b2x", max_size=4), max_size=5))
+    def test_matches_a_regex_reference(self, tokens):
+        expected = brute_naturals(tokens)
+        if isinstance(expected, list):
+            assert parse_naturals(tokens) == expected
+        else:
+            with pytest.raises(EnumOrderError, match=f"^token {expected} is not"):
+                parse_naturals(tokens)
 
 
 class TestInversions:
