@@ -61,11 +61,8 @@ MAX_LINE_CHARS = 8 * 2**20
 
 def _int_at_least(low: int, text: str) -> int:
     """argparse type, as `nat` (>= 0) and `pos` (>= 1)."""
-    error = argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text[:40]}")
-    (value,) = parse_naturals([text], error)
-    if value < low:
-        raise error
-    return value
+    error = argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text[:40]!r}")
+    return parse_naturals([text], error, low)[0]
 
 
 nat = functools.partial(_int_at_least, 0)
@@ -143,7 +140,8 @@ def load_paired_file(path: str) -> PairedListings:
     lines = list(_nonblank_lines(path))
     if len(lines) != 3 or not lines[2].startswith("m="):
         raise EnumOrderError("paired file needs two prefix lines then 'm=<nat>'")
-    f, g = (make_prefix(_parse_values(line)) for line in lines[:2])
+    f = make_prefix(_parse_values(lines[0]))
+    g = make_prefix(_parse_values(lines[1]))
     (m,) = parse_naturals([lines[2][2:]], EnumOrderError(f"bad m line: {lines[2][:40]!r}"))
     return PairedListings(f, g, m)
 

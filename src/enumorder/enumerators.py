@@ -255,11 +255,7 @@ _HALTING = {name: dovetail_halting(steps) for name, steps in MODELS.items()}
 
 def _positives(parts: List[str], position: int, expected: str) -> List[int]:
     """Each part as an integer >= 1, or SpecParseError at position."""
-    error = SpecParseError(position, expected)
-    values = parse_naturals(parts, error)
-    if min(values) < 1:
-        raise error
-    return values
+    return parse_naturals(parts, SpecParseError(position, expected), 1)
 
 
 def parse_spec(text: str) -> Enumerator:

@@ -119,9 +119,12 @@ def _check_non_antisymmetric(n: int):
     # two distinct ascending prefixes over disjoint value ranges
     f = PrefixListing(tuple(range(1, n + 1)))
     g = PrefixListing(tuple(range(n + 1, 2 * n + 1)))
+    violations = []
     if n == 0 or f == g or not equiv_eo(f, g):
-        return 1, ["no witness pair found"], None
-    return 1, [], {"f": list(f.values), "g": list(g.values)}
+        violations.append("no witness pair found")
+        return 1, violations, None
+    witness = {"f": list(f.values), "g": list(g.values)}
+    return 1, violations, witness
 
 
 def _inversion_masks(prefixes: List[PrefixListing], n: int) -> List[int]:
@@ -227,9 +230,14 @@ def _check_stabilization(n: int):
         chain = Chain(_random_descending_chain(rng, prefixes, down, length))
         found = chain_stabilize(chain)
         # independent pairwise scan, minimizing (j, i)
-        listings = chain.listings
-        expected = next(((i, j) for j in range(2, length + 1) for i in range(1, j)
-                         if listings[i - 1] == listings[j - 1]), None)
+        expected = None
+        for j in range(2, length + 1):
+            for i in range(1, j):
+                if chain.listings[i - 1] == chain.listings[j - 1]:
+                    expected = (i, j)
+                    break
+            if expected:
+                break
         if expected is None:
             violations.append(f"chain of length {length} without repeat: {chain.listings}")
         elif found != expected:
@@ -278,7 +286,9 @@ def run_property(property_id: str, n: int) -> PropertyReport:
     start = time.perf_counter()
     instances, violations, witness = checker(n)
     elapsed = time.perf_counter() - start
-    return PropertyReport(property_id, n, instances, tuple(sorted(violations)), elapsed, witness)
+    return PropertyReport(
+        property_id, n, instances, tuple(sorted(violations)), elapsed, witness
+    )
 
 
 def run_properties(jobs: Iterable[Tuple[str, int]]) -> Iterator[PropertyReport]:

@@ -204,28 +204,24 @@ class SetSample(FrozenSlots):
         object.__setattr__(self, "bound", bound)
 
 
-def parse_naturals(tokens: Sequence[str], error: Optional[Exception] = None) -> List[int]:
+def parse_naturals(
+    tokens: Sequence[str], error: Optional[Exception] = None, low: int = 0
+) -> List[int]:
     """The one parser of naturals from outside text: ASCII digits only, so
     no sign, underscore, space or other script's digits, and no more digits
-    than int() reads.  The first bad token raises `error`, or else an
-    EnumOrderError naming its 1-based index and its first 40 characters."""
-    # one C-level test for the valid case; the loop runs only to name the bad
-    # token, which may also be an empty one or one past int()'s digit limit
-    joined = "".join(tokens)
-    if joined.isascii() and joined.isdigit():
-        try:
-            return list(map(int, tokens))
-        except ValueError:
-            pass
+    than int() reads.  The first bad token, or one below `low`, raises `error`,
+    or else an EnumOrderError naming its 1-based index and first 40 characters."""
     values = []
     for index, token in enumerate(tokens, 1):
+        value = -1  # stays below any `low` unless the token reads as a natural
         if token.isascii() and token.isdigit():
             try:
-                values.append(int(token))
-                continue
-            except ValueError:
+                value = int(token)
+            except ValueError:  # more digits than int() reads
                 pass
-        raise error or EnumOrderError(f"token {index} is not a natural: {token[:40]!r}")
+        if value < low:
+            raise error or EnumOrderError(f"token {index} is not a natural: {token[:40]!r}")
+        values.append(value)
     return values
 
 

@@ -595,6 +595,14 @@ def test_every_natural_takes_leading_zeros(capsys, tmp_path, monkeypatch, site):
     assert (code, padded.replace("00" + good, good), err) == (0, out, "")
 
 
+@pytest.mark.parametrize("site", ["n", "x", "a", "bound", "prefix-len", "budget", "chain-make"])
+def test_option_with_a_newline_is_one_error_line(capsys, tmp_path, monkeypatch, site):
+    good = NATURAL_INPUTS[site][2]
+    code, out, err = run_with_natural(capsys, tmp_path, monkeypatch, site, good + "\n")
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1].endswith(f"got '{good}\\n'"), err
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

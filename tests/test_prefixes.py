@@ -98,6 +98,11 @@ class TestParseNaturals:
         assert exc.value is error
         assert parse_naturals(["1"], error) == [1]
 
+    def test_refuses_a_token_below_low(self):
+        assert parse_naturals(["1", "01"], low=1) == [1, 1]
+        with pytest.raises(EnumOrderError, match="^token 2 is not a natural: '00'$"):
+            parse_naturals(["1", "00"], low=1)
+
     @given(st.lists(st.text(alphabet="0129_+- \u0663\u00b2x", max_size=4), max_size=5))
     def test_matches_a_regex_reference(self, tokens):
         expected = brute_naturals(tokens)
