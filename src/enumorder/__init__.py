@@ -19,8 +19,8 @@ _SOURCES = {
     "inverse_lookup": "algebra",
     "make_strict_chain": "algebra",
     "transport": "algebra",
+    "Dovetail": "enumerators",
     "Enumerator": "enumerators",
-    "dovetail_halting": "enumerators",
     "parse_spec": "enumerators",
     "take_prefix": "enumerators",
     "InversePositionReport": "extraction",

@@ -38,7 +38,9 @@ import json
 import os
 import stat
 import sys
-from typing import TYPE_CHECKING, Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, TypeVar,
+)
 
 from .errors import EnumOrderError, TooLarge
 from .prefixes import PrefixListing, SetSample, inversions, leq_eo, make_prefix, parse_naturals
@@ -52,6 +54,7 @@ EXIT_BAD_INPUT = 2
 EXIT_INSUFFICIENT = 3
 
 Row = Tuple[dict, Callable[[], str], int]
+T = TypeVar("T")
 
 # the longest line, in characters with its newline, that a file source may
 # hold: a MAX_BUDGET prefix written out is ~1.4 MB, and a valid line is ASCII,
@@ -86,8 +89,13 @@ def _parse_values(text: str) -> List[int]:
     return parse_naturals(text.split())
 
 
-def _nonblank_lines(path: str) -> Iterator[str]:
-    """The file's non-blank lines, stripped, read only as far as consumed.
+def _parse_prefix(text: str) -> PrefixListing:
+    return make_prefix(_parse_values(text))
+
+
+def _nonblank_lines(path: str, parse: Callable[[str], T]) -> Iterator[T]:
+    """`parse` of each of the file's non-blank lines, stripped, read only as
+    far as consumed.  An error in a line names its 1-based line number.
 
     Refuses a path that is not a regular file, which open() could block on
     (a FIFO) or read without end (a device), and a line longer than
@@ -97,11 +105,18 @@ def _nonblank_lines(path: str) -> Iterator[str]:
         if not stat.S_ISREG(os.stat(path).st_mode):
             raise EnumOrderError(f"cannot read {path}: not a regular file")
         with open(path, encoding="utf-8") as fh:
+            number = 0
             while line := fh.readline(MAX_LINE_CHARS + 1):
-                if len(line) > MAX_LINE_CHARS:
-                    raise TooLarge("line length", len(line), MAX_LINE_CHARS)
-                if line.strip():
-                    yield line.strip()
+                number += 1
+                try:
+                    if len(line) > MAX_LINE_CHARS:
+                        raise TooLarge("line length", len(line), MAX_LINE_CHARS)
+                    if not line.strip():
+                        continue
+                    value = parse(line.strip())
+                except EnumOrderError as exc:
+                    raise EnumOrderError(f"line {number}: {exc}") from None
+                yield value
     except (OSError, UnicodeDecodeError) as exc:
         raise EnumOrderError(f"cannot read {path}: {exc}")
 
@@ -121,10 +136,9 @@ def parse_sources(tokens: Sequence[str], prefix_len: int, budget: int) -> List[P
                 raw = next(it)
             except StopIteration:
                 raise EnumOrderError("'inline' must be followed by a value string")
-            out.append(make_prefix(_parse_values(raw)))
+            out.append(_parse_prefix(raw))
         elif tok.startswith("file:"):
-            first = next(_nonblank_lines(tok[len("file:"):]), "")
-            out.append(make_prefix(_parse_values(first)))
+            out.append(next(_nonblank_lines(tok[len("file:"):], _parse_prefix), PrefixListing(())))
         else:
             from . import enumerators
 
@@ -134,15 +148,17 @@ def parse_sources(tokens: Sequence[str], prefix_len: int, budget: int) -> List[P
 
 
 def load_paired_file(path: str) -> PairedListings:
-    """Two prefix lines then ``m=<nat>``."""
+    """Two prefix lines then ``m=<nat>``; an error in the m line quotes it."""
     from .extraction import PairedListings
 
-    lines = list(_nonblank_lines(path))
-    if len(lines) != 3 or not lines[2].startswith("m="):
+    lines = list(_nonblank_lines(
+        path, lambda line: line if line.startswith("m=") else _parse_prefix(line)
+    ))
+    # two prefixes, then the m line as text
+    if [isinstance(line, str) for line in lines] != [False, False, True]:
         raise EnumOrderError("paired file needs two prefix lines then 'm=<nat>'")
-    f = make_prefix(_parse_values(lines[0]))
-    g = make_prefix(_parse_values(lines[1]))
-    (m,) = parse_naturals([lines[2][2:]], EnumOrderError(f"bad m line: {lines[2][:40]!r}"))
+    f, g, m_line = lines
+    (m,) = parse_naturals([m_line[2:]], EnumOrderError(f"bad m line: {m_line[:40]!r}"))
     return PairedListings(f, g, m)
 
 
@@ -219,7 +235,7 @@ def _stabilize(args) -> Iterator[Row]:
     """Find the least repeat in a chain file."""
     from .algebra import Chain, chain_stabilize
 
-    chain = Chain(tuple(make_prefix(_parse_values(ln)) for ln in _nonblank_lines(args.chain)))
+    chain = Chain(tuple(_nonblank_lines(args.chain, _parse_prefix)))
     repeat = chain_stabilize(chain)
     obj = {"length": len(chain), "repeat": list(repeat) if repeat else None}
     yield obj, lambda: f"repeat at {repeat}" if repeat else "no repeat in chain", EXIT_OK

@@ -11,7 +11,7 @@ rounds it has settled, so a later call reads them back instead of running
 them again.
 
 Closed forms cover the worked examples (doubling, shifted identity,
-explicit ascending lists).  The dovetail stands in for a halting-set
+explicit ascending lists).  A `Dovetail` stands in for a halting-set
 enumeration: it interleaves simulation of all codes and emits each code in
 the round where its halt is observed, so the emission order reflects
 halting times rather than magnitude.
@@ -31,10 +31,10 @@ from .prefixes import PrefixListing, parse_naturals
 
 # a drain at this size from a cold start, in process, takes 0.69-0.86 s with
 # halt:rm, the slower model, and 0.46-0.54 s with halt:collatz (2-core host,
-# Python 3.11, five runs each).  It leaves the model's shared dovetail with
+# Python 3.11, five runs each).  It leaves the model's shared Dovetail with
 # 200,000 rounds settled: at most 1.6 MB in its two arrays.  A prefix of this
 # many values at a larger budget settles 400,000 (3.2 MB), and no call
-# settles 800,000 (6.4 MB; see _Dovetail).
+# settles 800,000 (6.4 MB; see Dovetail).
 MAX_BUDGET = 200_000
 
 # called as e(budget, n); see the module docstring
@@ -46,7 +46,7 @@ Enumerator = Callable[[int, int], Iterable[int]]
 Steps = Callable[[int, int], Optional[int]]
 
 
-class _Dovetail:
+class Dovetail:
     """Round-robin dovetail over a halting model, as an Enumerator whose
     budget is its round limit.
 
@@ -121,19 +121,12 @@ class _Dovetail:
         self.settled = end
 
 
-def dovetail_halting(steps: Steps) -> Enumerator:
-    """A fresh dovetail over `steps`, with the caller's budget as its only
-    round limit.  Fewer rounds are a smaller budget: take_prefix(e, n,
-    min(budget, rounds))."""
-    return _Dovetail(steps)
-
-
 def take_prefix(e: Enumerator, n: int, budget: int) -> PrefixListing:
     """First min(n, achievable-within-budget) emissions, as a prefix.
 
     Short prefixes are valid results; callers inspect the length.  Refuses
     min(n, budget) > MAX_BUDGET with TooLarge: that bounds the values built
-    and, for a dovetail, the rounds run, while a short prefix stays cheap at
+    and, for a Dovetail, the rounds run, while a short prefix stays cheap at
     any budget.
     """
     if n < 0 or budget < 0:
@@ -248,9 +241,9 @@ def _register_machine_steps(code: int, cap: int) -> Optional[int]:
 
 MODELS = {"collatz": _collatz_steps, "rm": _register_machine_steps}
 
-# one dovetail per model, handed out by parse_spec, so that every halt: call
+# one Dovetail per model, handed out by parse_spec, so that every halt: call
 # in a process shares the rounds settled so far, as it shares the Collatz table
-_HALTING = {name: dovetail_halting(steps) for name, steps in MODELS.items()}
+_HALTING = {name: Dovetail(steps) for name, steps in MODELS.items()}
 
 
 def _positives(parts: List[str], position: int, expected: str) -> List[int]:
@@ -263,7 +256,7 @@ def parse_spec(text: str) -> Enumerator:
 
     even: h(i) = 2i.  nminus:k: i below position k, then i + 1 (a gap at
     k).  asc:...: the listed values in increasing order.  halt:<model>: the
-    model's one shared dovetail, with the budget as its round limit.
+    model's one shared Dovetail, with the budget as its round limit.
     """
     if text == "even":
         return lambda budget, n: (2 * i for i in range(1, min(n, budget) + 1))

@@ -56,9 +56,9 @@ def test_criterion_01_doubling_equivalent_to_shift(capsys):
 
 def test_criterion_02_dovetail_order_not_ascending(capsys):
     def check():
-        from enumorder.enumerators import MODELS, dovetail_halting, take_prefix
+        from enumorder.enumerators import MODELS, Dovetail, take_prefix
 
-        got = take_prefix(dovetail_halting(MODELS["collatz"]), 5, 12)
+        got = take_prefix(Dovetail(MODELS["collatz"]), 5, 12)
 
         # independent oracle: direct simulation, sort by (halt round, code)
         def halt_step(p):

@@ -410,6 +410,12 @@ README_GOLDEN = [
     (("pred", "--paired", "pair.txt", "--a", "6"), 0, '{"a": 6, "predecessor": 4}\n'),
     (("family", "--elements", "2 4 6 8", "--bound", "9", "--n", "2"), 0,
      '{"bound": 9, "family": [[4, 6, 8], [1, 4, 6, 8], [1, 2, 4, 6, 8]]}\n'),
+    (("pattern", "halt:collatz", "--prefix-len", "40", "--budget", "2000", "--format", "text"), 0,
+     '1 2 4 3 5 8 6 10 16 12 13 7 11 20 9 21 17 14 15 24 26 22 30 18 23 19 27 28 32 25 29 33 '
+     '37 38 34 35 31 36 40 39\n'),
+    (("pattern", "halt:rm", "--prefix-len", "40", "--budget", "2000", "--format", "text"), 0,
+     '1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 20 21 22 23 24 25 26 27 28 29 30 32 31 '
+     '33 35 34 36 37 38 39 40\n'),
     (("compare", "even", "nminus:1", "--prefix-len", "1000", "--format", "text"), 0,
      'f <=eo g: True; g <=eo f: True; equivalent: True\n'),
     (("compare", "inline", "1 3 2", "inline", "1 2 3", "--format", "text"), 0,
@@ -446,6 +452,16 @@ README_GOLDEN = [
      '4 6 8\n'
      '1 4 6 8\n'
      '1 2 4 6 8\n'),
+    (("pattern", "halt:collatz", "--prefix-len", "40", "--budget", "2000"), 0,
+     '{"values": [1, 2, 4, 3, 5, 8, 6, 10, 16, 12, 13, 7, 11, 20, 9, 21, 17, 14, 15, 24, 26, '
+     '22, 32, 18, 23, 19, 28, 29, 34, 25, 30, 35, 40, 42, 36, 37, 33, 38, 48, 44], "pattern": '
+     '[1, 2, 4, 3, 5, 8, 6, 10, 16, 12, 13, 7, 11, 20, 9, 21, 17, 14, 15, 24, 26, 22, 30, 18, '
+     '23, 19, 27, 28, 32, 25, 29, 33, 37, 38, 34, 35, 31, 36, 40, 39]}\n'),
+    (("pattern", "halt:rm", "--prefix-len", "40", "--budget", "2000"), 0,
+     '{"values": [1, 2, 4, 5, 7, 8, 10, 11, 13, 14, 16, 17, 18, 20, 21, 23, 24, 25, 26, 27, '
+     '28, 29, 30, 32, 33, 34, 36, 37, 39, 40, 42, 41, 43, 45, 44, 46, 48, 49, 50, 52], '
+     '"pattern": [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, '
+     '22, 23, 24, 25, 26, 27, 28, 29, 30, 32, 31, 33, 35, 34, 36, 37, 38, 39, 40]}\n'),
 ]
 
 
@@ -535,6 +551,11 @@ def test_bad_input_exits_2(capsys, tmp_path, monkeypatch, argv):
         (DECIDE, "[]\n[]\nm=1\n", "empty pairing"),
         (DECIDE, "5 3\n3 4\nm=5\n", "extra element 5 is not below min of g's values"),
         (("stabilize", "--chain", "in.txt"), "2 1\n1 2 3\n", "prefix lengths differ: 2 != 3"),
+        # an error in one line names it by its place in the file, blank lines included
+        (("pattern", "file:in.txt"), "\n\n3 1 3\n", "line 3: duplicate value in prefix: 3"),
+        (("stabilize", "--chain", "in.txt"), "3 1 2\n\n1_0 2\n",
+         "line 3: token 1 is not a natural: '1_0'"),
+        (DECIDE, "1 4 2 6\n2 6 4 x\nm=1\n", "line 2: token 4 is not a natural: 'x'"),
     ],
 )
 def test_file_input_refusals(capsys, tmp_path, monkeypatch, argv, text, message):
@@ -681,7 +702,8 @@ class TestInputLimits:
         (tmp_path / "long.txt").write_text(line + "\n")
         done = run_limited(tmp_path, "pattern", "file:long.txt")
         self.assert_refused(done.returncode, done.stdout, done.stderr)
-        refusal = f"error: line length {MAX_LINE_CHARS + 1} exceeds the limit {MAX_LINE_CHARS}"
+        refusal = (f"error: line 1: line length {MAX_LINE_CHARS + 1} "
+                   f"exceeds the limit {MAX_LINE_CHARS}")
         assert refusal in done.stderr
 
     def test_family_with_a_long_tail(self, capsys, tmp_path):
@@ -699,7 +721,19 @@ class TestInputLimits:
         (tmp_path / "bad.txt").write_text(" ".join(map(str, range(1, 200_000))) + " x\n")
         code, out, err = run(capsys, "pattern", f"file:{tmp_path / 'bad.txt'}")
         self.assert_refused(code, out, err)
-        assert err == "error: token 200000 is not a natural: 'x'\n"
+        assert err == "error: line 1: token 200000 is not a natural: 'x'\n"
+
+    def test_lemma8_past_the_cap(self, tmp_path):
+        n = str(extraction.MAX_INVERSE_POSITIONS + 1)
+        done = run_limited(tmp_path, "lemma8", "even", "even", "--prefix-len", n, "--budget", n)
+        self.assert_refused(done.returncode, done.stdout, done.stderr)
+        assert f"prefix length {n} exceeds the limit 65536" in done.stderr
+
+    @pytest.mark.slow
+    def test_lemma8_at_the_cap(self, capsys):
+        n = str(extraction.MAX_INVERSE_POSITIONS)
+        code, lines = run_json(capsys, "lemma8", "even", "even", "--prefix-len", n, "--budget", n)
+        assert code == 0 and lines[0]["all_hold"] and len(lines[0]["clause2"]) == int(n) - 1
 
     def test_longest_line_accepted(self, capsys, tmp_path):
         # a line of MAX_LINE_CHARS characters with its newline is read whole

@@ -1,11 +1,8 @@
 import functools
 import math
 import random
-import runpy
-import sys
 import time
 from bisect import bisect_right
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +12,7 @@ from enumorder import enumerators
 from enumorder.enumerators import (
     MAX_BUDGET,
     MODELS,
-    dovetail_halting,
+    Dovetail,
     parse_spec,
     take_prefix,
 )
@@ -66,7 +63,7 @@ class TestParseSpec:
     def test_halt_dispatch(self):
         for name, steps in MODELS.items():
             got = take_prefix(parse_spec(f"halt:{name}"), 100, 400).values
-            assert got == take_prefix(dovetail_halting(steps), 100, 400).values
+            assert got == take_prefix(Dovetail(steps), 100, 400).values
             # one shared dovetail per model
             assert parse_spec(f"halt:{name}") is parse_spec(f"halt:{name}")
 
@@ -143,7 +140,7 @@ def cold_schedule(monkeypatch):
     process finds it, so that a drain simulates its codes again; the shared
     ones are put back afterwards."""
     for name, steps in MODELS.items():
-        monkeypatch.setitem(enumerators._HALTING, name, dovetail_halting(steps))
+        monkeypatch.setitem(enumerators._HALTING, name, Dovetail(steps))
 
 
 @pytest.fixture
@@ -227,7 +224,7 @@ class TestCollatzHaltStepTable:
 
 class TestDovetail:
     def test_collatz_prefix(self):
-        got = take_prefix(dovetail_halting(collatz_steps), 5, 12)
+        got = take_prefix(Dovetail(collatz_steps), 5, 12)
         assert got.values == (1, 2, 4, 3, 5)
 
     def test_matches_schedule_oracle(self):
@@ -236,10 +233,10 @@ class TestDovetail:
             assert list(got.values) == dovetail_order_oracle(collatz_halt_step, budget)
 
     def test_zero_budget(self):
-        assert take_prefix(dovetail_halting(collatz_steps), 5, 0).values == ()
+        assert take_prefix(Dovetail(collatz_steps), 5, 0).values == ()
 
     def test_uniform_halting_preserves_code_order(self):
-        got = take_prefix(dovetail_halting(instant_steps), 8, 8)
+        got = take_prefix(Dovetail(instant_steps), 8, 8)
         assert got.values == (1, 2, 3, 4, 5, 6, 7, 8)
         assert inversions(got) == frozenset()
 
@@ -249,27 +246,6 @@ class TestDovetail:
         assert inversions(got)
         asc = make_prefix(sorted(got.values))
         assert not equiv_eo(got, asc)
-
-
-DEMO = Path(__file__).resolve().parents[1] / "scripts" / "halting_order_demo.py"
-
-# the demo's stdout at its defaults, --budget 2000 --len 40
-DEMO_OUT = """\
-model collatz:
-  emitted  1 2 4 3 5 8 6 10 16 12 13 7 11 20 9 21 17 14 15 24 26 22 32 18 23 19 28 29 34 25 30 35 40 42 36 37 33 38 48 44
-  inversions: 68
-  order-equivalent to ascending: False
-model rm:
-  emitted  1 2 4 5 7 8 10 11 13 14 16 17 18 20 21 23 24 25 26 27 28 29 30 32 33 34 36 37 39 40 42 41 43 45 44 46 48 49 50 52
-  inversions: 2
-  order-equivalent to ascending: False
-"""
-
-
-def test_halting_order_demo_golden(capsys, monkeypatch):
-    monkeypatch.setattr(sys, "argv", [str(DEMO)])
-    runpy.run_path(str(DEMO), run_name="__main__")
-    assert capsys.readouterr().out == DEMO_OUT
 
 
 class TestRegisterMachineModel:
@@ -347,7 +323,7 @@ class TestLazyDovetailMatchesEager:
         for budget in range(301):
             want = eager_dovetail(model, budget)
             for n in {0, 1, 5, 64, budget, budget + 5}:
-                got = take_prefix(dovetail_halting(model), n, budget).values
+                got = take_prefix(Dovetail(model), n, budget).values
                 assert list(got) == want[:n], (budget, n)
 
     @BY_MODEL
@@ -359,7 +335,7 @@ class TestLazyDovetailMatchesEager:
                 limit = min(budget, rounds)
                 want = eager_dovetail(model, limit)
                 for n in (1, 5, 64, budget + 5):
-                    got = take_prefix(dovetail_halting(model), n, limit)
+                    got = take_prefix(Dovetail(model), n, limit)
                     assert list(got.values) == want[:n], (budget, rounds, n)
 
     @settings(deadline=None)
@@ -370,7 +346,7 @@ class TestLazyDovetailMatchesEager:
     )
     def test_large_budgets(self, model, budget, data):
         n = data.draw(st.integers(0, budget + 5), label="n")
-        got = take_prefix(dovetail_halting(model), n, budget).values
+        got = take_prefix(Dovetail(model), n, budget).values
         assert list(got) == eager_dovetail(model, budget)[:n]
 
 
@@ -387,14 +363,14 @@ class TestEpochOrder:
         halts = [rng.choice((None, 1, 2, 3, 4)) for _ in range(200)]
         model = _model_from_halt_times(lambda code: halts[code - 1])
         want = dovetail_order_oracle(lambda code: halts[code - 1] or budget + 1, budget)
-        got = take_prefix(dovetail_halting(model), n, budget).values
+        got = take_prefix(Dovetail(model), n, budget).values
         assert list(got) == want[:n], n
 
     def test_every_code_halting_in_the_last_round_of_its_epoch(self):
         # with n = 3 the epochs end at rounds 3, 6, 12, 24 and 25; code c halts
         # in round c, so each epoch's last code is emitted in its last round
         for n in (3, 25, 30):
-            got = take_prefix(dovetail_halting(instant_steps), n, 25).values
+            got = take_prefix(Dovetail(instant_steps), n, 25).values
             assert got == tuple(range(1, min(n, 25) + 1)), n
 
 
@@ -565,7 +541,7 @@ class TestSharedSchedule:
                        min_size=1, max_size=10),
     )
     def test_call_sequences_match_schedule_oracle(self, model, shared, calls):
-        e = parse_spec(f"halt:{model}") if shared else dovetail_halting(MODELS[model])
+        e = parse_spec(f"halt:{model}") if shared else Dovetail(MODELS[model])
         self.assert_calls(e, model, calls)
 
     @pytest.mark.parametrize("model", sorted(MODELS))
@@ -573,7 +549,7 @@ class TestSharedSchedule:
         # a prefix settles 400 rounds in two epochs, to 250 and 400; the calls
         # after it ask for none, one, some and more values than rounds <=
         # budget emit, at budgets 0 to 400, and then one round past it
-        e = dovetail_halting(MODELS[model])
+        e = Dovetail(MODELS[model])
         calls = [(250, 400), (0, 400), (5, 0), (1000, 1), (1000, 150), (20, 399),
                  (1000, 400), (1000, 401)]
         self.assert_calls(e, model, calls)
@@ -586,7 +562,7 @@ class TestSharedSchedule:
             queried.append(code)
             return collatz_steps(code, cap)
 
-        e = dovetail_halting(counting_steps)
+        e = Dovetail(counting_steps)
         take_prefix(e, 200, 200)
         assert queried == list(range(1, 201))  # a drain is one epoch
         for n, budget in [(200, 200), (5, 50), (0, 0), (1000, 199), (3, 10**9)]:

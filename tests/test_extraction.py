@@ -18,6 +18,7 @@ from enumorder.errors import (
 )
 from enumorder.extraction import (
     MAX_FAMILY_N,
+    MAX_INVERSE_POSITIONS,
     Membership,
     PairedListings,
     check_inverse_positions,
@@ -69,6 +70,15 @@ class TestInversePositions:
     def test_precondition_enforced(self):
         with pytest.raises(PreconditionViolated):
             check_inverse_positions(make_prefix([2, 1]), make_prefix([1, 2]))
+
+    def test_refuses_more_than_the_cap_before_comparing(self, monkeypatch):
+        def refuse(f, g):
+            raise AssertionError("leq_eo ran")
+
+        monkeypatch.setattr(extraction, "leq_eo", refuse)
+        p = make_prefix(range(1, MAX_INVERSE_POSITIONS + 2))
+        with pytest.raises(TooLarge, match="prefix length 65537 exceeds the limit 65536"):
+            check_inverse_positions(p, p)
 
     @pytest.mark.parametrize("n", range(5))
     def test_all_clauses_hold_exhaustively(self, n):

@@ -15,11 +15,11 @@ import enumorder
 
 # the public names
 PUBLIC = [
-    "Chain", "Enumerator", "InversePositionReport", "Membership", "MembershipReport",
-    "PairedListings", "Pattern", "PrefixListing", "PropertyReport", "ReducibilityVerdict",
-    "SetSample", "ascending_listing", "chain_stabilize", "check_inverse_positions",
-    "decide_membership", "descent_chain", "dovetail_halting", "equiv_eo", "family_below",
-    "inverse_lookup", "inversions", "leq_eo", "make_paired", "make_prefix",
+    "Chain", "Dovetail", "Enumerator", "InversePositionReport", "Membership",
+    "MembershipReport", "PairedListings", "Pattern", "PrefixListing", "PropertyReport",
+    "ReducibilityVerdict", "SetSample", "ascending_listing", "chain_stabilize",
+    "check_inverse_positions", "decide_membership", "descent_chain", "equiv_eo",
+    "family_below", "inverse_lookup", "inversions", "leq_eo", "make_paired", "make_prefix",
     "make_strict_chain", "parse_spec", "predecessor", "run_property", "standardize",
     "take_prefix", "transport",
 ]
