@@ -6,13 +6,7 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from .errors import (
-    ChainInvariantViolated,
-    LengthMismatch,
-    TooLarge,
-    ValueAbsent,
-    ValueSetMismatch,
-)
+from .errors import EnumOrderError, LengthMismatch, TooLarge, ValueAbsent
 from .prefixes import FrozenSlots, PrefixListing, leq_eo
 
 # make_strict_chain's output has n(n-1)/2 + 1 listings of n values, which
@@ -46,9 +40,12 @@ class Chain(FrozenSlots):
             if len(a) != len(b):
                 raise LengthMismatch(len(a), len(b))
             if not first.issuperset(b.values):
-                raise ValueSetMismatch(f"value set changes at step {k + 1}")
+                raise EnumOrderError(f"value set changes at step {k + 1}")
             if not leq_eo(b, a).holds:
-                raise ChainInvariantViolated(k + 1)
+                raise EnumOrderError(
+                    f"chain not descending at step {k + 1}: "
+                    f"listing {k + 2} is not reducible to listing {k + 1}"
+                )
 
 
 def inverse_lookup(p: PrefixListing, v: int) -> int:
@@ -80,7 +77,7 @@ def transport(h: PrefixListing, h_prime: PrefixListing, g_prime: PrefixListing) 
     try:
         return PrefixListing(tuple([gv[pos[v] - 1] for v in h.values]))
     except KeyError:
-        raise ValueSetMismatch("h and h_prime enumerate different values") from None
+        raise EnumOrderError("h and h_prime enumerate different values") from None
 
 
 def chain_stabilize(c: Chain) -> Optional[Tuple[int, int]]:
@@ -110,7 +107,7 @@ def make_strict_chain(n: int) -> Chain:
     TooLarge, since the output grows as n cubed.
     """
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise EnumOrderError("n must be >= 1")
     if n > MAX_CHAIN_N:
         raise TooLarge("listing length", n, MAX_CHAIN_N)
     current = list(range(n, 0, -1))

@@ -83,7 +83,7 @@ def _parse_values(text: str) -> List[int]:
         except ValueError as exc:
             raise EnumOrderError(f"bad JSON array: {exc}")
         # type() rather than isinstance(): JSON true/false are bools, a subclass of int
-        if not isinstance(data, list) or not all(type(v) is int for v in data):
+        if not all(type(v) is int for v in data):
             raise EnumOrderError("JSON input must be a flat array of integers")
         return data
     return parse_naturals(text.split())
@@ -375,7 +375,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if len(prefixes) != command.sources:
             raise EnumOrderError(f"{args.command} takes {command.sources} prefix source(s)")
         for obj, text, row_code in command.run(args, *prefixes):
-            print(json.dumps(obj, separators=(", ", ": ")) if args.format == "json" else text())
+            print(json.dumps(obj) if args.format == "json" else text())
             code = max(code, row_code)
     except EnumOrderError as exc:
         print(f"error: {exc}", file=sys.stderr)

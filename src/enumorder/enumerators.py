@@ -26,7 +26,7 @@ from array import array
 from bisect import bisect_right
 from typing import Callable, Iterable, List, Optional, Tuple
 
-from .errors import SpecParseError, TooLarge
+from .errors import EnumOrderError, SpecParseError, TooLarge
 from .prefixes import PrefixListing, parse_naturals
 
 # a drain at this size from a cold start, in process, takes 0.69-0.86 s with
@@ -130,7 +130,7 @@ def take_prefix(e: Enumerator, n: int, budget: int) -> PrefixListing:
     any budget.
     """
     if n < 0 or budget < 0:
-        raise ValueError("n and budget must be >= 0")
+        raise EnumOrderError("n and budget must be >= 0")
     if min(n, budget) > MAX_BUDGET:
         raise TooLarge("min(n, budget)", min(n, budget), MAX_BUDGET)
     return PrefixListing(tuple(e(budget, n)))

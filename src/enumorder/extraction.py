@@ -12,16 +12,7 @@ import enum
 from typing import List, NamedTuple, Tuple
 
 from .algebra import inverse_lookup
-from .errors import (
-    BadBound,
-    BadExtra,
-    BadPattern,
-    InsufficientPrefix,
-    InvalidPairing,
-    PreconditionViolated,
-    TooLarge,
-    ValueAbsent,
-)
+from .errors import EnumOrderError, TooLarge, ValueAbsent
 from .prefixes import FrozenSlots, Pattern, PrefixListing, SetSample, leq_eo
 
 # family_below's output has n + 1 sets of up to n plus |A above n| elements
@@ -76,7 +67,7 @@ def check_inverse_positions(f: PrefixListing, g: PrefixListing) -> InversePositi
         raise TooLarge("prefix length", len(f), MAX_INVERSE_POSITIONS)
     verdict = leq_eo(f, g)
     if not verdict.holds:
-        raise PreconditionViolated(f"f is not reducible to g (fails at {verdict.fail_at})")
+        raise EnumOrderError(f"f is not reducible to g (fails at {verdict.fail_at})")
     a, f_at = sorted(f.values), f.positions
     b, g_at = sorted(g.values), g.positions
     fpos = [f_at[v] for v in a]
@@ -97,7 +88,7 @@ class PairedListings(FrozenSlots):
     Rank alignment is the load-bearing invariant: the rank of f(i) within
     the ascending view of A ∪ {m} equals the rank of g(i) within the
     ascending view of A.  It makes f(g^-1(a)) the element one rank below a.
-    Construction raises InvalidPairing without it.  Equal ranks at every
+    Construction raises EnumOrderError without it.  Equal ranks at every
     position give f and g one pattern, so every accepted pair is
     order-equivalent.
     """
@@ -109,24 +100,24 @@ class PairedListings(FrozenSlots):
 
     def __init__(self, f: PrefixListing, g: PrefixListing, m: int):
         if len(f) != len(g):
-            raise InvalidPairing(f"lengths differ: {len(f)} != {len(g)}")
+            raise EnumOrderError(f"lengths differ: {len(f)} != {len(g)}")
         if len(f) == 0:
-            raise InvalidPairing("empty pairing")
+            raise EnumOrderError("empty pairing")
         if m in g.positions:
-            raise InvalidPairing(f"extra element {m} occurs in g")
+            raise EnumOrderError(f"extra element {m} occurs in g")
         if m >= min(g.values):
-            raise InvalidPairing(f"extra element {m} is not below min of g's values")
+            raise EnumOrderError(f"extra element {m} is not below min of g's values")
         if f.values[0] != m:
-            raise InvalidPairing(f"f(1) = {f.values[0]}, expected the extra element {m}")
+            raise EnumOrderError(f"f(1) = {f.values[0]}, expected the extra element {m}")
         # m ranks first in A ∪ {m}, so each value of A ranks one higher there than in A
         b_rank = {y: r + 1 for y, r in zip(g.values, g.ranks)}
         b_rank[m] = 1
         for i, (x, y, a_rank) in enumerate(zip(f.values, g.values, g.ranks), 1):
             rank = b_rank.get(x)
             if rank is None:
-                raise InvalidPairing(f"f enumerates {x}, outside g's values plus {m}")
+                raise EnumOrderError(f"f enumerates {x}, outside g's values plus {m}")
             if rank != a_rank:
-                raise InvalidPairing(
+                raise EnumOrderError(
                     f"rank misalignment at position {i}: "
                     f"rank of f({i})={x} is {rank}, "
                     f"rank of g({i})={y} is {a_rank}"
@@ -146,15 +137,15 @@ def make_paired(a_sample: SetSample, m: int, pattern: Pattern) -> PairedListings
     a_asc = sorted(a_sample.elements)
     ranks = pattern.ranks
     if not a_asc:
-        raise BadPattern("sample is empty")
+        raise EnumOrderError("sample is empty")
     if m in a_sample.elements:
-        raise BadExtra(f"extra element {m} already in sample")
+        raise EnumOrderError(f"extra element {m} already in sample")
     if m >= a_asc[0]:
-        raise BadExtra(f"extra element {m} must be below min(A) = {a_asc[0]}")
+        raise EnumOrderError(f"extra element {m} must be below min(A) = {a_asc[0]}")
     if len(ranks) != len(a_asc):
-        raise BadPattern(f"pattern length {len(ranks)} != sample size {len(a_asc)}")
+        raise EnumOrderError(f"pattern length {len(ranks)} != sample size {len(a_asc)}")
     if ranks[0] != 1:
-        raise BadPattern(f"pattern must start with rank 1, got {ranks[0]}")
+        raise EnumOrderError(f"pattern must start with rank 1, got {ranks[0]}")
     b_asc = [m, *a_asc]
     f = tuple([b_asc[r - 1] for r in ranks])
     g = tuple([a_asc[r - 1] for r in ranks])
@@ -174,7 +165,7 @@ def descent_chain(p: PairedListings, a: int) -> List[int]:
     """All elements of A below a, produced by iterated predecessor, descending.
 
     Stops when m appears (m itself is excluded).  A required lookup falling
-    outside the prefix raises InsufficientPrefix.
+    outside the prefix raises EnumOrderError.
     """
     out: List[int] = []
     current = a
@@ -182,7 +173,7 @@ def descent_chain(p: PairedListings, a: int) -> List[int]:
         try:
             current = predecessor(p, current)
         except ValueAbsent as exc:
-            raise InsufficientPrefix(exc.value) from None
+            raise EnumOrderError(f"prefix too short to resolve value {exc.value}") from None
         if current == p.m:
             return out
         out.append(current)
@@ -211,7 +202,7 @@ def decide_membership(p: PairedListings, x: int) -> MembershipReport:
     of g, which x is not.
     """
     if x < 1:
-        raise ValueError("x must be >= 1")
+        raise EnumOrderError("x must be >= 1")
     if x in p.g.positions:
         return MembershipReport(x, Membership.IN_A, ())
     above = [v for v in p.g.values if v > x]
@@ -231,7 +222,7 @@ def family_below(a_sample: SetSample, n: int) -> List[SetSample]:
     if n > MAX_FAMILY_N:
         raise TooLarge("family n", n, MAX_FAMILY_N)
     if a_sample.bound < n:
-        raise BadBound(a_sample.bound, n)
+        raise EnumOrderError(f"sample bound {a_sample.bound} is below n={n}")
     tail = frozenset(e for e in a_sample.elements if e > n)
     size = (n + 1) * (n + len(tail))
     if size > MAX_FAMILY_SIZE:

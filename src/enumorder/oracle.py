@@ -39,7 +39,7 @@ import random
 import time
 from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
-from .errors import TooLarge, UnknownProperty
+from .errors import EnumOrderError, TooLarge
 from .prefixes import PrefixListing, SetSample, ascending_listing, equiv_eo, leq_eo
 
 
@@ -279,7 +279,7 @@ REGISTRY: Dict[str, Tuple[int, Callable]] = {
 def run_property(property_id: str, n: int) -> PropertyReport:
     """Exhaustively check one registered property at size n."""
     if property_id not in REGISTRY:
-        raise UnknownProperty(property_id)
+        raise EnumOrderError(f"unknown property: {property_id}")
     max_n, checker = REGISTRY[property_id]
     if not 0 <= n <= max_n:
         raise TooLarge("permutation size", n, max_n)

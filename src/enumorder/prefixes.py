@@ -11,8 +11,7 @@ from __future__ import annotations
 import functools
 from typing import Iterable, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
-from .errors import DuplicateValue, EnumOrderError, LengthMismatch, TooLarge
-from .errors import ValueSetMismatch, ZeroValue
+from .errors import DuplicateValue, EnumOrderError, LengthMismatch, TooLarge, ZeroValue
 
 PositionPair = Tuple[int, int]
 
@@ -156,7 +155,7 @@ class Pattern(FrozenSlots):
         # n values that include each of 1..n are a permutation of it: O(n),
         # where a sort was O(n log n)
         if not set(ranks).issuperset(range(1, n + 1)):
-            raise ValueError(f"ranks {ranks} are not a permutation of 1..{n}")
+            raise EnumOrderError(f"ranks {ranks} are not a permutation of 1..{n}")
         object.__setattr__(self, "ranks", ranks)
 
 
@@ -197,7 +196,7 @@ class SetSample(FrozenSlots):
 
     def __init__(self, elements: frozenset, bound: int):
         if any(e > bound for e in elements):
-            raise ValueSetMismatch(f"element above declared bound {bound}")
+            raise EnumOrderError(f"element above declared bound {bound}")
         if any(e < 1 for e in elements):
             raise ZeroValue()
         object.__setattr__(self, "elements", elements)

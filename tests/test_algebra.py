@@ -9,12 +9,7 @@ from enumorder.algebra import (
     make_strict_chain,
     transport,
 )
-from enumorder.errors import (
-    ChainInvariantViolated,
-    LengthMismatch,
-    ValueAbsent,
-    ValueSetMismatch,
-)
+from enumorder.errors import EnumOrderError, LengthMismatch, ValueAbsent
 from enumorder.prefixes import PrefixListing, inversions, make_prefix, standardize
 
 
@@ -57,7 +52,7 @@ class TestTransport:
         assert transport(h, asc, asc) == h
 
     def test_value_set_mismatch(self):
-        with pytest.raises(ValueSetMismatch):
+        with pytest.raises(EnumOrderError, match="^h and h_prime enumerate different values$"):
             transport(make_prefix([1, 2]), make_prefix([1, 3]), make_prefix([4, 5]))
 
     @pytest.mark.parametrize(
@@ -65,9 +60,8 @@ class TestTransport:
     )
     def test_value_set_mismatch_at_either_end(self, h_prime):
         # h = 2 3 5 7; h_prime swaps out its first value, then its last
-        with pytest.raises(ValueSetMismatch) as exc:
+        with pytest.raises(EnumOrderError, match="^h and h_prime enumerate different values$"):
             transport(make_prefix([2, 3, 5, 7]), make_prefix(h_prime), make_prefix([1, 2, 3, 4]))
-        assert str(exc.value) == "h and h_prime enumerate different values"
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
@@ -102,13 +96,13 @@ class TestChainStabilize:
 
     def test_invariant_violated(self):
         chain = Chain((make_prefix([1, 2]), make_prefix([2, 1])))
-        with pytest.raises(ChainInvariantViolated) as exc:
+        message = "^chain not descending at step 1: listing 2 is not reducible to listing 1$"
+        with pytest.raises(EnumOrderError, match=message):
             chain_stabilize(chain)
-        assert exc.value.index == 1
 
     def test_value_set_pinned(self):
         chain = Chain((make_prefix([1, 2]), make_prefix([3, 4])))
-        with pytest.raises(ValueSetMismatch):
+        with pytest.raises(EnumOrderError, match="^value set changes at step 1$"):
             chain_stabilize(chain)
 
     def test_value_set_change_names_its_step(self):
@@ -117,9 +111,8 @@ class TestChainStabilize:
             (make_prefix([3, 2, 1]), make_prefix([3, 1, 2]), make_prefix([1, 2, 3]),
              make_prefix([1, 2, 4]))
         )
-        with pytest.raises(ValueSetMismatch) as exc:
+        with pytest.raises(EnumOrderError, match="^value set changes at step 3$"):
             chain.validate()
-        assert str(exc.value) == "value set changes at step 3"
 
     def test_tie_breaking_prefers_early_j(self):
         a, b = make_prefix([2, 1, 3]), make_prefix([1, 2, 3])

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import enumorder
 from enumorder import cli, extraction, oracle
 from enumorder.cli import COMMANDS, MAX_LINE_CHARS, PROPERTY_IDS, build_parser, main
-from enumorder.errors import PreconditionViolated
+from enumorder.errors import EnumOrderError
 from enumorder.prefixes import ReducibilityVerdict, leq_eo
 
 
@@ -74,7 +74,7 @@ class TestCompare:
 
 
 def _refuse_clauses(f, g):
-    raise PreconditionViolated("planted")
+    raise EnumOrderError("planted")
 
 
 def _leq_eo_missing_top(f, g):
@@ -532,6 +532,8 @@ DECIDE = ("decide", "--paired", "in.txt", "--x", "2")
         ("enumerate", "nminus:" + "9" * 5000),
         ("enumerate", "asc:1," + "9" * 5000),
         ("compare", "nminus:" + "9" * 5000, "even"),
+        ("pattern", "inline", "[1,]"),
+        ("compare", "inline"),
     ],
 )
 def test_bad_input_exits_2(capsys, tmp_path, monkeypatch, argv):

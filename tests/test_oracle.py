@@ -4,7 +4,7 @@ import pytest
 
 from enumorder import algebra, extraction, oracle
 from enumorder.algebra import inverse_lookup
-from enumorder.errors import TooLarge, UnknownProperty
+from enumorder.errors import EnumOrderError, TooLarge
 from enumorder.extraction import check_inverse_positions
 from enumorder.oracle import REGISTRY, run_properties, run_property
 from enumorder.prefixes import PrefixListing, ReducibilityVerdict, inversions, leq_eo
@@ -22,7 +22,7 @@ def owner(target):
 
 class TestRunProperty:
     def test_unknown(self):
-        with pytest.raises(UnknownProperty):
+        with pytest.raises(EnumOrderError, match="^unknown property: bogus$"):
             run_property("bogus", 3)
 
     def test_over_cap(self):

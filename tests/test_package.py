@@ -1,10 +1,11 @@
 """The package loads lazily: ``import enumorder`` runs no submodule, each
 public name is imported on first access, and a cold CLI call loads only the
-modules its command runs."""
+modules its command runs.  Every refusal is an EnumOrderError."""
 
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -118,3 +119,25 @@ def test_unknown_name_raises_attribute_error():
     assert not hasattr(enumorder, "nope")
     with pytest.raises(ImportError):
         from enumorder import nope  # noqa: F401
+
+
+# refusals from four modules that the CLI's one `except EnumOrderError` handler
+# must see, each with its own message
+@pytest.mark.parametrize(
+    "refuse, message",
+    [
+        (lambda: enumorder.Pattern((1, 3)), "ranks (1, 3) are not a permutation of 1..2"),
+        (lambda: enumorder.take_prefix(enumorder.parse_spec("even"), -1, 5),
+         "n and budget must be >= 0"),
+        (lambda: enumorder.make_strict_chain(0), "n must be >= 1"),
+        (lambda: enumorder.decide_membership(enumorder.make_paired(
+            enumorder.SetSample(frozenset({2}), 2), 1, enumorder.Pattern((1,))), 0),
+         "x must be >= 1"),
+    ],
+    ids=["Pattern", "take_prefix", "make_strict_chain", "decide_membership"],
+)
+def test_every_refusal_is_an_enum_order_error(refuse, message):
+    from enumorder.errors import EnumOrderError
+
+    with pytest.raises(EnumOrderError, match=f"^{re.escape(message)}$"):
+        refuse()

@@ -3,11 +3,12 @@ dataclass-style repr, immutability and the construction checks."""
 
 import copy
 import pickle
+import re
 
 import pytest
 
 from enumorder.algebra import Chain
-from enumorder.errors import DuplicateValue, InvalidPairing, ValueSetMismatch, ZeroValue
+from enumorder.errors import DuplicateValue, EnumOrderError, ZeroValue
 from enumorder.extraction import (
     Clause1,
     Clause2Entry,
@@ -172,16 +173,24 @@ def test_equal_fields_of_another_class_are_not_equal():
 
 
 @pytest.mark.parametrize(
-    "build, error",
+    "build, error, message",
     [
-        (lambda: PrefixListing((0, 1)), ZeroValue),
-        (lambda: PrefixListing((1, 2, 1)), DuplicateValue),
-        (lambda: Pattern((1, 3)), ValueError),
-        (lambda: Pattern((1, 1)), ValueError),
-        (lambda: SetSample(frozenset({2, 7}), 5), ValueSetMismatch),
-        (lambda: SetSample(frozenset({0, 2}), 5), ZeroValue),
-        (lambda: _paired(m=2), InvalidPairing),
-        (lambda: PairedListings(make_prefix([1, 4]), make_prefix([2, 4]), 1), InvalidPairing),
+        (lambda: PrefixListing((0, 1)), ZeroValue, "prefix values must be >= 1"),
+        (lambda: PrefixListing((1, 2, 1)), DuplicateValue, "duplicate value in prefix: 1"),
+        (lambda: Pattern((1, 3)), ValueError, "ranks (1, 3) are not a permutation of 1..2"),
+        (lambda: Pattern((1, 1)), ValueError, "ranks (1, 1) are not a permutation of 1..2"),
+        (
+            lambda: SetSample(frozenset({2, 7}), 5),
+            EnumOrderError,
+            "element above declared bound 5",
+        ),
+        (lambda: SetSample(frozenset({0, 2}), 5), ZeroValue, "prefix values must be >= 1"),
+        (lambda: _paired(m=2), EnumOrderError, "extra element 2 occurs in g"),
+        (
+            lambda: PairedListings(make_prefix([1, 4]), make_prefix([2, 4]), 1),
+            EnumOrderError,
+            "rank misalignment at position 2: rank of f(2)=4 is 3, rank of g(2)=4 is 2",
+        ),
     ],
     ids=[
         "PrefixListing-zero",
@@ -194,8 +203,8 @@ def test_equal_fields_of_another_class_are_not_equal():
         "PairedListings-misaligned",
     ],
 )
-def test_construction_checks(build, error):
-    with pytest.raises(error):
+def test_construction_checks(build, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
         build()
 
 
