@@ -87,8 +87,11 @@ class PairedListings(FrozenSlots):
 
     Rank alignment is the load-bearing invariant: the rank of f(i) within
     the ascending view of A ∪ {m} equals the rank of g(i) within the
-    ascending view of A.  It makes f(g^-1(a)) the element one rank below a.
-    Construction raises EnumOrderError without it.  Equal ranks at every
+    ascending view of A.  It makes f(g^-1(a)) the element one rank below a,
+    and construction tests it as one comparison: f's values equal, position
+    by position, the element of [m, *sorted(A)] one rank below g's.  Only a
+    pair that fails it is walked position by position, to raise
+    EnumOrderError at its first misaligned position.  Equal ranks at every
     position give f and g one pattern, so every accepted pair is
     order-equivalent.
     """
@@ -109,19 +112,22 @@ class PairedListings(FrozenSlots):
             raise EnumOrderError(f"extra element {m} is not below min of g's values")
         if f.values[0] != m:
             raise EnumOrderError(f"f(1) = {f.values[0]}, expected the extra element {m}")
-        # m ranks first in A ∪ {m}, so each value of A ranks one higher there than in A
-        b_rank = {y: r + 1 for y, r in zip(g.values, g.ranks)}
-        b_rank[m] = 1
-        for i, (x, y, a_rank) in enumerate(zip(f.values, g.values, g.ranks), 1):
-            rank = b_rank.get(x)
-            if rank is None:
-                raise EnumOrderError(f"f enumerates {x}, outside g's values plus {m}")
-            if rank != a_rank:
-                raise EnumOrderError(
-                    f"rank misalignment at position {i}: "
-                    f"rank of f({i})={x} is {rank}, "
-                    f"rank of g({i})={y} is {a_rank}"
-                )
+        a_asc = sorted(g.values)
+        below = dict(zip(a_asc, [m, *a_asc]))
+        if tuple(map(below.__getitem__, g.values)) != f.values:
+            # m ranks first in A ∪ {m}, so each value of A ranks one higher there than in A
+            b_rank = {y: r + 1 for y, r in zip(g.values, g.ranks)}
+            b_rank[m] = 1
+            for i, (x, y, a_rank) in enumerate(zip(f.values, g.values, g.ranks), 1):
+                rank = b_rank.get(x)
+                if rank is None:
+                    raise EnumOrderError(f"f enumerates {x}, outside g's values plus {m}")
+                if rank != a_rank:
+                    raise EnumOrderError(
+                        f"rank misalignment at position {i}: "
+                        f"rank of f({i})={x} is {rank}, "
+                        f"rank of g({i})={y} is {a_rank}"
+                    )
         object.__setattr__(self, "f", f)
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "m", m)
@@ -205,10 +211,10 @@ def decide_membership(p: PairedListings, x: int) -> MembershipReport:
         raise EnumOrderError("x must be >= 1")
     if x in p.g.positions:
         return MembershipReport(x, Membership.IN_A, ())
-    above = [v for v in p.g.values if v > x]
-    if not above:
+    a = min(filter(x.__lt__, p.g.values), default=None)
+    if a is None:
         return MembershipReport(x, Membership.INSUFFICIENT, ())
-    return MembershipReport(x, Membership.NOT_IN_A, tuple(descent_chain(p, min(above))))
+    return MembershipReport(x, Membership.NOT_IN_A, tuple(descent_chain(p, a)))
 
 
 def family_below(a_sample: SetSample, n: int) -> List[SetSample]:

@@ -9,6 +9,8 @@ to g when every inversion of f is also an inversion of g.
 from __future__ import annotations
 
 import functools
+from itertools import islice
+from operator import gt
 from typing import Iterable, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import DuplicateValue, EnumOrderError, LengthMismatch, TooLarge, ZeroValue
@@ -70,8 +72,9 @@ class PrefixListing(FrozenSlots):
 
     Construction rejects a value below 1 with ZeroValue and a repeated
     value with DuplicateValue (naming its first repeat).  The derived
-    indexes `ranks`, `positions` and `inversion_mask` are built on first
-    read and cached in the instance `__dict__`, outside `_fields`.
+    indexes `ranks`, `positions`, `inversion_mask` and `descent_mask` are
+    built on first read and cached in the instance `__dict__`, outside
+    `_fields`.
     """
 
     __slots__ = ("values", "__dict__")
@@ -143,6 +146,13 @@ class PrefixListing(FrozenSlots):
             seen |= 1 << i
         return mask
 
+    @functools.cached_property
+    def descent_mask(self) -> int:
+        """Bit 8i set for each 0-based descent values[i] > values[i + 1]:
+        one byte per adjacent pair, built in C."""
+        v = self.values
+        return int.from_bytes(bytes(map(gt, v, islice(v, 1, None))), "little")
+
 
 class Pattern(FrozenSlots):
     """The rank sequence of a prefix: a permutation of {1..n}."""
@@ -195,9 +205,9 @@ class SetSample(FrozenSlots):
     bound: int
 
     def __init__(self, elements: frozenset, bound: int):
-        if any(e > bound for e in elements):
+        if elements and max(elements) > bound:
             raise EnumOrderError(f"element above declared bound {bound}")
-        if any(e < 1 for e in elements):
+        if elements and min(elements) < 1:
             raise ZeroValue()
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "bound", bound)
@@ -259,13 +269,17 @@ def leq_eo(f: PrefixListing, g: PrefixListing) -> ReducibilityVerdict:
     Returns the lexicographically least violating (i, j) on failure.  Up to
     LEQ_EO_SMALL_N positions the inversions missing from g are one AND-NOT
     of the cached `inversion_mask`s, and the lowest missing bit is the least
-    witness; above it, a Fenwick scan in O(n log n) time and O(n) space
-    finds the same witness.
+    witness.  Above it, equal patterns hold at once, in O(n) on cached
+    ranks; any other pair takes a Fenwick scan in O(n log n) time and O(n)
+    space, which finds the same witness and scans only the rows left of
+    the first adjacent failure.
     """
     n, m = len(f.values), len(g.values)
     if n != m:
         raise LengthMismatch(n, m)
     if n > LEQ_EO_SMALL_N:
+        if f.ranks == g.ranks:
+            return _HOLDS
         fail_at = _fenwick_fail_at(f, g)
         return _HOLDS if fail_at is None else ReducibilityVerdict(fail_at=fail_at)
     missing = f.inversion_mask & ~g.inversion_mask
@@ -280,21 +294,35 @@ def _fenwick_fail_at(f: PrefixListing, g: PrefixListing) -> Optional[PositionPai
     Position i fails when some j > i has f(j) < f(i) and g(j) > g(i).  The
     tree is indexed by f-rank and holds the largest g-rank inserted at or
     below each f-rank (0 when none); positions are inserted right to left,
-    so a query before inserting i sees exactly the j > i.  The least failing
-    i is the last one flagged, and a linear scan from it finds the least j.
+    so a query before inserting i sees exactly the j > i.  The first
+    adjacent failure, the lowest byte of f's `descent_mask` AND-NOT g's,
+    fails and bounds the answer: the rows from it on are loaded at once,
+    the max-tree is built over them bottom-up in O(n), and only the rows
+    left of it are queried.  The least failing i is the last one flagged,
+    and a linear scan from it finds the least j.
     """
     fr, gr = f.ranks, g.ranks
     n = len(fr)
     tree = [0] * (n + 1)
     least = None
-    for i in range(n - 1, -1, -1):
+    bound = n
+    adjacent = f.descent_mask & ~g.descent_mask
+    if adjacent:
+        least = bound = (adjacent & -adjacent).bit_length() - 1 >> 3
+        for k in range(bound, n):
+            tree[fr[k]] = gr[k]
+        for r in range(1, n + 1):
+            up = r + (r & -r)
+            if up <= n and tree[up] < tree[r]:
+                tree[up] = tree[r]
+    for i in range(bound - 1, -1, -1):
         b = gr[i]
-        r, best = fr[i] - 1, 0
-        while r:
-            if tree[r] > best:
-                best = tree[r]
+        # stop at the first node above b; the tree holds other positions'
+        # g-ranks, never b itself
+        r = fr[i] - 1
+        while r and tree[r] < b:
             r &= r - 1
-        if best > b:
+        if r:
             least = i
         # each node on the update path covers its predecessor's range, so
         # once one already holds b or more, all later ones do

@@ -83,6 +83,33 @@ class TestInversePositions:
             assert check_inverse_positions(f, g).all_hold
 
 
+def rank_loop_refusal(f, g, m):
+    """The message PairedListings refused (f, g, m) with when it walked
+    every position of the pair, or None where it accepted."""
+    if len(f) != len(g):
+        return f"lengths differ: {len(f)} != {len(g)}"
+    if len(f) == 0:
+        return "empty pairing"
+    if m in g.values:
+        return f"extra element {m} occurs in g"
+    if m >= min(g.values):
+        return f"extra element {m} is not below min of g's values"
+    if f.values[0] != m:
+        return f"f(1) = {f.values[0]}, expected the extra element {m}"
+    b_rank = {y: r + 1 for y, r in zip(g.values, g.ranks)}
+    b_rank[m] = 1
+    for i, (x, y, a_rank) in enumerate(zip(f.values, g.values, g.ranks), 1):
+        rank = b_rank.get(x)
+        if rank is None:
+            return f"f enumerates {x}, outside g's values plus {m}"
+        if rank != a_rank:
+            return (
+                f"rank misalignment at position {i}: "
+                f"rank of f({i})={x} is {rank}, rank of g({i})={y} is {a_rank}"
+            )
+    return None
+
+
 class TestMakePaired:
     def test_rank_aligned_construction(self, paired):
         assert paired.f.values == (1, 4, 2, 6)
@@ -136,6 +163,34 @@ class TestMakePaired:
         with pytest.raises(EnumOrderError, match=r"^f\(1\) = 2, expected the extra element 1$"):
             PairedListings(make_prefix([2, 1]), make_prefix([2, 4]), 1)
 
+    @pytest.mark.parametrize("n", range(6))
+    def test_alignment_refuses_as_the_rank_loop_did(self, n):
+        # the aligned pair over A = {2, 4, .., 2n + 2} and m = 1 whose g lists
+        # min(A) and then each pattern of n, and f with each position replaced
+        # by each other value up to 2n + 3: accepted, or refused with the
+        # first message of the rank loop that the one comparison replaced
+        a_asc = list(range(2, 2 * n + 3, 2))
+        b_asc = [1, *a_asc]
+        for tail in itertools.permutations(range(2, n + 2)):
+            ranks = (1, *tail)
+            g = make_prefix([a_asc[r - 1] for r in ranks])
+            f0 = [b_asc[r - 1] for r in ranks]
+            candidates = [f0] + [
+                f0[:i] + [v] + f0[i + 1:]
+                for i in range(n + 1)
+                for v in range(1, 2 * n + 4)
+                if v not in f0
+            ]
+            for fv in candidates:
+                f = make_prefix(fv)
+                expected = rank_loop_refusal(f, g, 1)
+                try:
+                    PairedListings(f, g, 1)
+                except EnumOrderError as exc:
+                    assert str(exc) == expected
+                else:
+                    assert expected is None
+
     def test_all_opening_patterns_produce_valid_pairs(self):
         sample = SetSample(frozenset({2, 4, 6, 8, 10}), 12)
         for tail in itertools.permutations(range(2, 6)):
@@ -166,7 +221,7 @@ def candidate_pairs(draw):
 
 @given(candidate_pairs())
 def test_accepted_pairs_are_order_equivalent(pair):
-    # PairedListings leaves order-equivalence to its rank loop, which implies it
+    # PairedListings leaves order-equivalence to its alignment test, which implies it
     f, g, m, aligned = pair
     try:
         PairedListings(f, g, m)

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from enumorder import prefixes
 from enumorder.algebra import (
     Chain,
     chain_stabilize,
@@ -92,16 +93,25 @@ def listing_pairs(draw, max_n=MAX_N):
 
     Either independent, or a copy of the first with one planted value swap
     (so the only possible witness can sit anywhere, deep in the listing
-    included), or an exact copy.
+    included), or an exact copy.  A "bounded" copy swaps two adjacent
+    positions, an adjacent failure that bounds the Fenwick scan, and also
+    swaps the value at a position left of them with its neighbour value, so
+    the least witness can lie left of the bound with a distant j.
     """
     n = draw(st.integers(min_value=0, max_value=max_n))
     rng = random.Random(draw(seeds))
     f = tuple(rng.sample(range(1, n + 1), n))
-    kind = draw(st.sampled_from(["independent", "planted", "copy"]))
+    kind = draw(st.sampled_from(["independent", "planted", "bounded", "copy"]))
     if kind == "independent":
         g = tuple(rng.sample(range(1, n + 1), n))
     elif kind == "planted" and n >= 2:
         g = plant_value_swap(f, draw(st.integers(min_value=1, max_value=n - 1)))
+    elif kind == "bounded" and n >= 3:
+        p = draw(st.integers(min_value=1, max_value=n - 2))
+        g = list(f)
+        g[p], g[p + 1] = g[p + 1], g[p]
+        k = g[draw(st.integers(min_value=0, max_value=p - 1))]
+        g = plant_value_swap(g, min(k, n - 1))
     else:
         g = f
     scale = draw(st.integers(min_value=1, max_value=3))
@@ -109,7 +119,7 @@ def listing_pairs(draw, max_n=MAX_N):
 
 
 class TestFenwickKernel:
-    @pytest.mark.parametrize("n", range(6))
+    @pytest.mark.parametrize("n", [*range(6), pytest.param(6, marks=pytest.mark.slow)])
     def test_exhaustive_on_permutations(self, n):
         perms = [PrefixListing(p) for p in itertools.permutations(range(1, n + 1))]
         for f, g in itertools.product(perms, repeat=2):
@@ -167,6 +177,25 @@ class TestLeqEoFastPath:
         swapped = asc[:-2] + (n, n - 1)
         assert leq_eo(PrefixListing(swapped), PrefixListing(asc)).fail_at == (n - 1, n)
         assert leq_eo(PrefixListing(asc), PrefixListing(swapped)).holds
+
+    @pytest.mark.parametrize("n", [LEQ_EO_SMALL_N + 1, 4096])
+    def test_equal_patterns_skip_the_scan(self, n, monkeypatch):
+        calls = []
+
+        def counting(f, g):
+            calls.append(n)
+            return _fenwick_fail_at(f, g)
+
+        monkeypatch.setattr(prefixes, "_fenwick_fail_at", counting)
+        fv = tuple(random.Random(n).sample(range(1, n + 1), n))
+        f, g = PrefixListing(fv), PrefixListing(tuple(3 * v + 7 for v in fv))
+        assert leq_eo(f, g).holds and leq_eo(g, f).holds and leq_eo(f, f).holds
+        assert calls == []
+        # any other pattern is scanned
+        swapped = PrefixListing(plant_value_swap(fv, 1))
+        leq_eo(f, swapped)
+        leq_eo(swapped, f)
+        assert calls == [n, n]
 
 
 class TestEquivEoFastPath:

@@ -185,6 +185,13 @@ def test_equal_fields_of_another_class_are_not_equal():
             "element above declared bound 5",
         ),
         (lambda: SetSample(frozenset({0, 2}), 5), ZeroValue, "prefix values must be >= 1"),
+        # the bound is checked before the zero
+        (
+            lambda: SetSample(frozenset({0, 7}), 5),
+            EnumOrderError,
+            "element above declared bound 5",
+        ),
+        (lambda: SetSample(frozenset(), 0), None, None),
         (lambda: _paired(m=2), EnumOrderError, "extra element 2 occurs in g"),
         (
             lambda: PairedListings(make_prefix([1, 4]), make_prefix([2, 4]), 1),
@@ -199,11 +206,16 @@ def test_equal_fields_of_another_class_are_not_equal():
         "Pattern-repeat",
         "SetSample-above-bound",
         "SetSample-zero",
+        "SetSample-zero-and-above-bound",
+        "SetSample-empty",
         "PairedListings-extra-in-g",
         "PairedListings-misaligned",
     ],
 )
 def test_construction_checks(build, error, message):
+    if error is None:  # a row that construction accepts
+        build()
+        return
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         build()
 
