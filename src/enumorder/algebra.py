@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from .errors import EnumOrderError, LengthMismatch, TooLarge, ValueAbsent
+from .errors import EnumOrderError, LengthMismatch, TooLarge
 from .prefixes import FrozenSlots, PrefixListing, leq_eo
 
 # make_strict_chain's output has n(n-1)/2 + 1 listings of n values, which
@@ -57,7 +57,7 @@ def inverse_lookup(p: PrefixListing, v: int) -> int:
     try:
         return p.positions[v]
     except KeyError:
-        raise ValueAbsent(v) from None
+        raise EnumOrderError(f"value not enumerated in prefix: {v}") from None
 
 
 def transport(h: PrefixListing, h_prime: PrefixListing, g_prime: PrefixListing) -> PrefixListing:
@@ -101,10 +101,13 @@ def chain_stabilize(c: Chain) -> Optional[Tuple[int, int]]:
 def make_strict_chain(n: int) -> Chain:
     """A maximal strictly descending chain over {1..n}.
 
-    Starts at the full reversal and removes exactly one inversion per step by
-    swapping an adjacent value pair that occurs out of order, ending at the
-    ascending listing after n(n-1)/2 steps.  Refuses n > MAX_CHAIN_N with
-    TooLarge, since the output grows as n cubed.
+    Starts at the full reversal and removes exactly one inversion per step,
+    ending at the ascending listing after n(n-1)/2 steps: the reduced word
+    s1·s2s1·…·s(n-1)…s1 of the longest permutation, acting on values.  In
+    round j = 1..n-1 the value at 0-based position p = n-j-1 trades places
+    with positions p+j, p+j-1, .., p+1 in turn; each swap exchanges values
+    k+1 and k, for k = j down to 1.  Refuses n > MAX_CHAIN_N with TooLarge,
+    since the output grows as n cubed.
     """
     if n < 1:
         raise EnumOrderError("n must be >= 1")
@@ -112,14 +115,8 @@ def make_strict_chain(n: int) -> Chain:
         raise TooLarge("listing length", n, MAX_CHAIN_N)
     current = list(range(n, 0, -1))
     out = [PrefixListing(tuple(current))]
-    pos = {v: i for i, v in enumerate(current)}
-    while True:
-        # smallest adjacent value pair (k, k+1) enumerated in the wrong order
-        k = next((k for k in range(1, n) if pos[k + 1] < pos[k]), None)
-        if k is None:
-            break
-        i, j = pos[k + 1], pos[k]
-        current[i], current[j] = current[j], current[i]
-        pos[k], pos[k + 1] = i, j
-        out.append(PrefixListing(tuple(current)))
+    for p in range(n - 2, -1, -1):
+        for q in range(n - 1, p, -1):
+            current[p], current[q] = current[q], current[p]
+            out.append(PrefixListing(tuple(current)))
     return Chain(tuple(out))

@@ -233,9 +233,19 @@ def _transport(args, h, h_prime, g_prime) -> Iterator[Row]:
 
 def _stabilize(args) -> Iterator[Row]:
     """Find the least repeat in a chain file."""
-    from .algebra import Chain, chain_stabilize
+    from .algebra import MAX_CHAIN_N, Chain, chain_stabilize
 
-    chain = Chain(tuple(_nonblank_lines(args.chain, _parse_prefix)))
+    # no more than chain-make writes: n(n-1)/2 + 1 listings of n values at its largest n
+    max_listings = MAX_CHAIN_N * (MAX_CHAIN_N - 1) // 2 + 1
+    listings, values = [], 0
+    for p in _nonblank_lines(args.chain, _parse_prefix):
+        listings.append(p)
+        values += len(p)
+        if len(listings) > max_listings:
+            raise TooLarge("chain listings", len(listings), max_listings)
+        if values > max_listings * MAX_CHAIN_N:
+            raise TooLarge("chain values", values, max_listings * MAX_CHAIN_N)
+    chain = Chain(tuple(listings))
     repeat = chain_stabilize(chain)
     obj = {"length": len(chain), "repeat": list(repeat) if repeat else None}
     yield obj, lambda: f"repeat at {repeat}" if repeat else "no repeat in chain", EXIT_OK

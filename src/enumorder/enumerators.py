@@ -246,11 +246,6 @@ MODELS = {"collatz": _collatz_steps, "rm": _register_machine_steps}
 _HALTING = {name: Dovetail(steps) for name, steps in MODELS.items()}
 
 
-def _positives(parts: List[str], position: int, expected: str) -> List[int]:
-    """Each part as an integer >= 1, or SpecParseError at position."""
-    return parse_naturals(parts, SpecParseError(position, expected), 1)
-
-
 def parse_spec(text: str) -> Enumerator:
     """Parse an enumerator spec string per the grammar above.
 
@@ -261,11 +256,12 @@ def parse_spec(text: str) -> Enumerator:
     if text == "even":
         return lambda budget, n: (2 * i for i in range(1, min(n, budget) + 1))
     if text.startswith("nminus:"):
-        (k,) = _positives([text[len("nminus:"):]], len("nminus:"), "a natural number")
+        error = SpecParseError(len("nminus:"), "a natural number")
+        (k,) = parse_naturals([text[len("nminus:"):]], error, 1)
         return lambda budget, n: (i if i < k else i + 1 for i in range(1, min(n, budget) + 1))
     if text.startswith("asc:"):
-        parts = text[len("asc:"):].split(",")
-        values = tuple(sorted(_positives(parts, len("asc:"), "comma-separated naturals")))
+        error = SpecParseError(len("asc:"), "comma-separated naturals")
+        values = tuple(sorted(parse_naturals(text[len("asc:"):].split(","), error, 1)))
         if len(set(values)) != len(values):
             raise SpecParseError(len("asc:"), "distinct values")
         return lambda budget, n: values[:min(n, budget)]

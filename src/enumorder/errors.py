@@ -1,11 +1,11 @@
 """Exception types shared across the package.
 
 Every refusal raises EnumOrderError, a ValueError, whose message names the
-offending datum.  A subclass is kept only when some code catches it or reads
-its data (ValueAbsent), the README names it (DuplicateValue, ZeroValue), or
-it formats one message for several raise sites (LengthMismatch,
-SpecParseError, TooLarge).  The only attribute is `value`, on DuplicateValue
-and ValueAbsent.
+offending datum; with its five subclasses there are six classes.  A subclass
+is kept only when some code catches it or reads its data, the README names
+it (DuplicateValue, ZeroValue), or it formats one message for several raise
+sites (LengthMismatch, SpecParseError, TooLarge).  The only attribute is
+`value`, on DuplicateValue.
 """
 
 
@@ -27,12 +27,6 @@ class ZeroValue(EnumOrderError):
 class LengthMismatch(EnumOrderError):
     def __init__(self, left: int, right: int):
         super().__init__(f"prefix lengths differ: {left} != {right}")
-
-
-class ValueAbsent(EnumOrderError):
-    def __init__(self, value: int):
-        self.value = value
-        super().__init__(f"value not enumerated in prefix: {value}")
 
 
 class SpecParseError(EnumOrderError):

@@ -12,7 +12,7 @@ import enum
 from typing import List, NamedTuple, Tuple
 
 from .algebra import inverse_lookup
-from .errors import EnumOrderError, TooLarge, ValueAbsent
+from .errors import EnumOrderError, TooLarge
 from .prefixes import FrozenSlots, Pattern, PrefixListing, SetSample, leq_eo
 
 # family_below's output has n + 1 sets of up to n plus |A above n| elements
@@ -89,11 +89,11 @@ class PairedListings(FrozenSlots):
     the ascending view of A ∪ {m} equals the rank of g(i) within the
     ascending view of A.  It makes f(g^-1(a)) the element one rank below a,
     and construction tests it as one comparison: f's values equal, position
-    by position, the element of [m, *sorted(A)] one rank below g's.  Only a
-    pair that fails it is walked position by position, to raise
-    EnumOrderError at its first misaligned position.  Equal ranks at every
-    position give f and g one pattern, so every accepted pair is
-    order-equivalent.
+    by position, the element of [m, *sorted(A)] one rank below g's.  A pair
+    that fails it raises EnumOrderError naming the first position where f
+    differs from that image, with both ranks there read from g's ranks and
+    positions.  Equal ranks at every position give f and g one pattern, so
+    every accepted pair is order-equivalent.
     """
 
     __slots__ = _fields = ("f", "g", "m")
@@ -114,20 +114,19 @@ class PairedListings(FrozenSlots):
             raise EnumOrderError(f"f(1) = {f.values[0]}, expected the extra element {m}")
         a_asc = sorted(g.values)
         below = dict(zip(a_asc, [m, *a_asc]))
-        if tuple(map(below.__getitem__, g.values)) != f.values:
+        image = tuple(map(below.__getitem__, g.values))
+        if image != f.values:
+            i = next(i for i, (x, b) in enumerate(zip(f.values, image), 1) if x != b)
+            x, y = f(i), g(i)
+            at = g.positions.get(x)
+            if at is None and x != m:
+                raise EnumOrderError(f"f enumerates {x}, outside g's values plus {m}")
             # m ranks first in A ∪ {m}, so each value of A ranks one higher there than in A
-            b_rank = {y: r + 1 for y, r in zip(g.values, g.ranks)}
-            b_rank[m] = 1
-            for i, (x, y, a_rank) in enumerate(zip(f.values, g.values, g.ranks), 1):
-                rank = b_rank.get(x)
-                if rank is None:
-                    raise EnumOrderError(f"f enumerates {x}, outside g's values plus {m}")
-                if rank != a_rank:
-                    raise EnumOrderError(
-                        f"rank misalignment at position {i}: "
-                        f"rank of f({i})={x} is {rank}, "
-                        f"rank of g({i})={y} is {a_rank}"
-                    )
+            rank = g.ranks[at - 1] + 1 if at else 1
+            raise EnumOrderError(
+                f"rank misalignment at position {i}: "
+                f"rank of f({i})={x} is {rank}, rank of g({i})={y} is {g.ranks[i - 1]}"
+            )
         object.__setattr__(self, "f", f)
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "m", m)
@@ -170,19 +169,19 @@ def predecessor(p: PairedListings, a: int) -> int:
 def descent_chain(p: PairedListings, a: int) -> List[int]:
     """All elements of A below a, produced by iterated predecessor, descending.
 
-    Stops when m appears (m itself is excluded).  A required lookup falling
-    outside the prefix raises EnumOrderError.
+    Stops when m appears (m itself is excluded).  An a not enumerated by g
+    raises EnumOrderError.  Past that check no lookup can fail: on a
+    validated pair every predecessor of a value of g is in g or is m (see
+    decide_membership).
     """
+    if a not in p.g.positions:
+        raise EnumOrderError(f"prefix too short to resolve value {a}")
     out: List[int] = []
-    current = a
-    while True:
-        try:
-            current = predecessor(p, current)
-        except ValueAbsent as exc:
-            raise EnumOrderError(f"prefix too short to resolve value {exc.value}") from None
-        if current == p.m:
-            return out
+    current = predecessor(p, a)
+    while current != p.m:
         out.append(current)
+        current = predecessor(p, current)
+    return out
 
 
 class Membership(enum.Enum):

@@ -1,6 +1,9 @@
+import hashlib
 import itertools
 
 import pytest
+
+from enumorder import cli
 
 from enumorder.algebra import (
     Chain,
@@ -9,7 +12,7 @@ from enumorder.algebra import (
     make_strict_chain,
     transport,
 )
-from enumorder.errors import EnumOrderError, LengthMismatch, ValueAbsent
+from enumorder.errors import EnumOrderError, LengthMismatch
 from enumorder.prefixes import PrefixListing, inversions, make_prefix, standardize
 
 
@@ -28,9 +31,8 @@ class TestInverseLookup:
         assert inverse_lookup(make_prefix([6, 2, 4]), 6) == 1
 
     def test_absent(self):
-        with pytest.raises(ValueAbsent) as exc:
+        with pytest.raises(EnumOrderError, match="^value not enumerated in prefix: 5$"):
             inverse_lookup(make_prefix([6, 2, 4]), 5)
-        assert exc.value.value == 5
 
 
 class TestTransport:
@@ -120,6 +122,23 @@ class TestChainStabilize:
         assert chain_stabilize(chain) == (1, 2)
 
 
+def search_chain(n):
+    """The chain as make_strict_chain once built it: from the reversal, swap
+    the smallest adjacent value pair (k, k+1) enumerated out of order, found
+    by a search over k at each step, until none is left."""
+    current = list(range(n, 0, -1))
+    out = [tuple(current)]
+    pos = {v: i for i, v in enumerate(current)}
+    while True:
+        k = next((k for k in range(1, n) if pos[k + 1] < pos[k]), None)
+        if k is None:
+            return out
+        i, j = pos[k + 1], pos[k]
+        current[i], current[j] = current[j], current[i]
+        pos[k], pos[k + 1] = i, j
+        out.append(tuple(current))
+
+
 class TestMakeStrictChain:
     def test_single(self):
         assert [p.values for p in make_strict_chain(1).listings] == [(1,)]
@@ -139,3 +158,13 @@ class TestMakeStrictChain:
             assert ib < ia and len(ia) - len(ib) == 1
         assert chain_stabilize(chain) is None
 
+    @pytest.mark.parametrize("n", range(1, 25))
+    def test_closed_form_matches_search(self, n):
+        assert [p.values for p in make_strict_chain(n).listings] == search_chain(n)
+
+    @pytest.mark.slow
+    def test_closed_form_matches_search_at_the_cap(self, capsys):
+        assert [p.values for p in make_strict_chain(256).listings] == search_chain(256)
+        assert cli.main(["chain-make", "--n", "256"]) == 0
+        out = capsys.readouterr().out.encode()
+        assert hashlib.md5(out).hexdigest() == "62c74463cb124838b9518ba6391e49d0"

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import enumorder
-from enumorder import cli, extraction, oracle
+from enumorder import algebra, cli, extraction, oracle
 from enumorder.cli import COMMANDS, MAX_LINE_CHARS, PROPERTY_IDS, build_parser, main
 from enumorder.errors import EnumOrderError
 from enumorder.prefixes import ReducibilityVerdict, leq_eo
@@ -736,6 +736,33 @@ class TestInputLimits:
         n = str(extraction.MAX_INVERSE_POSITIONS)
         code, lines = run_json(capsys, "lemma8", "even", "even", "--prefix-len", n, "--budget", n)
         assert code == 0 and lines[0]["all_hold"] and len(lines[0]["clause2"]) == int(n) - 1
+
+    def test_chain_past_the_listing_cap(self, capsys, tmp_path):
+        # chain-make writes at most 256·255/2 + 1 = 32,641 listings
+        (tmp_path / "ones.txt").write_text("1\n" * 32_642)
+        code, out, err = run(capsys, "stabilize", "--chain", str(tmp_path / "ones.txt"))
+        self.assert_refused(code, out, err)
+        assert err == "error: chain listings 32642 exceeds the limit 32641\n"
+
+    def test_chain_past_the_value_cap(self, capsys, tmp_path, monkeypatch):
+        # at MAX_CHAIN_N = 4 the caps are 7 listings and 7·4 = 28 values
+        monkeypatch.setattr(algebra, "MAX_CHAIN_N", 4)
+        path = tmp_path / "wide.txt"
+        path.write_text((" ".join(map(str, range(1, 15))) + "\n") * 2)
+        code, lines = run_json(capsys, "stabilize", "--chain", str(path))
+        assert code == 0 and lines == [{"length": 2, "repeat": [1, 2]}]
+        path.write_text((" ".join(map(str, range(1, 16))) + "\n") * 2)
+        code, out, err = run(capsys, "stabilize", "--chain", str(path))
+        self.assert_refused(code, out, err)
+        assert err == "error: chain values 30 exceeds the limit 28\n"
+
+    @pytest.mark.slow
+    def test_longest_chain_accepted(self, tmp_path):
+        # the text output of chain-make at its cap is the largest chain file
+        done = run_limited(tmp_path, "chain-make", "--n", "256", "--format", "text")
+        (tmp_path / "chain.txt").write_text(done.stdout)
+        done = run_limited(tmp_path, "stabilize", "--chain", "chain.txt")
+        assert (done.returncode, done.stdout) == (0, '{"length": 32641, "repeat": null}\n')
 
     def test_longest_line_accepted(self, capsys, tmp_path):
         # a line of MAX_LINE_CHARS characters with its newline is read whole

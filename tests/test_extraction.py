@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from enumorder import extraction
-from enumorder.errors import EnumOrderError, TooLarge, ValueAbsent, ZeroValue
+from enumorder.errors import EnumOrderError, TooLarge, ZeroValue
 from enumorder.extraction import (
     MAX_FAMILY_N,
     MAX_INVERSE_POSITIONS,
@@ -221,12 +221,14 @@ def candidate_pairs(draw):
 
 @given(candidate_pairs())
 def test_accepted_pairs_are_order_equivalent(pair):
-    # PairedListings leaves order-equivalence to its alignment test, which implies it
+    # PairedListings leaves order-equivalence to its alignment test, which
+    # implies it, and words a refusal as the walk over every position did
     f, g, m, aligned = pair
     try:
         PairedListings(f, g, m)
-    except EnumOrderError:
+    except EnumOrderError as exc:
         assert not aligned
+        assert str(exc) == rank_loop_refusal(f, g, m)
         return
     assert equiv_eo(f, g)
 
@@ -242,7 +244,7 @@ class TestPredecessor:
         assert predecessor(paired, 4) == 2
 
     def test_absent(self, paired):
-        with pytest.raises(ValueAbsent):
+        with pytest.raises(EnumOrderError, match="^value not enumerated in prefix: 5$"):
             predecessor(paired, 5)
 
     @pytest.mark.parametrize("size", range(1, 7))
