@@ -83,19 +83,15 @@ def transport(h: PrefixListing, h_prime: PrefixListing, g_prime: PrefixListing) 
 def chain_stabilize(c: Chain) -> Optional[Tuple[int, int]]:
     """Least (i, j), i < j, with identical listings at both indices.
 
-    "Least" is lexicographic on (j, i): the earliest step at which the chain
-    revisits a listing, paired with the first earlier occurrence.  Returns
-    None when the finite chain never repeats.  After validation, one pass
-    over the L listings with a map from each listing to its first index:
-    O(L) hashes.
+    "Least" is lexicographic on (j, i); None when the chain never repeats.
+    A validated chain has one value set, where <=eo is antisymmetric: equal
+    inversion sets mean equal listings (the paper's non-antisymmetry needs
+    two value sets).  So a listing at i and j sits at every index between,
+    and the least repeat is the first pair of equal neighbours, (k, k + 1).
     """
     c.validate()
-    first = {}
-    for j, listing in enumerate(c.listings, start=1):
-        i = first.setdefault(listing, j)
-        if i != j:
-            return (i, j)
-    return None
+    ls = c.listings
+    return next(((k, k + 1) for k in range(1, len(ls)) if ls[k - 1] == ls[k]), None)
 
 
 def make_strict_chain(n: int) -> Chain:

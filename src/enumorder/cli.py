@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import os
 import stat
@@ -151,10 +152,10 @@ def load_paired_file(path: str) -> PairedListings:
     """Two prefix lines then ``m=<nat>``; an error in the m line quotes it."""
     from .extraction import PairedListings
 
-    lines = list(_nonblank_lines(
+    # the m line stays text; a fourth non-blank line is read only to refuse the shape
+    lines = list(itertools.islice(_nonblank_lines(
         path, lambda line: line if line.startswith("m=") else _parse_prefix(line)
-    ))
-    # two prefixes, then the m line as text
+    ), 4))
     if [isinstance(line, str) for line in lines] != [False, False, True]:
         raise EnumOrderError("paired file needs two prefix lines then 'm=<nat>'")
     f, g, m_line = lines
@@ -237,14 +238,13 @@ def _stabilize(args) -> Iterator[Row]:
 
     # no more than chain-make writes: n(n-1)/2 + 1 listings of n values at its largest n
     max_listings = MAX_CHAIN_N * (MAX_CHAIN_N - 1) // 2 + 1
-    listings, values = [], 0
+    listings = []
     for p in _nonblank_lines(args.chain, _parse_prefix):
+        if len(p) > MAX_CHAIN_N:
+            raise TooLarge("chain listing length", len(p), MAX_CHAIN_N)
         listings.append(p)
-        values += len(p)
         if len(listings) > max_listings:
             raise TooLarge("chain listings", len(listings), max_listings)
-        if values > max_listings * MAX_CHAIN_N:
-            raise TooLarge("chain values", values, max_listings * MAX_CHAIN_N)
     chain = Chain(tuple(listings))
     repeat = chain_stabilize(chain)
     obj = {"length": len(chain), "repeat": list(repeat) if repeat else None}

@@ -24,10 +24,10 @@ Nothing is kept between calls, so each call sees the current targets.
 The `lemma-2-8`, `transport` and `stabilization` checkers import
 `extraction` or `algebra` as they run; no other check loads them.
 
-`run_properties` runs a list of jobs, on a second CPU in a forked child
-when there is one.  The child is a copy of the calling process, so it runs
-the same checkers on the same targets, patched ones included; it exits
-when the call's jobs are done, and nothing is kept between calls.
+`run_properties` runs a list of jobs in three phases: run them, on a second
+CPU too in a forked child when there is one; collect the child's reports and
+reap it; yield in job order.  The child is a copy of the calling process, so
+it runs the same checkers on the same targets, patched ones included.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ import itertools
 import marshal
 import os
 import random
+import signal
 import time
 from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
@@ -294,17 +295,16 @@ def run_property(property_id: str, n: int) -> PropertyReport:
 def run_properties(jobs: Iterable[Tuple[str, int]]) -> Iterator[PropertyReport]:
     """`run_property` over each (property_id, n) job, yielded in job order.
 
-    With 2 to 256 jobs, `os.fork` and a second CPU, a forked child claims
-    jobs from the same pipe as this process, one index byte each, and sends
-    its reports back; otherwise this process claims every job.  A job the
-    child did not report (it raised, or the child died) runs again here at
-    its turn, so it raises here as it would in a serial run.  Since it may
-    fork, call it while no other thread runs.
+    Run: this process runs each job it claims through `_claimed`; with 2 to
+    256 jobs, `os.fork` and a second CPU, a forked child runs the same loop
+    on the same pipe of claims (one index byte each) and sends back its
+    reports.  Collect: read them until the child exits, then kill and reap
+    it, all before the first yield.  Yield: a job with no report runs again
+    here at its turn, and a stored exception raises at its turn, as in a
+    serial run.  Since it may fork, call it while no other thread runs.
     """
     jobs = list(jobs)
-    reports: Dict[int, object] = {}
     claims: Iterator[int] = iter(range(len(jobs)))
-    received: Iterator[Tuple[int, PropertyReport]] = iter(())
     child = results = None
     cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
     if 2 <= len(jobs) <= 256 and len(cpus) >= 2 and hasattr(os, "fork"):
@@ -324,37 +324,41 @@ def run_properties(jobs: Iterable[Tuple[str, int]]) -> Iterator[PropertyReport]:
             try:
                 os.close(results_r)
                 os.sched_setaffinity(0, others)
-                _work(jobs, claims, results_w)
+                with os.fdopen(results_w, "wb") as out:
+                    for k, report in _claimed(jobs, claims):
+                        if isinstance(report, PropertyReport):
+                            marshal.dump((k, *report), out)
+                            out.flush()
             finally:
                 os._exit(0)
         os.close(results_w)
         results = os.fdopen(results_r, "rb")
-        received = _receive(results)
     try:
-        for i, job in enumerate(jobs):
-            while i not in reports:
-                k = next(claims, None)
-                if k is not None:
-                    try:
-                        reports[k] = run_property(*jobs[k])
-                    except Exception as exc:
-                        reports[k] = exc
-                else:
-                    k, report = next(received, (i, None))
-                    reports[k] = report or run_property(*job)
-            report = reports.pop(i)
-            if isinstance(report, Exception):
-                raise report
-            yield report
+        reports: Dict[int, object] = dict(_claimed(jobs, claims))
+        if results is not None:
+            reports.update(_receive(results))
     finally:
         if results is not None:
             os.close(claims_r)
             results.close()
         if child:
-            import signal
-
             os.kill(child, signal.SIGKILL)
             os.waitpid(child, 0)
+    for i, job in enumerate(jobs):
+        report = reports[i] if i in reports else run_property(*job)
+        if isinstance(report, Exception):
+            raise report
+        yield report
+
+
+def _claimed(jobs: List[Tuple[str, int]], claims: Iterator[int]) -> Iterator[Tuple[int, object]]:
+    """(k, report) for each job index k claimed, or (k, exc) if it raised."""
+    for k in claims:
+        try:
+            report = run_property(*jobs[k])
+        except Exception as exc:
+            report = exc
+        yield k, report
 
 
 def _current_cpu() -> int:
@@ -374,16 +378,3 @@ def _receive(results) -> Iterator[Tuple[int, PropertyReport]]:
         except (EOFError, ValueError, TypeError):  # a report cut short reads as garbled
             return
         yield k, PropertyReport(*fields)
-
-
-def _work(jobs: List[Tuple[str, int]], claims: Iterator[int], fd: int) -> None:
-    """The forked child's loop: run each job it claims and send the report
-    back, leaving a job that raises to the parent."""
-    with os.fdopen(fd, "wb") as out:
-        for k in claims:
-            try:
-                report = run_property(*jobs[k])
-            except Exception:
-                continue
-            marshal.dump((k, *report), out)
-            out.flush()

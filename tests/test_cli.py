@@ -558,6 +558,9 @@ def test_bad_input_exits_2(capsys, tmp_path, monkeypatch, argv):
         (("stabilize", "--chain", "in.txt"), "3 1 2\n\n1_0 2\n",
          "line 3: token 1 is not a natural: '1_0'"),
         (DECIDE, "1 4 2 6\n2 6 4 x\nm=1\n", "line 2: token 4 is not a natural: 'x'"),
+        # a paired file is read no further than its fourth non-blank line
+        (DECIDE, "1 4 2 6\n2 6 4 8\nm=1\n1\n1_0\n",
+         "paired file needs two prefix lines then 'm=<nat>'"),
     ],
 )
 def test_file_input_refusals(capsys, tmp_path, monkeypatch, argv, text, message):
@@ -744,17 +747,17 @@ class TestInputLimits:
         self.assert_refused(code, out, err)
         assert err == "error: chain listings 32642 exceeds the limit 32641\n"
 
-    def test_chain_past_the_value_cap(self, capsys, tmp_path, monkeypatch):
-        # at MAX_CHAIN_N = 4 the caps are 7 listings and 7·4 = 28 values
+    def test_chain_past_the_listing_length_cap(self, capsys, tmp_path, monkeypatch):
+        # a listing longer than chain-make's largest n is refused as soon as it is read
         monkeypatch.setattr(algebra, "MAX_CHAIN_N", 4)
         path = tmp_path / "wide.txt"
-        path.write_text((" ".join(map(str, range(1, 15))) + "\n") * 2)
+        path.write_text("1 2 3 4\n")
         code, lines = run_json(capsys, "stabilize", "--chain", str(path))
-        assert code == 0 and lines == [{"length": 2, "repeat": [1, 2]}]
-        path.write_text((" ".join(map(str, range(1, 16))) + "\n") * 2)
+        assert code == 0 and lines == [{"length": 1, "repeat": None}]
+        path.write_text("1 2 3 4 5\n")
         code, out, err = run(capsys, "stabilize", "--chain", str(path))
         self.assert_refused(code, out, err)
-        assert err == "error: chain values 30 exceeds the limit 28\n"
+        assert err == "error: chain listing length 5 exceeds the limit 4\n"
 
     @pytest.mark.slow
     def test_longest_chain_accepted(self, tmp_path):

@@ -223,6 +223,14 @@ class TestRunProperties:
         assert next(reports).property_id == "reflexive"
         reports.close()
 
+    def test_child_reaped_before_the_first_report(self, cpus):
+        cpus(2)
+        reports = run_properties(_jobs())
+        assert next(reports).property_id == "reflexive"
+        # the generator is still open, and no child is left to wait for
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
     @pytest.mark.parametrize("count, jobs", [(1, _jobs(3)), (2, _jobs(3)[:1])])
     def test_no_fork_on_the_serial_path(self, cpus, monkeypatch, count, jobs):
         def fork():
