@@ -136,21 +136,15 @@ def make_paired(a_sample: SetSample, m: int, pattern: Pattern) -> PairedListings
     """Build the canonical rank-aligned pair from a pattern.
 
     f indexes the ascending view of A ∪ {m} by the pattern's ranks; g
-    indexes the ascending view of A by the same ranks.  The pattern must
-    open with rank 1 so that f starts at m.
+    indexes the ascending view of A by the same ranks.  It refuses only a
+    length other than |A|, as a short pattern builds a valid pair over part
+    of A.  PrefixListing refuses an m below 1 or repeated in f, and
+    PairedListings an empty A, an m not below min(A), or f(1) != m.
     """
     a_asc = sorted(a_sample.elements)
     ranks = pattern.ranks
-    if not a_asc:
-        raise EnumOrderError("sample is empty")
-    if m in a_sample.elements:
-        raise EnumOrderError(f"extra element {m} already in sample")
-    if m >= a_asc[0]:
-        raise EnumOrderError(f"extra element {m} must be below min(A) = {a_asc[0]}")
     if len(ranks) != len(a_asc):
         raise EnumOrderError(f"pattern length {len(ranks)} != sample size {len(a_asc)}")
-    if ranks[0] != 1:
-        raise EnumOrderError(f"pattern must start with rank 1, got {ranks[0]}")
     b_asc = [m, *a_asc]
     f = tuple([b_asc[r - 1] for r in ranks])
     g = tuple([a_asc[r - 1] for r in ranks])

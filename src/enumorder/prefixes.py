@@ -9,8 +9,8 @@ to g when every inversion of f is also an inversion of g.
 from __future__ import annotations
 
 import functools
-from itertools import islice
-from operator import gt
+from itertools import compress, count, islice
+from operator import and_, gt, lt
 from typing import Iterable, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import DuplicateValue, EnumOrderError, LengthMismatch, TooLarge, ZeroValue
@@ -71,10 +71,9 @@ class PrefixListing(FrozenSlots):
     """An initial segment of a listing: distinct naturals at positions 1..n.
 
     Construction rejects a value below 1 with ZeroValue and a repeated
-    value with DuplicateValue (naming its first repeat).  The derived
-    indexes `ranks`, `positions`, `inversion_mask` and `descent_mask` are
-    built on first read and cached in the instance `__dict__`, outside
-    `_fields`.
+    value with DuplicateValue (naming its first repeat).  The three derived
+    indexes `ranks`, `positions` and `inversion_mask` are built on first
+    read and cached in the instance `__dict__`, outside `_fields`.
     """
 
     __slots__ = ("values", "__dict__")
@@ -146,13 +145,6 @@ class PrefixListing(FrozenSlots):
             seen |= 1 << i
         return mask
 
-    @functools.cached_property
-    def descent_mask(self) -> int:
-        """Bit 8i set for each 0-based descent values[i] > values[i + 1]:
-        one byte per adjacent pair, built in C."""
-        v = self.values
-        return int.from_bytes(bytes(map(gt, v, islice(v, 1, None))), "little")
-
 
 class Pattern(FrozenSlots):
     """The rank sequence of a prefix: a permutation of {1..n}."""
@@ -162,8 +154,7 @@ class Pattern(FrozenSlots):
 
     def __init__(self, ranks: Tuple[int, ...]):
         n = len(ranks)
-        # n values that include each of 1..n are a permutation of it: O(n),
-        # where a sort was O(n log n)
+        # n values that include each of 1..n are a permutation of it
         if not set(ranks).issuperset(range(1, n + 1)):
             raise EnumOrderError(f"ranks {ranks} are not a permutation of 1..{n}")
         object.__setattr__(self, "ranks", ranks)
@@ -295,20 +286,20 @@ def _fenwick_fail_at(f: PrefixListing, g: PrefixListing) -> Optional[PositionPai
     tree is indexed by f-rank and holds the largest g-rank inserted at or
     below each f-rank (0 when none); positions are inserted right to left,
     so a query before inserting i sees exactly the j > i.  The first
-    adjacent failure, the lowest byte of f's `descent_mask` AND-NOT g's,
-    fails and bounds the answer: the rows from it on are loaded at once,
-    the max-tree is built over them bottom-up in O(n), and only the rows
-    left of it are queried.  The least failing i is the last one flagged,
-    and a linear scan from it finds the least j.
+    adjacent failure, where f descends and g ascends, fails and bounds the
+    answer; a lazy C-level scan of the values stops at it.  The rows from it
+    on are loaded at once, the max-tree is built over them bottom-up in
+    O(n), and only the rows left of it are queried.  The least failing i is
+    the last one flagged, and a linear scan from it finds the least j.
     """
-    fr, gr = f.ranks, g.ranks
+    fr, gr, fv, gv = f.ranks, g.ranks, f.values, g.values
     n = len(fr)
     tree = [0] * (n + 1)
     least = None
-    bound = n
-    adjacent = f.descent_mask & ~g.descent_mask
-    if adjacent:
-        least = bound = (adjacent & -adjacent).bit_length() - 1 >> 3
+    bound = next(compress(count(), map(and_, map(gt, fv, islice(fv, 1, None)),
+                                       map(lt, gv, islice(gv, 1, None)))), n)
+    if bound < n:
+        least = bound
         for k in range(bound, n):
             tree[fr[k]] = gr[k]
         for r in range(1, n + 1):
@@ -332,7 +323,6 @@ def _fenwick_fail_at(f: PrefixListing, g: PrefixListing) -> Optional[PositionPai
             r += r & -r
     if least is None:
         return None
-    fv, gv = f.values, g.values
     a, b = fv[least], gv[least]
     j = next(j for j in range(least + 1, n) if fv[j] < a and gv[j] > b)
     return (least + 1, j + 1)

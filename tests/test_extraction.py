@@ -121,11 +121,12 @@ class TestMakePaired:
             make_paired(SetSample(frozenset({2, 4, 6}), 6), 1, Pattern((1, 2, 3, 4)))
 
     def test_pattern_must_open_with_rank_one(self):
-        with pytest.raises(EnumOrderError, match="^pattern must start with rank 1, got 2$"):
+        with pytest.raises(EnumOrderError, match=r"^f\(1\) = 2, expected the extra element 1$"):
             make_paired(SetSample(frozenset({2, 4}), 4), 1, Pattern((2, 1)))
 
     def test_extra_must_be_below_min(self):
-        with pytest.raises(EnumOrderError, match=r"^extra element 3 must be below min\(A\) = 2$"):
+        message = "^extra element 3 is not below min of g's values$"
+        with pytest.raises(EnumOrderError, match=message):
             make_paired(SetSample(frozenset({2, 4}), 4), 3, Pattern((1, 2)))
 
     def test_extra_must_be_a_natural(self):
@@ -134,8 +135,31 @@ class TestMakePaired:
             make_paired(SetSample(frozenset({2, 3}), 3), 0, Pattern((1, 2)))
 
     def test_extra_must_be_new(self):
-        with pytest.raises(EnumOrderError, match="^extra element 2 already in sample$"):
+        with pytest.raises(EnumOrderError, match="^duplicate value in prefix: 2$"):
             make_paired(SetSample(frozenset({2, 4}), 4), 2, Pattern((1, 2)))
+
+    def test_accepts_exactly_the_valid_inputs(self):
+        # every A within {1..5} of up to 3 elements, m = 0..6, and every
+        # pattern one shorter than A, as long, or one longer: 3,024 cases
+        cases = accepted = 0
+        for size in range(4):
+            for a in itertools.combinations(range(1, 6), size):
+                for length in range(max(size - 1, 0), size + 2):
+                    for ranks in itertools.permutations(range(1, length + 1)):
+                        for m in range(7):
+                            cases += 1
+                            valid = a and 1 <= m < a[0] and length == size and ranks[0] == 1
+                            sample = SetSample(frozenset(a), 5)
+                            if not valid:
+                                with pytest.raises(EnumOrderError):
+                                    make_paired(sample, m, Pattern(ranks))
+                                continue
+                            accepted += 1
+                            p = make_paired(sample, m, Pattern(ranks))
+                            assert p.f.values == tuple((m, *a)[r - 1] for r in ranks)
+                            assert p.g.values == tuple(a[r - 1] for r in ranks)
+                            assert p.m == m
+        assert (cases, accepted) == (3024, 30)
 
     def test_arbitrary_pair_validated(self):
         # rank misalignment: f's second value has rank 3 in B, g's has rank 2 in A

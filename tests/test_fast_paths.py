@@ -5,7 +5,9 @@ least reducibility witness, tuple.index for positions, the pairwise scan for
 chain repeats.  The Fenwick kernel and leq_eo's inversion-mask path are
 checked exhaustively at small n, and the public entries with hypothesis both
 up to leq_eo's small-n threshold and well above it, where the Fenwick scan
-runs.
+runs.  Up to 10^4 positions, past the double loop's reach, leq_eo's verdicts
+are checked against an identity of inversion counts that shares no code with
+the package.
 """
 
 import itertools
@@ -196,6 +198,92 @@ class TestLeqEoFastPath:
         leq_eo(f, swapped)
         leq_eo(swapped, f)
         assert calls == [n, n]
+
+    @pytest.mark.parametrize("n", [LEQ_EO_SMALL_N + 1, 4096])
+    def test_the_scan_caches_only_ranks(self, n):
+        # the Fenwick kernel finds its bound from the values, so the only
+        # index leq_eo leaves on a listing above the small path is its ranks
+        fv = tuple(random.Random(n).sample(range(1, n + 1), n))
+        adjacent = list(fv)
+        adjacent[n // 2], adjacent[n // 2 + 1] = adjacent[n // 2 + 1], adjacent[n // 2]
+        others = [tuple(range(1, n + 1)), tuple(adjacent), plant_value_swap(fv, n // 2), fv]
+        for gv in others:
+            f, g = PrefixListing(fv), PrefixListing(gv)
+            leq_eo(f, g)
+            leq_eo(g, f)
+            assert list(vars(f)) == list(vars(g)) == ["ranks"]
+
+
+def merge_inversions(values):
+    """(sorted values, inversion count) by merge sort, with no package code."""
+    if len(values) < 2:
+        return list(values), 0
+    half = len(values) // 2
+    left, a = merge_inversions(values[:half])
+    right, b = merge_inversions(values[half:])
+    merged, count, i = [], a + b, 0
+    for x in right:
+        while i < len(left) and left[i] < x:
+            merged.append(left[i])
+            i += 1
+        # each left value still unmerged is above x and stands before it
+        count += len(left) - i
+        merged.append(x)
+    return merged + left[i:], count
+
+
+def pattern(values):
+    ranks = [0] * len(values)
+    for rank, k in enumerate(sorted(range(len(values)), key=values.__getitem__), 1):
+        ranks[k] = rank
+    return ranks
+
+
+def reducible_by_lengths(fv, gv):
+    """f <=eo g on one pattern space as a length identity in the symmetric
+    group (Bjorner and Brenti, Combinatorics of Coxeter Groups, ch. 3):
+    inv(F) + inv(H) = inv(G), where F and G are the patterns and
+    H(k) = G(pos_F(k))."""
+    big_f, big_g = pattern(fv), pattern(gv)
+    pos_f = [0] * len(big_f)
+    for i, r in enumerate(big_f):
+        pos_f[r - 1] = i
+    big_h = [big_g[i] for i in pos_f]
+    inv = [merge_inversions(p)[1] for p in (big_f, big_g, big_h)]
+    return inv[0] + inv[2] == inv[1]
+
+
+@st.composite
+def large_pairs(draw):
+    """A permutation of 1..n, n = 33..10^4, and an exact copy, a value swap,
+    an adjacent swap or an independent shuffle, relabelled to other values."""
+    n = draw(st.integers(min_value=LEQ_EO_SMALL_N + 1, max_value=10_000))
+    rng = random.Random(draw(seeds))
+    f = tuple(rng.sample(range(1, n + 1), n))
+    kind = draw(st.sampled_from(["copy", "value swap", "adjacent swap", "shuffle"]))
+    if kind == "value swap":
+        g = plant_value_swap(f, rng.randrange(1, n))
+    elif kind == "adjacent swap":
+        g, p = list(f), rng.randrange(n - 1)
+        g[p], g[p + 1] = g[p + 1], g[p]
+    elif kind == "shuffle":
+        g = rng.sample(f, n)
+    else:
+        g = f
+    return f, tuple(3 * v + 7 for v in g)
+
+
+class TestLeqEoAtLargeN:
+    @pytest.mark.slow
+    @settings(max_examples=25, deadline=None)
+    @given(large_pairs())
+    def test_matches_the_length_identity(self, pair):
+        for fv, gv in (pair, pair[::-1]):
+            verdict = leq_eo(PrefixListing(fv), PrefixListing(gv))
+            assert verdict.holds == reducible_by_lengths(fv, gv)
+            if not verdict.holds:
+                i, j = verdict.fail_at
+                assert i < j and fv[i - 1] > fv[j - 1] and gv[i - 1] < gv[j - 1]
 
 
 class TestEquivEoFastPath:
