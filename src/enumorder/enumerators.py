@@ -32,9 +32,10 @@ from .prefixes import PrefixListing, parse_naturals
 # a drain at this size from a cold start, in process, takes 0.69-0.86 s with
 # halt:rm, the slower model, and 0.46-0.54 s with halt:collatz (2-core host,
 # Python 3.11, five runs each).  It leaves the model's shared Dovetail with
-# 200,000 rounds settled: at most 1.6 MB in its two arrays.  A prefix of this
-# many values at a larger budget settles 400,000 (3.2 MB), and no call
-# settles 800,000 (6.4 MB; see Dovetail).
+# 200,000 rounds settled, and it keeps each of those codes in under 48 bytes
+# (~44 as tracemalloc counts them): 8.7-8.8 MB.  A prefix of this many
+# values at a larger budget settles 400,000 (under 19.2 MB), and no call
+# settles 800,000 (38.4 MB; see Dovetail).
 MAX_BUDGET = 200_000
 
 # called as e(budget, n); see the module docstring
@@ -74,12 +75,19 @@ class Dovetail:
     its emission order with ties in code order.  Every code the epoch emits
     ran past round `settled`, so its emissions follow all earlier ones.
 
-    Each code up to `settled` is either emitted, at 4 bytes in each array,
-    or running, and a running code is simulated again from its first step
-    in each later epoch.  Through take_prefix, rounds past MAX_BUDGET run only for a
-    call of n <= MAX_BUDGET values, from a settled round with fewer than n
+    Each code up to `settled` is either emitted or running, and a running
+    code is simulated again from its first step in each later epoch.
+    `codes` holds the int objects the epochs made, so a read copies
+    pointers instead of boxing each code again; `rounds` stays an
+    array('i') of 4 bytes a round, since only bisect_right reads it, ~18
+    probes a call.  A kept code, emitted (a 32-byte int as tracemalloc
+    counts it, an 8-byte list slot and its round) or running (the int and a
+    slot), takes ~44 bytes and under 48 with the lists' spare slots.
+    Through take_prefix, rounds past MAX_BUDGET run only for a call of
+    n <= MAX_BUDGET values, from a settled round with fewer than n
     emissions.  Both models emit MAX_BUDGET codes by round 2 * MAX_BUDGET,
-    so such an epoch starts below that round and ends below 4 * MAX_BUDGET.
+    so such an epoch starts below that round and ends below 4 * MAX_BUDGET:
+    no call keeps 4 * MAX_BUDGET codes.
     Like the Collatz table, the state takes no lock: callers on several
     threads must not call one dovetail at once.
     """
@@ -90,7 +98,7 @@ class Dovetail:
         self.steps = steps
         self.settled = 0
         self.running: List[int] = []
-        self.codes = array("i")
+        self.codes: List[int] = []
         self.rounds = array("i")
 
     def __call__(self, limit: int, n: int) -> Iterable[int]:
@@ -115,7 +123,7 @@ class Dovetail:
                 emitted.append(code)
                 round_of[code] = code + d - 1
         emitted.sort(key=round_of.__getitem__)
-        self.codes.fromlist(emitted)
+        self.codes += emitted
         self.rounds.fromlist(list(map(round_of.__getitem__, emitted)))
         self.running = still
         self.settled = end

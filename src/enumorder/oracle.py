@@ -314,16 +314,22 @@ def run_properties(jobs: Iterable[Tuple[str, int]]) -> Iterator[PropertyReport]:
         claims = (b[0] for b in iter(lambda: os.read(claims_r, 1), b""))
         results_r, results_w = os.pipe()
         # a forked child can share its parent's CPU for its whole run (Linux
-        # 6.18 on 2 vCPUs), so it leaves that CPU to the parent
+        # 6.18 on 2 vCPUs), so the parent moves it off that CPU as soon as it
+        # exists; if it may not (or, with a CPU count patched off Linux, has
+        # no such call), the child runs unpinned
         others = cpus - {_current_cpu()}
         try:
             child = os.fork()
         except OSError:  # no process to spare: this one claims every job
             pass
-        if child == 0:
+        if child:
+            try:
+                os.sched_setaffinity(child, others)
+            except (OSError, AttributeError):
+                pass
+        elif child == 0:
             try:
                 os.close(results_r)
-                os.sched_setaffinity(0, others)
                 with os.fdopen(results_w, "wb") as out:
                     for k, report in _claimed(jobs, claims):
                         if isinstance(report, PropertyReport):

@@ -2,6 +2,7 @@ import functools
 import math
 import random
 import time
+import tracemalloc
 from bisect import bisect_right
 
 import pytest
@@ -576,7 +577,17 @@ class TestSharedSchedule:
             assert e.settled == 20000
             # each code up to the settled round is emitted or running
             assert len(e.codes) == len(e.rounds) == 20000 - len(e.running)
-            assert e.codes.itemsize == e.rounds.itemsize == 4
+            assert e.rounds.itemsize == 4
+
+    @pytest.mark.parametrize("model", sorted(MODELS))
+    def test_a_warm_read_shares_the_kept_ints(self, model):
+        e = Dovetail(MODELS[model])
+        take_prefix(e, 20000, 20000)
+        values = take_prefix(e, 20000, 20000).values
+        # codes up to 256 are cached ints, the same object however made
+        large = [(v, c) for v, c in zip(values, e.codes) if c > 256]
+        assert len(large) > 10000
+        assert all(v is c for v, c in large)
 
     @pytest.mark.slow
     def test_state_bounded_at_the_cap(self, cold_schedule):
@@ -585,6 +596,17 @@ class TestSharedSchedule:
             take_prefix(e, MAX_BUDGET, MAX_BUDGET)
             assert e.settled == MAX_BUDGET
             assert len(e.codes) == len(e.rounds) == MAX_BUDGET - len(e.running)
+            # the bytes a fresh dovetail keeps after the same drain, with the
+            # Collatz table already full from the one above: under the 48
+            # bytes a code that the README and MAX_BUDGET's comment state
+            fresh = Dovetail(MODELS[name])
+            tracemalloc.start()
+            try:
+                take_prefix(fresh, MAX_BUDGET, MAX_BUDGET)
+                kept = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+            assert kept < 48 * (len(fresh.codes) + len(fresh.running)), (name, kept)
             # the longest prefix a larger budget may ask for: MAX_BUDGET codes
             # are emitted by round 2 * MAX_BUDGET, so no epoch starts past it
             # and none ends at 4 * MAX_BUDGET or later

@@ -231,6 +231,27 @@ class TestRunProperties:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
+    def test_the_parent_pins_its_child(self, cpus, monkeypatch):
+        # the parent ran on CPU 0, so the child gets the other one, and the
+        # parent sets it: a call in the child would land in its own list
+        calls = []
+        cpus(2)
+        monkeypatch.setattr(oracle, "_current_cpu", lambda: 0)
+        monkeypatch.setattr(os, "sched_setaffinity", lambda pid, mask: calls.append((pid, mask)),
+                            raising=False)
+        list(run_properties(_jobs(3)))
+        [(pid, mask)] = calls
+        assert pid not in (0, os.getpid()) and mask == {1}
+
+    def test_an_unpinned_child_reports(self, cpus, monkeypatch):
+        def refuse(pid, mask):
+            raise OSError("not permitted")
+
+        cpus(2)
+        monkeypatch.setattr(os, "sched_setaffinity", refuse, raising=False)
+        serial = [run_property(*job) for job in _jobs()]
+        assert _timeless(run_properties(_jobs())) == _timeless(serial)
+
     @pytest.mark.parametrize("count, jobs", [(1, _jobs(3)), (2, _jobs(3)[:1])])
     def test_no_fork_on_the_serial_path(self, cpus, monkeypatch, count, jobs):
         def fork():
