@@ -1,14 +1,14 @@
 """Producers of listing prefixes.
 
-An enumerator is a function `(budget, n)` returning the first at most `n`
-values of its stream within the budget: distinct naturals, in an order that
-depends on neither argument.  The budget's unit is per kind: one emission
-for the closed forms, one dovetail round for a halting model.  An
-enumerator does no work past the `n` values it returns, and what it
-returns is a prefix of what it would return for any larger `n`.  Each call
-yields the identical stream; a halting model's enumerator also keeps the
-rounds it has settled, so a later call reads them back instead of running
-them again.
+An enumerator is a function `(budget, n)` returning, as a PrefixListing,
+the first at most `n` values of its stream within the budget: distinct
+naturals, in an order that depends on neither argument.  The budget's unit
+is per kind: one emission for the closed forms, one dovetail round for a
+halting model.  An enumerator does no work past the `n` values it returns,
+and what it returns is a prefix of what it would return for any larger
+`n`.  Each call yields the identical stream; a halting model's enumerator
+also keeps the rounds it has settled, so a later call reads them back
+instead of running them again.
 
 Closed forms cover the worked examples (doubling, shifted identity,
 explicit ascending lists).  A `Dovetail` stands in for a halting-set
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_right
-from typing import Callable, Iterable, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from .errors import EnumOrderError, SpecParseError, TooLarge
 from .prefixes import PrefixListing, parse_naturals
@@ -38,8 +38,9 @@ from .prefixes import PrefixListing, parse_naturals
 # settles 800,000 (38.4 MB; see Dovetail).
 MAX_BUDGET = 200_000
 
-# called as e(budget, n); see the module docstring
-Enumerator = Callable[[int, int], Iterable[int]]
+# called as e(budget, n), returning a checked PrefixListing or a head of
+# one; see the module docstring
+Enumerator = Callable[[int, int], PrefixListing]
 
 # A halting model over codes 1, 2, ...: steps(code, cap) is the simulation
 # step at which the code is observed to halt (always >= 1), or None if it has
@@ -77,12 +78,17 @@ class Dovetail:
 
     Each code up to `settled` is either emitted or running, and a running
     code is simulated again from its first step in each later epoch.
-    `codes` holds the int objects the epochs made, so a read copies
-    pointers instead of boxing each code again; `rounds` stays an
-    array('i') of 4 bytes a round, since only bisect_right reads it, ~18
-    probes a call.  A kept code, emitted (a 32-byte int as tracemalloc
-    counts it, an 8-byte list slot and its round) or running (the int and a
-    slot), takes ~44 bytes and under 48 with the lists' spare slots.
+    `codes` is one PrefixListing of every emission, rebuilt through its
+    checking constructor at the end of each epoch, so each emitted code is
+    checked once, in the epoch that emits it.  A call's answer is then
+    `codes.head`, one tuple slice of the int objects the epochs made, with
+    no check and no new int.  `rounds` stays an array('i') of 4 bytes a
+    round, since only bisect_right reads it, ~18 probes a call.  A kept
+    code, emitted (a 32-byte int as tracemalloc counts it, an 8-byte tuple
+    slot with no spare slots, and its round) or running (the int and a list
+    slot), takes ~44 bytes and under 48.  An epoch releases its scratch
+    lists before the check runs, so the check's set does not raise the
+    drain's peak.
     Through take_prefix, rounds past MAX_BUDGET run only for a call of
     n <= MAX_BUDGET values, from a settled round with fewer than n
     emissions.  Both models emit MAX_BUDGET codes by round 2 * MAX_BUDGET,
@@ -98,14 +104,13 @@ class Dovetail:
         self.steps = steps
         self.settled = 0
         self.running: List[int] = []
-        self.codes: List[int] = []
+        self.codes = PrefixListing(())
         self.rounds = array("i")
 
-    def __call__(self, limit: int, n: int) -> Iterable[int]:
-        codes = self.codes
-        while self.settled < limit and len(codes) < n:
+    def __call__(self, limit: int, n: int) -> PrefixListing:
+        while self.settled < limit and len(self.codes) < n:
             self._settle(min(limit, max(n, 2 * self.settled)))
-        return codes[:min(n, bisect_right(self.rounds, limit))]
+        return self.codes.head(min(n, bisect_right(self.rounds, limit)))
 
     def _settle(self, end: int) -> None:
         steps = self.steps
@@ -123,14 +128,19 @@ class Dovetail:
                 emitted.append(code)
                 round_of[code] = code + d - 1
         emitted.sort(key=round_of.__getitem__)
-        self.codes += emitted
         self.rounds.fromlist(list(map(round_of.__getitem__, emitted)))
         self.running = still
         self.settled = end
+        # freed before the check builds its set: held through it, they raise
+        # the peak of a 200,000 drain by 34-42%
+        del round_of, running
+        emitted[:0] = self.codes.values
+        self.codes = PrefixListing(tuple(emitted))
 
 
 def take_prefix(e: Enumerator, n: int, budget: int) -> PrefixListing:
-    """First min(n, achievable-within-budget) emissions, as a prefix.
+    """First min(n, achievable-within-budget) emissions, as a prefix: the
+    enumerator's own PrefixListing, neither copied nor checked again.
 
     Short prefixes are valid results; callers inspect the length.  Refuses
     min(n, budget) > MAX_BUDGET with TooLarge: that bounds the values built
@@ -141,7 +151,7 @@ def take_prefix(e: Enumerator, n: int, budget: int) -> PrefixListing:
         raise EnumOrderError("n and budget must be >= 0")
     if min(n, budget) > MAX_BUDGET:
         raise TooLarge("min(n, budget)", min(n, budget), MAX_BUDGET)
-    return PrefixListing(tuple(e(budget, n)))
+    return e(budget, n)
 
 
 # _COLLATZ_HALT_STEPS[c] is the uncapped halt step d(c) of code c, 0 while
@@ -262,17 +272,19 @@ def parse_spec(text: str) -> Enumerator:
     model's one shared Dovetail, with the budget as its round limit.
     """
     if text == "even":
-        return lambda budget, n: (2 * i for i in range(1, min(n, budget) + 1))
+        return lambda budget, n: PrefixListing(tuple(range(2, 2 * min(n, budget) + 1, 2)))
     if text.startswith("nminus:"):
         error = SpecParseError(len("nminus:"), "a natural number")
         (k,) = parse_naturals([text[len("nminus:"):]], error, 1)
-        return lambda budget, n: (i if i < k else i + 1 for i in range(1, min(n, budget) + 1))
+        return lambda budget, n: PrefixListing(
+            tuple(i if i < k else i + 1 for i in range(1, min(n, budget) + 1)))
     if text.startswith("asc:"):
         error = SpecParseError(len("asc:"), "comma-separated naturals")
         values = tuple(sorted(parse_naturals(text[len("asc:"):].split(","), error, 1)))
         if len(set(values)) != len(values):
             raise SpecParseError(len("asc:"), "distinct values")
-        return lambda budget, n: values[:min(n, budget)]
+        listing = PrefixListing(values)
+        return lambda budget, n: listing.head(min(n, budget))
     if text.startswith("halt:"):
         e = _HALTING.get(text[len("halt:"):])
         if e is None:

@@ -71,9 +71,11 @@ class PrefixListing(FrozenSlots):
     """An initial segment of a listing: distinct naturals at positions 1..n.
 
     Construction rejects a value below 1 with ZeroValue and a repeated
-    value with DuplicateValue (naming its first repeat).  The three derived
-    indexes `ranks`, `positions` and `inversion_mask` are built on first
-    read and cached in the instance `__dict__`, outside `_fields`.
+    value with DuplicateValue (naming its first repeat); `head`, a prefix
+    of one already checked, is the only instance built without the checks.
+    The three derived indexes `ranks`, `positions` and `inversion_mask` are
+    built on first read and cached in the instance `__dict__`, outside
+    `_fields`.
     """
 
     __slots__ = ("values", "__dict__")
@@ -114,6 +116,14 @@ class PrefixListing(FrozenSlots):
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.values)
+
+    def head(self, k: int) -> PrefixListing:
+        """The first k >= 0 values (all of them when k >= n), without checks
+        again: a prefix of distinct values >= 1 holds distinct values >= 1.
+        The derived indexes start empty, built on first read as usual."""
+        head = PrefixListing.__new__(PrefixListing)
+        object.__setattr__(head, "values", self.values[:k])
+        return head
 
     # derived indexes, each O(n) in size
 

@@ -18,7 +18,7 @@ from enumorder.enumerators import (
     take_prefix,
 )
 from enumorder.errors import SpecParseError, TooLarge
-from enumorder.prefixes import equiv_eo, inversions, make_prefix
+from enumorder.prefixes import PrefixListing, equiv_eo, inversions, make_prefix
 
 collatz_steps = MODELS["collatz"]
 rm_steps = MODELS["rm"]
@@ -91,6 +91,14 @@ class TestTakePrefix:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             take_prefix(parse_spec("even"), -1, 10)
+
+    @pytest.mark.parametrize("spec", ["even", "nminus:3", "asc:9,2,5", "halt:collatz", "halt:rm"])
+    def test_every_enumerator_returns_a_prefix_listing(self, spec):
+        e = parse_spec(spec)
+        for budget, n in [(0, 0), (0, 5), (5, 0), (2, 5), (50, 3)]:
+            got = e(budget, n)
+            assert type(got) is PrefixListing, (budget, n)
+            assert take_prefix(e, n, budget) == got
 
     @pytest.mark.parametrize("spec", ["even", "halt:collatz", "halt:rm"])
     def test_refuses_length_and_budget_both_over_the_cap(self, spec):
@@ -579,6 +587,46 @@ class TestSharedSchedule:
             assert len(e.codes) == len(e.rounds) == 20000 - len(e.running)
             assert e.rounds.itemsize == 4
 
+    @staticmethod
+    def count_checks(monkeypatch):
+        """The lengths of every PrefixListing built through its checks."""
+        checked = []
+        init = PrefixListing.__init__
+
+        def counting_init(self, values):
+            checked.append(len(values))
+            init(self, values)
+
+        monkeypatch.setattr(PrefixListing, "__init__", counting_init)
+        return checked
+
+    @pytest.mark.parametrize("model", sorted(MODELS))
+    def test_a_warm_read_checks_nothing(self, model, monkeypatch):
+        e = Dovetail(MODELS[model])
+        want = take_prefix(e, 20000, 20000)
+        checked = self.count_checks(monkeypatch)
+        assert take_prefix(e, 20000, 20000) == want
+        assert take_prefix(e, 500, 20000) == want.head(500)
+        assert checked == []
+
+    @pytest.mark.parametrize("model", sorted(MODELS))
+    def test_each_epoch_checks_its_codes_once(self, model, monkeypatch):
+        e = Dovetail(MODELS[model])
+        emitted = []  # the codes emitted so far, after each epoch
+        settle = Dovetail._settle
+
+        def counting_settle(self, end):
+            settle(self, end)
+            emitted.append(len(self.codes))
+
+        monkeypatch.setattr(Dovetail, "_settle", counting_settle)
+        checked = self.count_checks(monkeypatch)
+        take_prefix(e, 2000, 2000)  # a cold drain is one epoch
+        assert checked == emitted and len(emitted) == 1
+        # a prefix past the drain's emissions takes several epochs
+        take_prefix(e, emitted[0] + 3000, 10**9)
+        assert checked == emitted and len(emitted) > 2
+
     @pytest.mark.parametrize("model", sorted(MODELS))
     def test_a_warm_read_shares_the_kept_ints(self, model):
         e = Dovetail(MODELS[model])
@@ -603,10 +651,13 @@ class TestSharedSchedule:
             tracemalloc.start()
             try:
                 take_prefix(fresh, MAX_BUDGET, MAX_BUDGET)
-                kept = tracemalloc.get_traced_memory()[0]
+                kept, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
             assert kept < 48 * (len(fresh.codes) + len(fresh.running)), (name, kept)
+            # the peak during it, with the epoch's scratch lists released
+            # before its codes are checked: ~115 and ~90 bytes a code
+            assert peak < 128 * (len(fresh.codes) + len(fresh.running)), (name, peak)
             # the longest prefix a larger budget may ask for: MAX_BUDGET codes
             # are emitted by round 2 * MAX_BUDGET, so no epoch starts past it
             # and none ends at 4 * MAX_BUDGET or later

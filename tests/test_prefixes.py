@@ -66,6 +66,26 @@ class TestMakePrefix:
         assert p(1) == 5 and p(2) == 9
 
 
+class TestHead:
+    VALUES = (7, 3, 9, 1, 4)
+
+    def test_equals_the_checked_prefix(self):
+        p = PrefixListing(self.VALUES)
+        for k in range(len(self.VALUES) + 2):
+            head = p.head(k)
+            assert type(head) is PrefixListing
+            assert head == PrefixListing(self.VALUES[:k]), k
+            assert head.ranks == PrefixListing(self.VALUES[:k]).ranks, k
+
+    def test_shares_no_cached_index(self):
+        p = PrefixListing(self.VALUES)
+        p.ranks, p.positions, p.inversion_mask
+        head = p.head(3)
+        assert head.__dict__ == {}
+        assert head.positions == {7: 1, 3: 2, 9: 3}
+        assert len(p.positions) == 5
+
+
 def brute_naturals(tokens):
     """The 1-based index of the first token that is not ASCII digits, or
     the tokens as ints."""
