@@ -2,12 +2,13 @@
 
 Each reference below is the straightforward loop: the double loop for the
 least reducibility witness, tuple.index for positions, the pairwise scan for
-chain repeats.  The Fenwick kernel and leq_eo's inversion-mask path are
-checked exhaustively at small n, and the public entries with hypothesis both
-up to leq_eo's small-n threshold and well above it, where the Fenwick scan
-runs.  Up to 10^4 positions, past the double loop's reach, leq_eo's verdicts
-are checked against an identity of inversion counts that shares no code with
-the package.
+chain repeats.  The Fenwick kernel, leq_eo's inversion-mask path and its
+restriction to the rows that can fail are checked exhaustively at small n,
+and the public entries with hypothesis both up to leq_eo's small-n threshold
+and well above it, where the restriction and the Fenwick scan run.  Up to
+10^4 positions, past the double loop's reach, leq_eo's verdicts are checked
+against an identity of inversion counts that shares no code with the
+package.
 """
 
 import itertools
@@ -27,9 +28,12 @@ from enumorder.algebra import (
 )
 from enumorder.errors import DuplicateValue, EnumOrderError, ZeroValue
 from enumorder.prefixes import (
+    LEQ_EO_MAX_DIFFERING,
     LEQ_EO_SMALL_N,
     PrefixListing,
+    _fail_at_on_rows,
     _fenwick_fail_at,
+    _rows_that_can_fail,
     equiv_eo,
     leq_eo,
     make_prefix,
@@ -46,6 +50,12 @@ def least_witness(fv, gv):
             if fv[i] > fv[j] and gv[i] < gv[j]:
                 return (i + 1, j + 1)
     return None
+
+
+def failing_pairs(fv, gv):
+    # every 0-based (i, j), i < j, with fv[i] > fv[j] and gv[i] < gv[j]
+    n = len(fv)
+    return [(i, j) for i in range(n) for j in range(i + 1, n) if fv[i] > fv[j] and gv[i] < gv[j]]
 
 
 def first_invalid(values):
@@ -71,17 +81,28 @@ def pairwise_repeat(listings):
     return None
 
 
-def plant_value_swap(values, k):
-    """Swap the values k and k + 1 wherever they stand.
+def plant_value_swap(values, k, w=1):
+    """Swap the values k and k + w wherever they stand.
 
-    On a permutation of 1..n this adds or removes exactly one inversion, the
-    one between the two positions, so a listing compared with its own
-    swapped copy fails reducibility at that pair alone, in one direction.
+    On a permutation of 1..n with w = 1 this adds or removes exactly one
+    inversion, the one between the two positions, so a listing compared
+    with its own swapped copy fails reducibility at that pair alone, in one
+    direction.  A larger w leaves the values k + 1 .. k + w - 1 at their
+    positions and ranks, yet each can be the other end of a failing pair,
+    so the rows leq_eo keeps include positions whose ranks are equal.
     """
     out = list(values)
-    i, j = out.index(k), out.index(k + 1)
-    out[i], out[j] = k + 1, k
+    i, j = out.index(k), out.index(k + w)
+    out[i], out[j] = k + w, k
     return tuple(out)
+
+
+def plant_many_swaps(values, rng):
+    # more value-adjacent swaps than leq_eo restricts to its rows, so the
+    # Fenwick scan decides a pair that still differs by swaps alone
+    for _ in range(LEQ_EO_MAX_DIFFERING + 1 + rng.randrange(LEQ_EO_MAX_DIFFERING)):
+        values = plant_value_swap(values, rng.randrange(1, len(values)))
+    return values
 
 
 # permutations of up to MAX_N values come from a drawn seed: drawing each
@@ -98,16 +119,24 @@ def listing_pairs(draw, max_n=MAX_N):
     included), or an exact copy.  A "bounded" copy swaps two adjacent
     positions, an adjacent failure that bounds the Fenwick scan, and also
     swaps the value at a position left of them with its neighbour value, so
-    the least witness can lie left of the bound with a distant j.
+    the least witness can lie left of the bound with a distant j.  A
+    "moved" copy swaps two values w ranks apart, and a "many
+    swaps" copy plants more value swaps than leq_eo's row restriction takes.
     """
     n = draw(st.integers(min_value=0, max_value=max_n))
     rng = random.Random(draw(seeds))
     f = tuple(rng.sample(range(1, n + 1), n))
-    kind = draw(st.sampled_from(["independent", "planted", "bounded", "copy"]))
+    kind = draw(st.sampled_from(
+        ["independent", "planted", "bounded", "moved", "many swaps", "copy"]))
     if kind == "independent":
         g = tuple(rng.sample(range(1, n + 1), n))
     elif kind == "planted" and n >= 2:
         g = plant_value_swap(f, draw(st.integers(min_value=1, max_value=n - 1)))
+    elif kind == "moved" and n >= 2:
+        w = draw(st.integers(min_value=1, max_value=n - 1))
+        g = plant_value_swap(f, draw(st.integers(min_value=1, max_value=n - w)), w)
+    elif kind == "many swaps" and n >= 2:
+        g = plant_many_swaps(f, rng)
     elif kind == "bounded" and n >= 3:
         p = draw(st.integers(min_value=1, max_value=n - 2))
         g = list(f)
@@ -143,6 +172,23 @@ class TestFenwickKernel:
                 assert (type(exc.value), getattr(exc.value, "value", None)) == expected
         for perm in itertools.permutations(range(1, n + 1)):
             assert PrefixListing(perm).values == perm
+
+
+class TestRowRestriction:
+    @pytest.mark.parametrize("n", [*range(6), pytest.param(6, marks=pytest.mark.slow)])
+    def test_exhaustive_on_permutations(self, n):
+        # every ordered pair, g relabelled: the rows come from ranks, the
+        # restrictions from values
+        perms = list(itertools.permutations(range(1, n + 1)))
+        listings = [PrefixListing(p) for p in perms]
+        relabelled = [PrefixListing(tuple(3 * v + 7 for v in p)) for p in perms]
+        for fv, f in zip(perms, listings):
+            for gv, g in zip(perms, relabelled):
+                rows = _rows_that_can_fail(f, g)
+                assert rows == sorted(set(rows))
+                kept = set(rows)
+                assert all(i in kept and j in kept for i, j in failing_pairs(fv, gv))
+                assert _fail_at_on_rows(f, g, rows) == least_witness(fv, gv)
 
 
 class TestLeqEoFastPath:
@@ -182,22 +228,32 @@ class TestLeqEoFastPath:
 
     @pytest.mark.parametrize("n", [LEQ_EO_SMALL_N + 1, 4096])
     def test_equal_patterns_skip_the_scan(self, n, monkeypatch):
-        calls = []
+        scanned, restricted = [], []
 
-        def counting(f, g):
-            calls.append(n)
+        def counting_scan(f, g):
+            scanned.append(len(f))
             return _fenwick_fail_at(f, g)
 
-        monkeypatch.setattr(prefixes, "_fenwick_fail_at", counting)
+        def counting_rows(f, g, rows):
+            restricted.append(len(rows))
+            return _fail_at_on_rows(f, g, rows)
+
+        monkeypatch.setattr(prefixes, "_fenwick_fail_at", counting_scan)
+        monkeypatch.setattr(prefixes, "_fail_at_on_rows", counting_rows)
         fv = tuple(random.Random(n).sample(range(1, n + 1), n))
         f, g = PrefixListing(fv), PrefixListing(tuple(3 * v + 7 for v in fv))
         assert leq_eo(f, g).holds and leq_eo(g, f).holds and leq_eo(f, f).holds
-        assert calls == []
-        # any other pattern is scanned
+        assert scanned == restricted == []
+        # a value swap is decided on its two positions, on the mask path
         swapped = PrefixListing(plant_value_swap(fv, 1))
         leq_eo(f, swapped)
         leq_eo(swapped, f)
-        assert calls == [n, n]
+        assert restricted == [2, 2] and scanned == []
+        # an independent shuffle differs nearly everywhere: the kernel scans all n
+        shuffled = PrefixListing(tuple(random.Random(n + 1).sample(fv, n)))
+        leq_eo(f, shuffled)
+        leq_eo(shuffled, f)
+        assert restricted == [2, 2] and scanned == [n, n]
 
     @pytest.mark.parametrize("n", [LEQ_EO_SMALL_N + 1, 4096])
     def test_the_scan_caches_only_ranks(self, n):
@@ -256,13 +312,21 @@ def reducible_by_lengths(fv, gv):
 @st.composite
 def large_pairs(draw):
     """A permutation of 1..n, n = 33..10^4, and an exact copy, a value swap,
-    an adjacent swap or an independent shuffle, relabelled to other values."""
+    two values moved past w ranks, more value swaps than leq_eo restricts
+    to its rows, an adjacent swap or an independent shuffle, relabelled to
+    other values."""
     n = draw(st.integers(min_value=LEQ_EO_SMALL_N + 1, max_value=10_000))
     rng = random.Random(draw(seeds))
     f = tuple(rng.sample(range(1, n + 1), n))
-    kind = draw(st.sampled_from(["copy", "value swap", "adjacent swap", "shuffle"]))
+    kind = draw(st.sampled_from(
+        ["copy", "value swap", "moved", "many swaps", "adjacent swap", "shuffle"]))
     if kind == "value swap":
         g = plant_value_swap(f, rng.randrange(1, n))
+    elif kind == "moved":
+        w = rng.randrange(1, n)
+        g = plant_value_swap(f, rng.randrange(1, n - w + 1), w)
+    elif kind == "many swaps":
+        g = plant_many_swaps(f, rng)
     elif kind == "adjacent swap":
         g, p = list(f), rng.randrange(n - 1)
         g[p], g[p + 1] = g[p + 1], g[p]
