@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 from itertools import compress, count, islice
-from operator import and_, gt, lt
+from operator import and_, gt, lt, ne
 from typing import Iterable, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import DuplicateValue, EnumOrderError, LengthMismatch, TooLarge, ZeroValue
@@ -23,9 +23,10 @@ LEQ_EO_SMALL_N = 32
 
 # above the small path, leq_eo decides a pair whose ranks differ at up to
 # this many positions on the rows that can fail.  At 64, planted by value
-# swaps, that takes 0.09 ms at n = 256 and 0.55 ms at n = 4096, against
-# 0.12-0.16 and 4.3 ms for the Fenwick scan; a pair that differs nearly
-# everywhere pays ~13 us to find out before the scan (2 cores, Python 3.11)
+# swaps, that takes 0.06-0.08 ms at n = 256 and 0.21 ms at n = 4096, against
+# 0.10 and 2.4-2.6 ms for the Fenwick scan.  The search gives up within ~3 us
+# on a pair that differs nearly everywhere, and takes ~0.16 ms at n = 4096 on
+# one that differs only at its end (warm ranks, 2 cores, Python 3.11)
 LEQ_EO_MAX_DIFFERING = 64
 
 # inversions on a reversed listing of this many positions takes ~2 s and
@@ -285,55 +286,35 @@ def leq_eo(f: PrefixListing, g: PrefixListing) -> ReducibilityVerdict:
     LEQ_EO_SMALL_N positions the inversions missing from g are one AND-NOT
     of the cached `inversion_mask`s, and the lowest missing bit is the least
     witness.  Above it, equal patterns hold at once, in O(n) on cached
-    ranks.  A pair whose ranks differ at no more than LEQ_EO_MAX_DIFFERING
-    positions is decided on the rows that can fail (`_rows_that_can_fail`),
-    when they leave out some position: the two restrictions go through
-    leq_eo again, and the witness maps back through the rows.  Any other
-    pair takes a Fenwick scan in O(n log n) time and O(n) space, which
-    finds the same witness and scans only the rows left of the first
-    adjacent failure.
+    ranks.  Otherwise one Fenwick scan, in O(n log n) time and O(n) space,
+    finds the witness (`_fenwick_fail_at`).  When the ranks differ at no
+    more than LEQ_EO_MAX_DIFFERING positions and the rows that can fail
+    (`_rows_that_can_fail`) leave out some position, the scan runs on f and
+    g restricted to those rows.  A pair of rows fails in the restrictions
+    exactly when it fails in f and g, and the map from a row's index to its
+    position is increasing, so the least witness maps back to the least
+    witness.
     """
     n, m = len(f.values), len(g.values)
     if n != m:
         raise LengthMismatch(n, m)
-    if n > LEQ_EO_SMALL_N:
-        if f.ranks == g.ranks:
+    if n <= LEQ_EO_SMALL_N:
+        missing = f.inversion_mask & ~g.inversion_mask
+        if not missing:
             return _HOLDS
-        rows = _rows_that_can_fail(f, g)
-        if rows is None or len(rows) == n:
-            fail_at = _fenwick_fail_at(f, g)
-        else:
-            fail_at = _fail_at_on_rows(f, g, rows)
-        return _HOLDS if fail_at is None else ReducibilityVerdict(fail_at=fail_at)
-    missing = f.inversion_mask & ~g.inversion_mask
-    if not missing:
+        return _failure_at(*divmod((missing & -missing).bit_length() - 1, n))
+    if f.ranks == g.ranks:
         return _HOLDS
-    return _failure_at(*divmod((missing & -missing).bit_length() - 1, n))
-
-
-def _differing_positions(a: Tuple[int, ...], b: Tuple[int, ...]) -> Optional[List[int]]:
-    """The 0-based positions k, ascending, with a[k] != b[k]; None once
-    more than LEQ_EO_MAX_DIFFERING are found.
-
-    A window moves left to right over equal slices (one C-level tuple ==
-    each), doubling after each; a window that differs is halved until it
-    holds 16 positions, which are compared one by one.  So equal stretches
-    cost no Python step per position, and a pair that differs almost
-    everywhere gives up after a few windows.
-    """
-    found, n, k, width = [], len(a), 0, 16
-    while k < n:
-        if a[k : k + width] == b[k : k + width]:
-            k += width
-            width *= 2
-        elif width > 16:
-            width //= 2
-        else:
-            found += [i for i in range(k, min(k + width, n)) if a[i] != b[i]]
-            if len(found) > LEQ_EO_MAX_DIFFERING:
-                return None
-            k += width
-    return found
+    rows = _rows_that_can_fail(f, g)
+    if rows is None or len(rows) == n:
+        fail_at = _fenwick_fail_at(f, g)
+    else:
+        fail_at = _fenwick_fail_at(_unchecked(tuple(map(f.values.__getitem__, rows))),
+                                   _unchecked(tuple(map(g.values.__getitem__, rows))))
+        if fail_at is not None:
+            i, j = fail_at
+            fail_at = (rows[i - 1] + 1, rows[j - 1] + 1)
+    return _HOLDS if fail_at is None else ReducibilityVerdict(fail_at=fail_at)
 
 
 def _rows_that_can_fail(f: PrefixListing, g: PrefixListing) -> Optional[List[int]]:
@@ -341,17 +322,20 @@ def _rows_that_can_fail(f: PrefixListing, g: PrefixListing) -> Optional[List[int
     pair of leq_eo(f, g); None when the ranks differ at more than
     LEQ_EO_MAX_DIFFERING positions.
 
-    Let D be the positions where f's and g's ranks differ.  A failing pair
-    i < j has f-ranks a > b and g-ranks a' < b', so an end d lies in D:
-    else a = a' < b' = b < a.  The other end lies in D too, or has one
-    rank r in both listings; then r lies strictly between d's f-rank and
-    g-rank.  So the rows are D and the positions of f-ranks inside those
-    intervals.  A value-adjacent swap makes an interval of two ranks, both
-    held by D, so a pair that differs only by such swaps keeps D alone.
+    Let D be the positions where f's and g's ranks differ, found by one lazy
+    C-level scan that stops past the limit.  A failing pair i < j has
+    f-ranks a > b and g-ranks a' < b', so an end d lies in D: else
+    a = a' < b' = b < a.  The other end lies in D too, or has one rank r in
+    both listings; then r lies strictly between d's f-rank and g-rank.  So
+    the rows are D and the positions of f-ranks inside those intervals.  A
+    value-adjacent swap makes an interval of two ranks, both held by D, so a
+    pair that differs only by such swaps keeps D alone.
     """
     fr, gr = f.ranks, g.ranks
-    differ = _differing_positions(fr, gr)
-    if differ is None or all(abs(fr[d] - gr[d]) == 1 for d in differ):
+    differ = list(islice(compress(count(), map(ne, fr, gr)), LEQ_EO_MAX_DIFFERING + 1))
+    if len(differ) > LEQ_EO_MAX_DIFFERING:
+        return None
+    if all(abs(fr[d] - gr[d]) == 1 for d in differ):
         return differ
     # flag each closed interval of ranks: its ends are f-ranks of D, since
     # the position holding f-rank gr[d] cannot also hold g-rank gr[d]
@@ -362,29 +346,9 @@ def _rows_that_can_fail(f: PrefixListing, g: PrefixListing) -> Optional[List[int
     return list(compress(count(), map(flags.__getitem__, fr)))
 
 
-def _fail_at_on_rows(
-    f: PrefixListing, g: PrefixListing, rows: List[int]
-) -> Optional[PositionPair]:
-    """leq_eo's least witness, found on f and g restricted to `rows`.
-
-    The rows must hold both ends of every failing pair, as
-    `_rows_that_can_fail`'s do.  A pair of rows fails in the restrictions
-    exactly when it fails in f and g, and the map from a row's index to its
-    position is increasing, so the least witness maps to the least witness.
-    """
-    sub_f = _unchecked(tuple(map(f.values.__getitem__, rows)))
-    sub_g = _unchecked(tuple(map(g.values.__getitem__, rows)))
-    fail_at = leq_eo(sub_f, sub_g).fail_at
-    if fail_at is None:
-        return None
-    i, j = fail_at
-    return (rows[i - 1] + 1, rows[j - 1] + 1)
-
-
 def _fenwick_fail_at(f: PrefixListing, g: PrefixListing) -> Optional[PositionPair]:
     """leq_eo's least witness by a right-to-left Fenwick prefix-max scan,
-    for a pair whose ranks differ at more than LEQ_EO_MAX_DIFFERING
-    positions or whose rows that can fail are all of them.
+    on the whole pair or on its restrictions to the rows that can fail.
 
     Position i fails when some j > i has f(j) < f(i) and g(j) > g(i).  The
     tree is indexed by f-rank and holds the largest g-rank inserted at or

@@ -1,0 +1,106 @@
+"""A standing table of mutants, so that each claim "this mutant fails these
+tests" stays true as the code changes.  This is mutation testing (DeMillo,
+Lipton and Sayward, "Hints on test data selection", IEEE Computer, 1978),
+done by hand over a literal table, with no package beside pytest.
+
+Each row of MUTANTS holds a file, a snippet that occurs in it exactly once,
+the snippet's replacement, the pytest node ids to run, and the outcome they
+must give: "killed" (some test fails or times out) or "survives" (all pass:
+a known gap, kept so that the test that closes it shows).  For each row,
+src/, tests/ and pyproject.toml are copied to a fresh temporary directory,
+the snippet is replaced there, and the node ids run in a child pytest under
+a timeout.  The unmutated copy runs every named node id first, and they must
+all pass.  One JSON line is printed per run, and the exit status is 1 when
+any outcome differs from what its row expects.
+
+    python tests/mutants.py
+"""
+
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT_S = 600
+
+ROW_TEST = "tests/test_fast_paths.py::TestRowRestriction::test_exhaustive_on_permutations[3]"
+
+# (file, snippet, replacement, node ids, expected outcome)
+MUTANTS = [
+    # leq_eo's rows keep the differing positions alone, without the
+    # positions whose equal rank lies inside a differing interval
+    ("src/enumorder/prefixes.py",
+     "if all(abs(fr[d] - gr[d]) == 1 for d in differ):",
+     "if True:",
+     [ROW_TEST], "killed"),
+    # each interval of ranks is flagged without its two ends
+    ("src/enumorder/prefixes.py",
+     'flags[lo : hi + 1] = b"\\1" * (hi - lo + 1)',
+     'flags[lo + 1 : hi] = b"\\1" * (hi - lo - 1)',
+     [ROW_TEST], "killed"),
+    # the restricted witness maps back one row too far
+    ("src/enumorder/prefixes.py",
+     "(rows[i - 1] + 1, rows[j - 1] + 1)",
+     "(rows[i] + 1, rows[j] + 1)",
+     [ROW_TEST], "killed"),
+    # halt:rm's cycle cut accepts a register 0 that shrank since the
+    # checkpoint; no program of up to 6 words tells it apart
+    ("src/enumorder/enumerators.py",
+     "if (saved0 <= r0 and (r0 == saved0 or not zeroed[0])",
+     "if ((r0 == saved0 or not zeroed[0])",
+     ["tests/test_enumerators.py::TestRegisterMachineCycleCut"], "survives"),
+]
+
+
+def outcome(tree: Path, node_ids) -> str:
+    """"killed" when a test fails or the run times out, "survives" when all
+    pass, "error" when pytest cannot run them (a collection or usage error)."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    try:
+        code = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *node_ids],
+            cwd=tree, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            timeout=TIMEOUT_S,
+        ).returncode
+    except subprocess.TimeoutExpired:
+        return "killed"
+    return {0: "survives", 1: "killed"}.get(code, "error")
+
+
+def run(path, snippet, replacement, node_ids) -> str:
+    """The outcome of node_ids on a fresh copy, with the snippet in path
+    replaced when a path is given."""
+    tree = Path(tempfile.mkdtemp(prefix="mutant-"))
+    try:
+        for name in ("src", "tests"):
+            shutil.copytree(ROOT / name, tree / name,
+                            ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copy(ROOT / "pyproject.toml", tree)
+        if path:
+            text = (tree / path).read_text()
+            if text.count(snippet) != 1:
+                return f"error: snippet occurs {text.count(snippet)} times"
+            (tree / path).write_text(text.replace(snippet, replacement))
+        return outcome(tree, node_ids)
+    finally:
+        shutil.rmtree(tree)
+
+
+def main() -> int:
+    unexpected = 0
+    everything = sorted({node for row in MUTANTS for node in row[3]})
+    for path, snippet, replacement, node_ids, expected in [
+            (None, None, None, everything, "survives"), *MUTANTS]:
+        got = run(path, snippet, replacement, node_ids)
+        unexpected += got != expected
+        print(json.dumps({"file": path, "replacement": replacement,
+                          "expected": expected, "outcome": got}), flush=True)
+    return 1 if unexpected else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -3,12 +3,14 @@
 Each reference below is the straightforward loop: the double loop for the
 least reducibility witness, tuple.index for positions, the pairwise scan for
 chain repeats.  The Fenwick kernel, leq_eo's inversion-mask path and its
-restriction to the rows that can fail are checked exhaustively at small n,
-and the public entries with hypothesis both up to leq_eo's small-n threshold
-and well above it, where the restriction and the Fenwick scan run.  Up to
-10^4 positions, past the double loop's reach, leq_eo's verdicts are checked
-against an identity of inversion counts that shares no code with the
-package.
+path through the rows that can fail are checked exhaustively at small n, the
+last with the mask path switched off, and the public entries with hypothesis
+both up to leq_eo's small-n threshold and well above it, where one row
+search and one Fenwick scan run.  Inflating each value of a small
+permutation to a block carries the oracle's own least witness to 64 and 80
+positions.  Up to 10^4 positions, past the double loop's reach, leq_eo's
+verdicts are checked against an identity of inversion counts that shares no
+code with the package.
 """
 
 import itertools
@@ -27,11 +29,11 @@ from enumorder.algebra import (
     transport,
 )
 from enumorder.errors import DuplicateValue, EnumOrderError, ZeroValue
+from enumorder.oracle import _inversion_masks, _prefixes
 from enumorder.prefixes import (
     LEQ_EO_MAX_DIFFERING,
     LEQ_EO_SMALL_N,
     PrefixListing,
-    _fail_at_on_rows,
     _fenwick_fail_at,
     _rows_that_can_fail,
     equiv_eo,
@@ -176,9 +178,12 @@ class TestFenwickKernel:
 
 class TestRowRestriction:
     @pytest.mark.parametrize("n", [*range(6), pytest.param(6, marks=pytest.mark.slow)])
-    def test_exhaustive_on_permutations(self, n):
+    def test_exhaustive_on_permutations(self, n, monkeypatch):
         # every ordered pair, g relabelled: the rows come from ranks, the
-        # restrictions from values
+        # restrictions from values.  With the mask path off, each pair goes
+        # through the equal-ranks check, the row search, the restriction and
+        # the kernel
+        monkeypatch.setattr(prefixes, "LEQ_EO_SMALL_N", 0)
         perms = list(itertools.permutations(range(1, n + 1)))
         listings = [PrefixListing(p) for p in perms]
         relabelled = [PrefixListing(tuple(3 * v + 7 for v in p)) for p in perms]
@@ -188,7 +193,7 @@ class TestRowRestriction:
                 assert rows == sorted(set(rows))
                 kept = set(rows)
                 assert all(i in kept and j in kept for i, j in failing_pairs(fv, gv))
-                assert _fail_at_on_rows(f, g, rows) == least_witness(fv, gv)
+                assert leq_eo(f, g).fail_at == least_witness(fv, gv)
 
 
 class TestLeqEoFastPath:
@@ -228,32 +233,42 @@ class TestLeqEoFastPath:
 
     @pytest.mark.parametrize("n", [LEQ_EO_SMALL_N + 1, 4096])
     def test_equal_patterns_skip_the_scan(self, n, monkeypatch):
-        scanned, restricted = [], []
+        # each call above the mask path searches its rows at most once and
+        # runs the kernel at most once; the lists hold each one's row count
+        searched, scanned = [], []
+
+        def counting_search(f, g):
+            rows = _rows_that_can_fail(f, g)
+            searched.append(None if rows is None else len(rows))
+            return rows
 
         def counting_scan(f, g):
             scanned.append(len(f))
             return _fenwick_fail_at(f, g)
 
-        def counting_rows(f, g, rows):
-            restricted.append(len(rows))
-            return _fail_at_on_rows(f, g, rows)
-
+        monkeypatch.setattr(prefixes, "_rows_that_can_fail", counting_search)
         monkeypatch.setattr(prefixes, "_fenwick_fail_at", counting_scan)
-        monkeypatch.setattr(prefixes, "_fail_at_on_rows", counting_rows)
         fv = tuple(random.Random(n).sample(range(1, n + 1), n))
         f, g = PrefixListing(fv), PrefixListing(tuple(3 * v + 7 for v in fv))
         assert leq_eo(f, g).holds and leq_eo(g, f).holds and leq_eo(f, f).holds
-        assert scanned == restricted == []
-        # a value swap is decided on its two positions, on the mask path
+        assert searched == scanned == []
+        # a value swap is decided by one kernel call on its two positions
         swapped = PrefixListing(plant_value_swap(fv, 1))
         leq_eo(f, swapped)
         leq_eo(swapped, f)
-        assert restricted == [2, 2] and scanned == []
+        assert searched == scanned == [2, 2]
         # an independent shuffle differs nearly everywhere: the kernel scans all n
         shuffled = PrefixListing(tuple(random.Random(n + 1).sample(fv, n)))
         leq_eo(f, shuffled)
         leq_eo(shuffled, f)
-        assert restricted == [2, 2] and scanned == [n, n]
+        assert len(searched) == 4 and scanned == [2, 2, n, n]
+        # a swap w values apart keeps w + 1 rows: past the mask path's reach
+        # at 4096, and each call still searches once
+        w = min(LEQ_EO_SMALL_N + 8, n - 2)
+        moved = PrefixListing(plant_value_swap(fv, 1, w))
+        leq_eo(f, moved)
+        leq_eo(moved, f)
+        assert searched[4:] == scanned[4:] == [w + 1, w + 1]
 
     @pytest.mark.parametrize("n", [LEQ_EO_SMALL_N + 1, 4096])
     def test_the_scan_caches_only_ranks(self, n):
@@ -348,6 +363,39 @@ class TestLeqEoAtLargeN:
             if not verdict.holds:
                 i, j = verdict.fail_at
                 assert i < j and fv[i - 1] > fv[j - 1] and gv[i - 1] < gv[j - 1]
+
+
+def inflate(perm, m):
+    # each value v becomes the block (v - 1) * m + 1 .. (v - 1) * m + m
+    return tuple((v - 1) * m + r for v in perm for r in range(1, m + 1))
+
+
+class TestInflatedPairsAgainstTheOracle:
+    """Every ordered pair of permutations of 1..k, each value inflated to an
+    increasing block of m.  The inflated pair fails exactly when the base
+    pair does: no pair inside a block is inverted, and two blocks compare as
+    their base values.  So the least witness is the first position of each
+    block of the base pair's least witness, read off the oracle's own masks
+    with no package rank or mask."""
+
+    @pytest.mark.parametrize("k, m", [
+        (4, 16),
+        pytest.param(5, 8, marks=pytest.mark.slow),
+        pytest.param(5, 16, marks=pytest.mark.slow),
+    ])
+    def test_least_witness_from_the_oracle_masks(self, k, m):
+        perms = _prefixes(k)
+        masks = _inversion_masks(perms, k)
+        pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+        inflated = [PrefixListing(inflate(p.values, m)) for p in perms]
+        for f, fm in zip(inflated, masks):
+            for g, gm in zip(inflated, masks):
+                missing = fm & ~gm
+                expected = None
+                if missing:
+                    i, j = pairs[(missing & -missing).bit_length() - 1]
+                    expected = (i * m + 1, j * m + 1)
+                assert leq_eo(f, g).fail_at == expected
 
 
 class TestEquivEoFastPath:

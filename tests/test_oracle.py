@@ -59,6 +59,23 @@ class TestRunProperty:
         assert obj["pass"] is True
 
 
+# each checker past its cap, called directly since run_property refuses it:
+# ~8 s in all, while subset-characterization or lemma-2-8 at n = 7 alone
+# would take 7.5-25 s
+PAST_CAPS = [("reflexive", 8), ("lemma-2-3", 8), ("transitive", 6),
+             ("subset-characterization", 6), ("lemma-2-8", 6), ("transport", 6),
+             ("stabilization", 7), ("class-count", 7)]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("pid, n", PAST_CAPS)
+def test_checker_past_its_cap(pid, n):
+    max_n, checker = REGISTRY[pid]
+    assert n > max_n
+    _, violations, _ = checker(n)
+    assert violations == []
+
+
 class TestOracleIndependence:
     def test_subset_characterization_uses_its_own_loop(self):
         # the checker evaluates the defining implication inline, without the
