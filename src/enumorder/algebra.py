@@ -37,7 +37,7 @@ class Chain(FrozenSlots):
         first = set(self.listings[0].values) if self.listings else set()
         for k in range(len(self.listings) - 1):
             a, b = self.listings[k], self.listings[k + 1]
-            if len(a) != len(b):
+            if len(a.values) != len(b.values):
                 raise LengthMismatch(len(a), len(b))
             if not first.issuperset(b.values):
                 raise EnumOrderError(f"value set changes at step {k + 1}")

@@ -83,8 +83,9 @@ def _parse_values(text: str) -> List[int]:
             data = json.loads(text)
         except ValueError as exc:
             raise EnumOrderError(f"bad JSON array: {exc}")
-        # type() rather than isinstance(): JSON true/false are bools, a subclass of int
-        if not all(type(v) is int for v in data):
+        # exact types rather than isinstance(): JSON true/false are bools, a
+        # subclass of int; one C-level set of them, and [] passes
+        if not set(map(type, data)) <= {int}:
             raise EnumOrderError("JSON input must be a flat array of integers")
         return data
     return parse_naturals(text.split())

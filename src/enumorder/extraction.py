@@ -9,6 +9,7 @@ yields descent chains and a three-valued membership decider.
 from __future__ import annotations
 
 import enum
+from operator import itemgetter
 from typing import List, NamedTuple, Tuple
 
 from .algebra import inverse_lookup
@@ -49,7 +50,8 @@ class InversePositionReport(NamedTuple):
 
     @property
     def all_hold(self) -> bool:
-        return self.clause1.holds and all(e.holds for e in self.clause2)
+        # an entry's field 4 is its holds
+        return self.clause1.holds and all(map(itemgetter(4), self.clause2))
 
 
 def check_inverse_positions(f: PrefixListing, g: PrefixListing) -> InversePositionReport:
@@ -63,23 +65,26 @@ def check_inverse_positions(f: PrefixListing, g: PrefixListing) -> InversePositi
     MAX_INVERSE_POSITIONS positions with TooLarge, before any other work;
     leq_eo refuses a g of another length at once.
     """
-    if len(f) > MAX_INVERSE_POSITIONS:
-        raise TooLarge("prefix length", len(f), MAX_INVERSE_POSITIONS)
+    if len(f.values) > MAX_INVERSE_POSITIONS:
+        raise TooLarge("prefix length", len(f.values), MAX_INVERSE_POSITIONS)
     verdict = leq_eo(f, g)
     if not verdict.holds:
         raise EnumOrderError(f"f is not reducible to g (fails at {verdict.fail_at})")
-    a, f_at = sorted(f.values), f.positions
-    b, g_at = sorted(g.values), g.positions
-    fpos = [f_at[v] for v in a]
-    gpos = [g_at[v] for v in b]
-    clause1 = Clause1(fpos[0], gpos[0], fpos[0] <= gpos[0]) if a else Clause1(0, 0, True)
+    a, b = sorted(f.values), sorted(g.values)
+    fpos = list(map(f.positions.__getitem__, a))
+    gpos = list(map(g.positions.__getitem__, b))
+    # tuple.__new__(cls, fields) is all a NamedTuple's generated __new__
+    # does; calling it here skips that Python frame, ~0.3 us a record, and
+    # the records keep their exact classes
+    new = tuple.__new__
+    clause1 = new(Clause1, (fpos[0], gpos[0], fpos[0] <= gpos[0]) if a else (0, 0, True))
     entries = []
     premise = True  # fpos and gpos agree at every index below i
     for i in range(2, len(a) + 1):
         premise = premise and fpos[i - 2] == gpos[i - 2]
-        holds = fpos[i - 1] <= gpos[i - 1] if premise else True
-        entries.append(Clause2Entry(i, premise, fpos[i - 1], gpos[i - 1], holds))
-    return InversePositionReport(clause1, tuple(entries))
+        fp, gp = fpos[i - 1], gpos[i - 1]
+        entries.append(new(Clause2Entry, (i, premise, fp, gp, fp <= gp if premise else True)))
+    return new(InversePositionReport, (clause1, tuple(entries)))
 
 
 class PairedListings(FrozenSlots):

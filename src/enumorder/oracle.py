@@ -16,6 +16,10 @@ call and then only reads them:
 - `subset-characterization`, `lemma-2-8` and `stabilization`: the inversion
   table, to judge each `leq_eo` verdict, to pick the contained pairs whose
   clauses are checked, and to draw random descending chains from down-sets.
+  A walk draws each step as `seq[int(rng.random() * len(seq))]` from a
+  seeded `random.Random`: `random()` is the one method whose stream the
+  `random` docs promise across Python versions, and the draw skips
+  `choice()`'s Python-level frames.
 - `transport`: the target g' is h' + n on the values n+1..2n.  Each listing
   of 1..n is its own pattern, so a result keeps h's pattern when it places
   its own sorted values in h's order.
@@ -189,11 +193,12 @@ def _check_transport(n: int):
     other_values = list(range(n + 1, 2 * n + 1))
     targets = [PrefixListing(tuple(v + n for v in p.values)) for p in prefixes]
     for h in prefixes:
+        at = [v - 1 for v in h.values]
         for h_prime, g_prime in zip(prefixes, targets):
             result = transport(h, h_prime, g_prime)
             placed = sorted(result.values)
             # h is its own pattern: the result's k-th smallest value goes where h has k
-            if len(placed) != n or tuple(placed[v - 1] for v in h.values) != result.values:
+            if len(placed) != n or tuple(map(placed.__getitem__, at)) != result.values:
                 violations.append(
                     f"transport breaks pattern: h={list(h.values)} h'={list(h_prime.values)} "
                     f"g'={list(g_prime.values)} -> {list(result.values)}"
@@ -204,10 +209,16 @@ def _check_transport(n: int):
 
 
 def _random_descending_chain(rng, prefixes, down, length: int) -> Tuple[PrefixListing, ...]:
-    current = rng.choice(prefixes)
+    """A walk of `length` listings: a random prefix, then at each step a
+    random member of the last one's down-set.  Each draw is
+    `seq[int(rng.random() * len(seq))]`: the `random` docs keep that stream
+    across Python versions, and `rng.choice` adds two Python frames a draw."""
+    draw = rng.random
+    current = prefixes[int(draw() * len(prefixes))]
     chain = [current]
     while len(chain) < length:
-        current = rng.choice(down[current])
+        below = down[current]
+        current = below[int(draw() * len(below))]
         chain.append(current)
     return tuple(chain)
 

@@ -203,9 +203,13 @@ _HOLDS = ReducibilityVerdict()
 
 
 @functools.cache
-def _failure_at(i: int, j: int) -> ReducibilityVerdict:
-    """The shared failing verdict at the 0-based pair i < j; leq_eo's small
-    path asks only for i < j < LEQ_EO_SMALL_N, so at most 496 are kept."""
+def _failure_at(low: int, n: int) -> ReducibilityVerdict:
+    """The shared failing verdict for `low`, the lowest bit of f's
+    n-position inversion mask that g's lacks: bit i*n + j stands for the
+    0-based pair i < j, decoded only on a cache miss.  It is keyed by (low, n), and
+    leq_eo's small path asks only for i < j < n <= LEQ_EO_SMALL_N, so at
+    most C(33, 3) = 5,456 verdicts are kept."""
+    i, j = divmod(low.bit_length() - 1, n)
     return ReducibilityVerdict(fail_at=(i + 1, j + 1))
 
 
@@ -302,7 +306,7 @@ def leq_eo(f: PrefixListing, g: PrefixListing) -> ReducibilityVerdict:
         missing = f.inversion_mask & ~g.inversion_mask
         if not missing:
             return _HOLDS
-        return _failure_at(*divmod((missing & -missing).bit_length() - 1, n))
+        return _failure_at(missing & -missing, n)
     if f.ranks == g.ranks:
         return _HOLDS
     rows = _rows_that_can_fail(f, g)

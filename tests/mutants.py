@@ -28,6 +28,9 @@ ROOT = Path(__file__).resolve().parent.parent
 TIMEOUT_S = 600
 
 ROW_TEST = "tests/test_fast_paths.py::TestRowRestriction::test_exhaustive_on_permutations[3]"
+RECORDS = "tests/test_extraction.py::TestInversePositionRecords"
+CLAUSES_TEST = RECORDS + "::test_clauses_are_evaluated_without_the_precondition[3]"
+SEEDED_TEST = RECORDS + "::test_seeded_pairs[33]"
 
 # (file, snippet, replacement, node ids, expected outcome)
 MUTANTS = [
@@ -47,6 +50,31 @@ MUTANTS = [
      "(rows[i - 1] + 1, rows[j - 1] + 1)",
      "(rows[i] + 1, rows[j] + 1)",
      [ROW_TEST], "killed"),
+    # an evaluated clause 2 is taken as holding, as a vacuous one is; on a
+    # pair that leq_eo accepts no evaluated clause fails, so the test that
+    # kills it patches the precondition out
+    ("src/enumorder/extraction.py",
+     "fp <= gp if premise else True",
+     "True",
+     [CLAUSES_TEST], "killed"),
+    # all_hold reads each entry's premise_held in place of its holds
+    ("src/enumorder/extraction.py",
+     "all(map(itemgetter(4), self.clause2))",
+     "all(map(itemgetter(1), self.clause2))",
+     [SEEDED_TEST], "killed"),
+    # the small path decodes its witness one bit high
+    ("src/enumorder/prefixes.py",
+     "i, j = divmod(low.bit_length() - 1, n)",
+     "i, j = divmod(low.bit_length(), n)",
+     ["tests/test_prefixes.py::TestLeqEo::test_least_failure_witness",
+      "tests/test_prefixes.py::TestLeqEo::test_witness_is_lex_least"], "killed"),
+    # the oracle's random walks step to any prefix, not one of the down-set
+    ("src/enumorder/oracle.py",
+     "below = down[current]",
+     "below = prefixes",
+     ["tests/test_oracle.py::TestRunProperty::test_passes_at_small_n[stabilization]",
+      "tests/test_oracle_reference.py::test_matches_reference_up_to_cap[stabilization]"],
+     "killed"),
     # halt:rm's cycle cut accepts a register 0 that shrank since the
     # checkpoint; no program of up to 6 words tells it apart
     ("src/enumorder/enumerators.py",

@@ -665,6 +665,17 @@ def run_limited(cwd, *argv):
     )
 
 
+@pytest.mark.parametrize("value", ["[true]", "[1.0]", '[1, "2"]'])
+def test_json_values_other_than_ints_exit_2(capsys, value):
+    # JSON true is a bool, a subclass of int, and still refused
+    assert run(capsys, "pattern", "inline", value) == (
+        2, "", "error: JSON input must be a flat array of integers\n")
+
+
+def test_empty_json_array_is_accepted(capsys):
+    assert run(capsys, "pattern", "inline", "[]") == (0, '{"values": [], "pattern": []}\n', "")
+
+
 # JSON nesting deeper than json.loads can recurse
 DEEP_ARRAY = "[" * 1000
 DEEP_OBJECT = "[" + '{"a": ' * 1000 + "1" + "}" * 1000 + "]"

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given
@@ -9,6 +10,9 @@ from enumorder.errors import EnumOrderError, TooLarge, ZeroValue
 from enumorder.extraction import (
     MAX_FAMILY_N,
     MAX_INVERSE_POSITIONS,
+    Clause1,
+    Clause2Entry,
+    InversePositionReport,
     Membership,
     PairedListings,
     check_inverse_positions,
@@ -21,6 +25,7 @@ from enumorder.extraction import (
 from enumorder.prefixes import (
     Pattern,
     PrefixListing,
+    ReducibilityVerdict,
     SetSample,
     equiv_eo,
     inversions,
@@ -71,16 +76,81 @@ class TestInversePositions:
         with pytest.raises(TooLarge, match="prefix length 65537 exceeds the limit 65536"):
             check_inverse_positions(p, p)
 
-    @pytest.mark.parametrize("n", range(5))
+    @pytest.mark.parametrize("n", range(6))
     def test_all_clauses_hold_exhaustively(self, n):
         perms = [
             PrefixListing(tuple(p))
             for p in itertools.permutations(range(1, n + 1))
         ]
+        inv = {p: inversions(p) for p in perms}
         for f, g in itertools.product(perms, repeat=2):
-            if not inversions(f) <= inversions(g):
+            if not inv[f] <= inv[g]:
                 continue
             assert check_inverse_positions(f, g).all_hold
+            assert_same_report(f, g)
+
+
+def clause_report(f, g):
+    """The inverse-position report of (f, g) built by the plain loop, each
+    record through its NamedTuple constructor, with no precondition check."""
+    a, b = sorted(f.values), sorted(g.values)
+    fpos = [f.positions[v] for v in a]
+    gpos = [g.positions[v] for v in b]
+    clause1 = Clause1(fpos[0], gpos[0], fpos[0] <= gpos[0]) if a else Clause1(0, 0, True)
+    entries = []
+    premise = True
+    for i in range(2, len(a) + 1):
+        premise = premise and fpos[i - 2] == gpos[i - 2]
+        holds = fpos[i - 1] <= gpos[i - 1] if premise else True
+        entries.append(Clause2Entry(i, premise, fpos[i - 1], gpos[i - 1], holds))
+    return InversePositionReport(clause1, tuple(entries))
+
+
+def assert_same_report(f, g):
+    got, want = check_inverse_positions(f, g), clause_report(f, g)
+    assert got == want
+    assert got.all_hold is (want.clause1.holds and all(e.holds for e in want.clause2))
+    # exact classes, so _asdict, _replace and repr work as on the constructed ones
+    assert type(got) is InversePositionReport and type(got.clause1) is Clause1
+    assert all(type(e) is Clause2Entry for e in got.clause2)
+    assert repr(got) == repr(want) and got._asdict() == want._asdict()
+    assert got.clause1._replace(holds=False) == want.clause1._replace(holds=False)
+
+
+def seeded_pairs(n, rng):
+    """(f, f) on a shuffle, and an ascending f below a shuffled g whose
+    minimum comes last, so the premise breaks at its first index; that g is
+    over other values than its f."""
+    values = rng.sample(range(1, 4 * n + 1), n)
+    shuffled = PrefixListing(tuple(values))
+    yield shuffled, shuffled
+    low = min(values)
+    g = [v + n for v in values if v != low] + [low + n]
+    yield PrefixListing(tuple(range(1, n + 1))), PrefixListing(tuple(g))
+
+
+class TestInversePositionRecords:
+    """check_inverse_positions against the report the plain loop builds
+    with the record constructors."""
+
+    @pytest.mark.parametrize("n", [2, 3, 33, 256, 1024])
+    def test_seeded_pairs(self, n):
+        pairs = list(seeded_pairs(n, random.Random(n)))
+        assert len(pairs) == 2 and not check_inverse_positions(*pairs[1]).clause2[0].premise_held
+        for f, g in pairs:
+            assert_same_report(f, g)
+
+    @pytest.mark.parametrize("n", range(5))
+    def test_clauses_are_evaluated_without_the_precondition(self, monkeypatch, n):
+        # with leq_eo holding everywhere, every pair reaches the clauses, and
+        # an evaluated clause that fails must say so
+        monkeypatch.setattr(extraction, "leq_eo", lambda f, g: ReducibilityVerdict())
+        perms = [PrefixListing(p) for p in itertools.permutations(range(1, n + 1))]
+        for f, g in itertools.product(perms, repeat=2):
+            assert_same_report(f, g)
+        report = check_inverse_positions(make_prefix([1, 3, 2]), make_prefix([1, 2, 3]))
+        assert report.clause2[0] == Clause2Entry(2, True, 3, 2, False)
+        assert not report.all_hold
 
 
 def rank_loop_refusal(f, g, m):

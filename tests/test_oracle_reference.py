@@ -99,11 +99,12 @@ def _check_transport(n: int):
 
 
 def _random_descending_chain(rng, prefixes, inv, length: int) -> Chain:
-    current = rng.choice(prefixes)
+    # each draw is seq[int(rng.random() * len(seq))], as the checker's
+    current = prefixes[int(rng.random() * len(prefixes))]
     chain = [current]
     while len(chain) < length:
         below = [p for p in prefixes if inv[p] <= inv[current]]
-        current = rng.choice(below)
+        current = below[int(rng.random() * len(below))]
         chain.append(current)
     return Chain(tuple(chain))
 
