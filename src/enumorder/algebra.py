@@ -41,7 +41,7 @@ class Chain(FrozenSlots):
                 raise LengthMismatch(len(a), len(b))
             if not first.issuperset(b.values):
                 raise EnumOrderError(f"value set changes at step {k + 1}")
-            if not leq_eo(b, a).holds:
+            if leq_eo(b, a).fail_at is not None:
                 raise EnumOrderError(
                     f"chain not descending at step {k + 1}: "
                     f"listing {k + 2} is not reducible to listing {k + 1}"
@@ -67,10 +67,11 @@ def transport(h: PrefixListing, h_prime: PrefixListing, g_prime: PrefixListing) 
     h(i).  When g_prime and h_prime are order-equivalent, the result is
     order-equivalent to h.  O(n) through h_prime's cached position map.
     """
-    if len(h) != len(h_prime):
-        raise LengthMismatch(len(h), len(h_prime))
-    if len(h) != len(g_prime):
-        raise LengthMismatch(len(h), len(g_prime))
+    n = len(h.values)
+    if n != len(h_prime.values):
+        raise LengthMismatch(n, len(h_prime.values))
+    if n != len(g_prime.values):
+        raise LengthMismatch(n, len(g_prime.values))
     gv, pos = g_prime.values, h_prime.positions
     # equal lengths and distinct values: every h value has a position in
     # h_prime exactly when the two value sets are equal
@@ -91,7 +92,7 @@ def chain_stabilize(c: Chain) -> Optional[Tuple[int, int]]:
     """
     c.validate()
     ls = c.listings
-    return next(((k, k + 1) for k in range(1, len(ls)) if ls[k - 1] == ls[k]), None)
+    return next(((k, k + 1) for k in range(1, len(ls)) if ls[k - 1].values == ls[k].values), None)
 
 
 def make_strict_chain(n: int) -> Chain:

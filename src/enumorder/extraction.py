@@ -68,7 +68,7 @@ def check_inverse_positions(f: PrefixListing, g: PrefixListing) -> InversePositi
     if len(f.values) > MAX_INVERSE_POSITIONS:
         raise TooLarge("prefix length", len(f.values), MAX_INVERSE_POSITIONS)
     verdict = leq_eo(f, g)
-    if not verdict.holds:
+    if verdict.fail_at is not None:
         raise EnumOrderError(f"f is not reducible to g (fails at {verdict.fail_at})")
     a, b = sorted(f.values), sorted(g.values)
     fpos = list(map(f.positions.__getitem__, a))

@@ -42,8 +42,8 @@ class FrozenSlots:
     print by those fields, as a frozen dataclass does; assigning or
     deleting any attribute raises AttributeError.  A subclass that also
     declares a `__dict__` slot may keep derived indexes there, as
-    functools.cached_property does: they stay outside `_fields`, so
-    equality, hashing, repr, copy and pickle ignore them.
+    `_cached` does: they stay outside `_fields`, so equality, hashing,
+    repr, copy and pickle ignore them.
     """
 
     __slots__ = ()
@@ -75,6 +75,26 @@ class FrozenSlots:
         return type(self), self._key()
 
 
+class _cached:
+    """A derived index built on its first read on an instance, then stored
+    in the instance `__dict__` under its own name, where every later read
+    finds it first.  This is functools.cached_property without the lock
+    that it takes on each first read on Python 3.10 and 3.11 (3.12 dropped
+    the lock).  On the class it returns itself, with the function as
+    `.func`."""
+
+    def __init__(self, func):
+        self.func = func
+        self.name = func.__name__
+        self.__doc__ = func.__doc__
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.func(instance)
+        return value
+
+
 class PrefixListing(FrozenSlots):
     """An initial segment of a listing: distinct naturals at positions 1..n.
 
@@ -83,8 +103,9 @@ class PrefixListing(FrozenSlots):
     builds an instance without the checks, and only from values drawn from
     a checked one: a `head`, or the rows `leq_eo` restricts a pair to.
     The three derived indexes `ranks`, `positions` and `inversion_mask` are
-    built on first read and cached in the instance `__dict__`, outside
-    `_fields`.
+    `_cached`: built on first read and kept in the instance `__dict__`,
+    outside `_fields`.  Two threads that race on one first read each build
+    the index and store equal values, so the race is harmless.
     """
 
     __slots__ = ("values", "__dict__")
@@ -134,7 +155,7 @@ class PrefixListing(FrozenSlots):
 
     # derived indexes, each O(n) in size
 
-    @functools.cached_property
+    @_cached
     def ranks(self) -> Tuple[int, ...]:
         """Rank of each position's value, from 1, read off the argsort: the
         listing's pattern."""
@@ -144,13 +165,13 @@ class PrefixListing(FrozenSlots):
             ranks[k] = rank
         return tuple(ranks)
 
-    @functools.cached_property
+    @_cached
     def positions(self) -> Mapping[int, int]:
         """Each value's 1-based position.  Shared by every caller: read it,
         never change it."""
         return dict(zip(self.values, range(1, len(self.values) + 1)))
 
-    @functools.cached_property
+    @_cached
     def inversion_mask(self) -> int:
         """Bit i*n + j set for each 0-based inversion i < j: taken in
         ascending value order, i inverts with each position seen right of it."""

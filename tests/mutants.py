@@ -75,6 +75,28 @@ MUTANTS = [
      ["tests/test_oracle.py::TestRunProperty::test_passes_at_small_n[stabilization]",
       "tests/test_oracle_reference.py::test_matches_reference_up_to_cap[stabilization]"],
      "killed"),
+    # each derived index is stored under another key, so every read builds
+    # it again
+    ("src/enumorder/prefixes.py",
+     "instance.__dict__[self.name] = self.func(instance)",
+     'instance.__dict__["_" + self.name] = self.func(instance)',
+     ["tests/test_prefixes.py::TestDerivedIndexes::test_built_once_per_instance"],
+     "killed"),
+    # each verdict read as fail_at, inverted
+    ("src/enumorder/algebra.py",
+     "if leq_eo(b, a).fail_at is not None:",
+     "if leq_eo(b, a).fail_at is None:",
+     ["tests/test_algebra.py::TestChainStabilize::test_invariant_violated"], "killed"),
+    ("src/enumorder/extraction.py",
+     "if verdict.fail_at is not None:",
+     "if verdict.fail_at is None:",
+     ["tests/test_extraction.py::TestInversePositions::test_precondition_enforced"],
+     "killed"),
+    ("src/enumorder/oracle.py",
+     "if leq_eo(f, f).fail_at is not None:",
+     "if leq_eo(f, f).fail_at is None:",
+     ["tests/test_oracle.py::TestRunProperty::test_passes_at_small_n[reflexive]"],
+     "killed"),
     # halt:rm's cycle cut accepts a register 0 that shrank since the
     # checkpoint; no program of up to 6 words tells it apart
     ("src/enumorder/enumerators.py",

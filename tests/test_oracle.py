@@ -76,6 +76,18 @@ def test_checker_past_its_cap(pid, n):
     assert violations == []
 
 
+@pytest.mark.slow
+@pytest.mark.parametrize("planted", [False, True])
+def test_length_identity_at_n_7(monkeypatch, planted):
+    # an unregistered checker: 10^5 seeded pairs, with f = g at ~20 of them,
+    # where a leq_eo without reflexivity disagrees
+    if planted:
+        monkeypatch.setattr(oracle, "leq_eo", _strict_leq_eo)
+    instances, violations, _ = oracle._check_length_identity(7)
+    assert instances == 100_000
+    assert bool(violations) is planted
+
+
 class TestOracleIndependence:
     def test_subset_characterization_uses_its_own_loop(self):
         # the checker evaluates the defining implication inline, without the

@@ -86,6 +86,34 @@ class TestHead:
         assert len(p.positions) == 5
 
 
+class TestDerivedIndexes:
+    VALUES = (7, 3, 9, 1, 4)
+
+    @pytest.mark.parametrize("name", ["ranks", "positions", "inversion_mask"])
+    @pytest.mark.parametrize("built", ["fresh", "head"])
+    def test_built_once_per_instance(self, monkeypatch, built, name):
+        index = PrefixListing.__dict__[name]
+        build, calls = index.func, []
+
+        def counted(p):
+            calls.append(p)
+            return build(p)
+
+        monkeypatch.setattr(index, "func", counted)
+        checked = PrefixListing(self.VALUES)
+        p = checked if built == "fresh" else PrefixListing(self.VALUES + (2,)).head(5)
+        first = getattr(p, name)
+        second = getattr(p, name)
+        assert len(calls) == 1 and calls[0] is p
+        assert vars(p) == {name: first} and second is first
+        assert first == build(checked)
+
+    def test_read_on_the_class(self):
+        index = PrefixListing.ranks
+        assert index.func.__name__ == "ranks"
+        assert index.__doc__ == index.func.__doc__ and "argsort" in index.__doc__
+
+
 def brute_naturals(tokens):
     """The 1-based index of the first token that is not ASCII digits, or
     the tokens as ints."""
