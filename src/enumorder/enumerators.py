@@ -79,8 +79,10 @@ class Dovetail:
     Each code up to `settled` is either emitted or running, and a running
     code is simulated again from its first step in each later epoch.
     `codes` is one PrefixListing of every emission, rebuilt through its
-    checking constructor at the end of each epoch, so each emitted code is
-    checked once, in the epoch that emits it.  A call's answer is then
+    checking constructor at the end of each epoch, so each epoch checks
+    every code emitted so far, not only its own: a cold drain, one epoch,
+    checks each code once, and a run of growing reads checks the early
+    codes again.  A call's answer is then
     `codes.head`, one tuple slice of the int objects the epochs made, with
     no check and no new int.  `rounds` stays an array('i') of 4 bytes a
     round, since only bisect_right reads it, ~18 probes a call.  A kept

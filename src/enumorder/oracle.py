@@ -216,16 +216,16 @@ def _check_transport(n: int):
 
 def _random_descending_chain(rng, prefixes, down, length: int) -> Tuple[PrefixListing, ...]:
     """A walk of `length` listings: a random prefix, then at each step a
-    random member of the last one's down-set.  Each draw is
+    random member of the last one's down-set of indexes.  Each draw is
     `seq[int(rng.random() * len(seq))]`: the `random` docs keep that stream
     across Python versions, and `rng.choice` adds two Python frames a draw."""
     draw = rng.random
-    current = prefixes[int(draw() * len(prefixes))]
-    chain = [current]
+    k = int(draw() * len(prefixes))
+    chain = [prefixes[k]]
     while len(chain) < length:
-        below = down[current]
-        current = below[int(draw() * len(below))]
-        chain.append(current)
+        below = down[k]
+        k = below[int(draw() * len(below))]
+        chain.append(prefixes[k])
     return tuple(chain)
 
 
@@ -238,11 +238,8 @@ def _check_stabilization(n: int):
     rng = random.Random(f"stabilization:{n}")
     prefixes = _prefixes(n)
     masks = _inversion_masks(prefixes, n)
-    # each prefix's down-set, in prefixes order: the seeded walks pick by index
-    down = {
-        q: [p for p, pm in zip(prefixes, masks) if not pm & ~qm]
-        for q, qm in zip(prefixes, masks)
-    }
+    # each prefix's down-set as indexes, in prefixes order, for the seeded walks
+    down = [[k for k, pm in enumerate(masks) if not pm & ~qm] for qm in masks]
     walks = 200
     for _ in range(walks):
         chain = Chain(_random_descending_chain(rng, prefixes, down, length))

@@ -99,9 +99,8 @@ class PrefixListing(FrozenSlots):
     """An initial segment of a listing: distinct naturals at positions 1..n.
 
     Construction rejects a value below 1 with ZeroValue and a repeated
-    value with DuplicateValue (naming its first repeat).  Only `_unchecked`
-    builds an instance without the checks, and only from values drawn from
-    a checked one: a `head`, or the rows `leq_eo` restricts a pair to.
+    value with DuplicateValue (naming its first repeat).  Only `head`
+    builds an instance without the checks, from a slice of a checked one.
     The three derived indexes `ranks`, `positions` and `inversion_mask` are
     `_cached`: built on first read and kept in the instance `__dict__`,
     outside `_fields`.  Two threads that race on one first read each build
@@ -125,16 +124,6 @@ class PrefixListing(FrozenSlots):
                 seen.add(x)
         object.__setattr__(self, "values", values)
 
-    # the oracle hashes and compares listings by the thousand, so these skip
-    # FrozenSlots' generic field loop
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.values == other.values
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.values,))
-
     def __len__(self) -> int:
         return len(self.values)
 
@@ -151,7 +140,9 @@ class PrefixListing(FrozenSlots):
         """The first k >= 0 values (all of them when k >= n), without checks
         again: a prefix of distinct values >= 1 holds distinct values >= 1.
         The derived indexes start empty, built on first read as usual."""
-        return _unchecked(self.values[:k])
+        listing = PrefixListing.__new__(PrefixListing)
+        object.__setattr__(listing, "values", self.values[:k])
+        return listing
 
     # derived indexes, each O(n) in size
 
@@ -159,11 +150,7 @@ class PrefixListing(FrozenSlots):
     def ranks(self) -> Tuple[int, ...]:
         """Rank of each position's value, from 1, read off the argsort: the
         listing's pattern."""
-        values = self.values
-        ranks = [0] * len(values)
-        for rank, k in enumerate(sorted(range(len(values)), key=values.__getitem__), 1):
-            ranks[k] = rank
-        return tuple(ranks)
+        return _ranks(self.values)
 
     @_cached
     def positions(self) -> Mapping[int, int]:
@@ -184,12 +171,13 @@ class PrefixListing(FrozenSlots):
         return mask
 
 
-def _unchecked(values: Tuple[int, ...]) -> PrefixListing:
-    """A PrefixListing over values known distinct and >= 1, since they are
-    drawn from a checked instance: built without the constructor's checks."""
-    listing = PrefixListing.__new__(PrefixListing)
-    object.__setattr__(listing, "values", values)
-    return listing
+def _ranks(seq: Tuple[int, ...]) -> Tuple[int, ...]:
+    """Rank of each item of a tuple of distinct ints, from 1: the argsort,
+    scattered."""
+    ranks = [0] * len(seq)
+    for rank, k in enumerate(sorted(range(len(seq)), key=seq.__getitem__), 1):
+        ranks[k] = rank
+    return tuple(ranks)
 
 
 class Pattern(FrozenSlots):
@@ -310,15 +298,16 @@ def leq_eo(f: PrefixListing, g: PrefixListing) -> ReducibilityVerdict:
     Returns the lexicographically least violating (i, j) on failure.  Up to
     LEQ_EO_SMALL_N positions the inversions missing from g are one AND-NOT
     of the cached `inversion_mask`s, and the lowest missing bit is the least
-    witness.  Above it, equal patterns hold at once, in O(n) on cached
-    ranks.  Otherwise one Fenwick scan, in O(n log n) time and O(n) space,
-    finds the witness (`_fenwick_fail_at`).  When the ranks differ at no
-    more than LEQ_EO_MAX_DIFFERING positions and the rows that can fail
-    (`_rows_that_can_fail`) leave out some position, the scan runs on f and
-    g restricted to those rows.  A pair of rows fails in the restrictions
-    exactly when it fails in f and g, and the map from a row's index to its
-    position is increasing, so the least witness maps back to the least
-    witness.
+    witness.  Above it, only the cached ranks are read, since they order
+    positions as the values do.  Equal patterns hold at once, in O(n).
+    Otherwise one Fenwick scan, in O(n log n) time and O(n) space, finds the
+    witness (`_fenwick_fail_at`).  When the ranks differ at no more than
+    LEQ_EO_MAX_DIFFERING positions and the rows that can fail
+    (`_rows_that_can_fail`) leave out some position, the scan runs on both
+    rank tuples restricted to those rows, each ranked again.  A pair of rows
+    fails in the restrictions exactly when it fails in f and g, and the map
+    from a row's index to its position is increasing, so the least witness
+    maps back to the least witness.
     """
     n, m = len(f.values), len(g.values)
     if n != m:
@@ -328,26 +317,27 @@ def leq_eo(f: PrefixListing, g: PrefixListing) -> ReducibilityVerdict:
         if not missing:
             return _HOLDS
         return _failure_at(missing & -missing, n)
-    if f.ranks == g.ranks:
+    fr, gr = f.ranks, g.ranks
+    if fr == gr:
         return _HOLDS
-    rows = _rows_that_can_fail(f, g)
+    rows = _rows_that_can_fail(fr, gr)
     if rows is None or len(rows) == n:
-        fail_at = _fenwick_fail_at(f, g)
+        fail_at = _fenwick_fail_at(fr, gr)
     else:
-        fail_at = _fenwick_fail_at(_unchecked(tuple(map(f.values.__getitem__, rows))),
-                                   _unchecked(tuple(map(g.values.__getitem__, rows))))
+        fail_at = _fenwick_fail_at(_ranks(tuple(map(fr.__getitem__, rows))),
+                                   _ranks(tuple(map(gr.__getitem__, rows))))
         if fail_at is not None:
             i, j = fail_at
             fail_at = (rows[i - 1] + 1, rows[j - 1] + 1)
     return _HOLDS if fail_at is None else ReducibilityVerdict(fail_at=fail_at)
 
 
-def _rows_that_can_fail(f: PrefixListing, g: PrefixListing) -> Optional[List[int]]:
+def _rows_that_can_fail(fr: Tuple[int, ...], gr: Tuple[int, ...]) -> Optional[List[int]]:
     """0-based positions, ascending, that hold both ends of every failing
-    pair of leq_eo(f, g); None when the ranks differ at more than
-    LEQ_EO_MAX_DIFFERING positions.
+    pair of leq_eo(f, g), given f's ranks fr and g's ranks gr; None when the
+    ranks differ at more than LEQ_EO_MAX_DIFFERING positions.
 
-    Let D be the positions where f's and g's ranks differ, found by one lazy
+    Let D be the positions where fr and gr differ, found by one lazy
     C-level scan that stops past the limit.  A failing pair i < j has
     f-ranks a > b and g-ranks a' < b', so an end d lies in D: else
     a = a' < b' = b < a.  The other end lies in D too, or has one rank r in
@@ -356,7 +346,6 @@ def _rows_that_can_fail(f: PrefixListing, g: PrefixListing) -> Optional[List[int
     value-adjacent swap makes an interval of two ranks, both held by D, so a
     pair that differs only by such swaps keeps D alone.
     """
-    fr, gr = f.ranks, g.ranks
     differ = list(islice(compress(count(), map(ne, fr, gr)), LEQ_EO_MAX_DIFFERING + 1))
     if len(differ) > LEQ_EO_MAX_DIFFERING:
         return None
@@ -371,26 +360,25 @@ def _rows_that_can_fail(f: PrefixListing, g: PrefixListing) -> Optional[List[int
     return list(compress(count(), map(flags.__getitem__, fr)))
 
 
-def _fenwick_fail_at(f: PrefixListing, g: PrefixListing) -> Optional[PositionPair]:
-    """leq_eo's least witness by a right-to-left Fenwick prefix-max scan,
-    on the whole pair or on its restrictions to the rows that can fail.
+def _fenwick_fail_at(fr: Tuple[int, ...], gr: Tuple[int, ...]) -> Optional[PositionPair]:
+    """leq_eo's least witness by a right-to-left Fenwick prefix-max scan, on
+    f's and g's ranks or on the ranks of their restrictions to the rows.
 
-    Position i fails when some j > i has f(j) < f(i) and g(j) > g(i).  The
-    tree is indexed by f-rank and holds the largest g-rank inserted at or
-    below each f-rank (0 when none); positions are inserted right to left,
-    so a query before inserting i sees exactly the j > i.  The first
-    adjacent failure, where f descends and g ascends, fails and bounds the
-    answer; a lazy C-level scan of the values stops at it.  The rows from it
+    Position i fails when some j > i has fr[j] < fr[i] and gr[j] > gr[i].
+    The tree is indexed by f-rank and holds the largest g-rank inserted at
+    or below each f-rank (0 when none); positions are inserted right to
+    left, so a query before inserting i sees exactly the j > i.  The first
+    adjacent failure, where fr descends and gr ascends, fails and bounds the
+    answer; a lazy C-level scan of the ranks stops at it.  The rows from it
     on are loaded at once, the max-tree is built over them bottom-up in
     O(n), and only the rows left of it are queried.  The least failing i is
     the last one flagged, and a linear scan from it finds the least j.
     """
-    fr, gr, fv, gv = f.ranks, g.ranks, f.values, g.values
     n = len(fr)
     tree = [0] * (n + 1)
     least = None
-    bound = next(compress(count(), map(and_, map(gt, fv, islice(fv, 1, None)),
-                                       map(lt, gv, islice(gv, 1, None)))), n)
+    bound = next(compress(count(), map(and_, map(gt, fr, islice(fr, 1, None)),
+                                       map(lt, gr, islice(gr, 1, None)))), n)
     if bound < n:
         least = bound
         for k in range(bound, n):
@@ -416,8 +404,8 @@ def _fenwick_fail_at(f: PrefixListing, g: PrefixListing) -> Optional[PositionPai
             r += r & -r
     if least is None:
         return None
-    a, b = fv[least], gv[least]
-    j = next(j for j in range(least + 1, n) if fv[j] < a and gv[j] > b)
+    a, b = fr[least], gr[least]
+    j = next(j for j in range(least + 1, n) if fr[j] < a and gr[j] > b)
     return (least + 1, j + 1)
 
 

@@ -28,6 +28,7 @@ ROOT = Path(__file__).resolve().parent.parent
 TIMEOUT_S = 600
 
 ROW_TEST = "tests/test_fast_paths.py::TestRowRestriction::test_exhaustive_on_permutations[3]"
+KERNEL_TEST = "tests/test_fast_paths.py::TestFenwickKernel::test_exhaustive_on_permutations[4]"
 RECORDS = "tests/test_extraction.py::TestInversePositionRecords"
 CLAUSES_TEST = RECORDS + "::test_clauses_are_evaluated_without_the_precondition[3]"
 SEEDED_TEST = RECORDS + "::test_seeded_pairs[33]"
@@ -50,6 +51,17 @@ MUTANTS = [
      "(rows[i - 1] + 1, rows[j - 1] + 1)",
      "(rows[i] + 1, rows[j] + 1)",
      [ROW_TEST], "killed"),
+    # g's restriction to the rows is ranked from f's ranks
+    ("src/enumorder/prefixes.py",
+     "_ranks(tuple(map(gr.__getitem__, rows)))",
+     "_ranks(tuple(map(fr.__getitem__, rows)))",
+     [ROW_TEST], "killed"),
+    # the kernel's least j is the first one right of i with a lower f-rank,
+    # whatever its g-rank
+    ("src/enumorder/prefixes.py",
+     "if fr[j] < a and gr[j] > b)",
+     "if fr[j] < a)",
+     [KERNEL_TEST], "killed"),
     # an evaluated clause 2 is taken as holding, as a vacuous one is; on a
     # pair that leq_eo accepts no evaluated clause fails, so the test that
     # kills it patches the precondition out
@@ -70,8 +82,8 @@ MUTANTS = [
       "tests/test_prefixes.py::TestLeqEo::test_witness_is_lex_least"], "killed"),
     # the oracle's random walks step to any prefix, not one of the down-set
     ("src/enumorder/oracle.py",
-     "below = down[current]",
-     "below = prefixes",
+     "below = down[k]",
+     "below = range(len(prefixes))",
      ["tests/test_oracle.py::TestRunProperty::test_passes_at_small_n[stabilization]",
       "tests/test_oracle_reference.py::test_matches_reference_up_to_cap[stabilization]"],
      "killed"),

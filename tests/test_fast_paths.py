@@ -2,19 +2,21 @@
 
 Each reference below is the straightforward loop: the double loop for the
 least reducibility witness, tuple.index for positions, the pairwise scan for
-chain repeats.  The Fenwick kernel, leq_eo's inversion-mask path and its
-path through the rows that can fail are checked exhaustively at small n, the
-last with the mask path switched off, and the public entries with hypothesis
-both up to leq_eo's small-n threshold and well above it, where one row
-search and one Fenwick scan run.  Inflating each value of a small
-permutation to a block carries the oracle's own least witness to 64 and 80
-positions.  Up to 10^4 positions, past the double loop's reach, leq_eo's
-verdicts are checked against an identity of inversion counts that shares no
-code with the package.
+chain repeats, and sorting the values for ranks.  The Fenwick kernel, on
+two rank tuples, leq_eo's inversion-mask path and its path through the rows
+that can fail, whose restrictions are rank tuples too, are checked
+exhaustively at small n, the last with the mask path switched off, and the
+public entries with hypothesis both up to leq_eo's small-n threshold and
+well above it, where one row search and one Fenwick scan run.  Inflating
+each value of a small permutation to a block carries the oracle's own least
+witness to 64 and 80 positions.  Up to 10^4 positions, past the double
+loop's reach, leq_eo's verdicts are checked against an identity of
+inversion counts that shares no code with the package.
 """
 
 import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -35,6 +37,7 @@ from enumorder.prefixes import (
     LEQ_EO_SMALL_N,
     PrefixListing,
     _fenwick_fail_at,
+    _ranks,
     _rows_that_can_fail,
     equiv_eo,
     leq_eo,
@@ -156,7 +159,7 @@ class TestFenwickKernel:
     def test_exhaustive_on_permutations(self, n):
         perms = [PrefixListing(p) for p in itertools.permutations(range(1, n + 1))]
         for f, g in itertools.product(perms, repeat=2):
-            assert _fenwick_fail_at(f, g) == least_witness(f.values, g.values)
+            assert _fenwick_fail_at(f.ranks, g.ranks) == least_witness(f.values, g.values)
 
     @pytest.mark.parametrize("n", range(5))
     def test_exhaustive_with_repeated_values(self, n):
@@ -176,20 +179,32 @@ class TestFenwickKernel:
             assert PrefixListing(perm).values == perm
 
 
+class TestRanks:
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 40])
+    @pytest.mark.parametrize("kind", ["1..n", "run above 1", "sparse"])
+    def test_matches_sorted_index(self, n, kind):
+        rng = random.Random(f"{kind}:{n}")
+        low = {"1..n": 1, "run above 1": 1 + rng.randrange(1, 1000)}.get(kind)
+        pool = range(low, low + n) if low else range(1, 10**6)
+        values = tuple(rng.sample(pool, n))
+        ordered = sorted(values)
+        assert _ranks(values) == tuple(ordered.index(v) + 1 for v in values)
+
+
 class TestRowRestriction:
     @pytest.mark.parametrize("n", [*range(6), pytest.param(6, marks=pytest.mark.slow)])
     def test_exhaustive_on_permutations(self, n, monkeypatch):
-        # every ordered pair, g relabelled: the rows come from ranks, the
-        # restrictions from values.  With the mask path off, each pair goes
-        # through the equal-ranks check, the row search, the restriction and
-        # the kernel
+        # every ordered pair, g relabelled: the rows and both restrictions
+        # come from ranks.  With the mask path off, each pair goes through
+        # the equal-ranks check, the row search, the restriction and the
+        # kernel
         monkeypatch.setattr(prefixes, "LEQ_EO_SMALL_N", 0)
         perms = list(itertools.permutations(range(1, n + 1)))
         listings = [PrefixListing(p) for p in perms]
         relabelled = [PrefixListing(tuple(3 * v + 7 for v in p)) for p in perms]
         for fv, f in zip(perms, listings):
             for gv, g in zip(perms, relabelled):
-                rows = _rows_that_can_fail(f, g)
+                rows = _rows_that_can_fail(f.ranks, g.ranks)
                 assert rows == sorted(set(rows))
                 kept = set(rows)
                 assert all(i in kept and j in kept for i, j in failing_pairs(fv, gv))
@@ -271,8 +286,43 @@ class TestLeqEoFastPath:
         assert searched[4:] == scanned[4:] == [w + 1, w + 1]
 
     @pytest.mark.parametrize("n", [LEQ_EO_SMALL_N + 1, 4096])
+    def test_a_restricted_pair_builds_no_listing(self, n):
+        # the restrictions to the rows are rank tuples, not PrefixListings.
+        # A listing is built by the checking constructor, which runs
+        # __init__, or without the checks by calling PrefixListing.__new__,
+        # which is object.__new__; a profile hook counts both.  Patching
+        # __new__ on the class instead would leave it unable to build one
+        # after the patch is undone
+        fv = tuple(random.Random(n).sample(range(1, n + 1), n))
+        f, g = PrefixListing(fv), PrefixListing(plant_value_swap(fv, 1))
+        assert len(_rows_that_can_fail(f.ranks, g.ranks)) == 2
+        init = PrefixListing.__init__.__code__
+        built = []
+
+        def count_builds(frame, event, arg):
+            if (event == "call" and frame.f_code is init) or (
+                    event == "c_call" and arg is object.__new__):
+                built.append(event)
+
+        def builds(call, *args):
+            previous = sys.getprofile()
+            sys.setprofile(count_builds)
+            try:
+                return call(*args)
+            finally:
+                sys.setprofile(previous)
+
+        verdicts = [builds(leq_eo, f, g).fail_at, builds(leq_eo, g, f).fail_at]
+        assert verdicts.count(None) == 1
+        assert built == []
+        # the hook sees both ways of building one
+        builds(f.head, 1)
+        builds(PrefixListing, fv)
+        assert built == ["c_call", "call"]
+
+    @pytest.mark.parametrize("n", [LEQ_EO_SMALL_N + 1, 4096])
     def test_the_scan_caches_only_ranks(self, n):
-        # the Fenwick kernel finds its bound from the values, so the only
+        # the row search and the Fenwick kernel read only ranks, so the only
         # index leq_eo leaves on a listing above the small path is its ranks
         fv = tuple(random.Random(n).sample(range(1, n + 1), n))
         adjacent = list(fv)

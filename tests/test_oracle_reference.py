@@ -103,7 +103,7 @@ def _random_descending_chain(rng, prefixes, inv, length: int) -> Chain:
     current = prefixes[int(rng.random() * len(prefixes))]
     chain = [current]
     while len(chain) < length:
-        below = [p for p in prefixes if inv[p] <= inv[current]]
+        below = [p for p in prefixes if inv[p.values] <= inv[current.values]]
         current = below[int(rng.random() * len(below))]
         chain.append(current)
     return Chain(tuple(chain))
@@ -115,7 +115,7 @@ def _check_stabilization(n: int):
     length = n * (n - 1) // 2 + 2
     rng = random.Random(f"stabilization:{n}")
     prefixes = _prefixes(n)
-    inv = {p: inversions(p) for p in prefixes}
+    inv = {p.values: inversions(p) for p in prefixes}
     walks = 200
     for _ in range(walks):
         chain = _random_descending_chain(rng, prefixes, inv, length)
