@@ -16,7 +16,6 @@ import importlib
 _SOURCES = {
     "Chain": "algebra",
     "chain_stabilize": "algebra",
-    "inverse_lookup": "algebra",
     "make_strict_chain": "algebra",
     "transport": "algebra",
     "Dovetail": "enumerators",
@@ -41,6 +40,7 @@ _SOURCES = {
     "SetSample": "prefixes",
     "ascending_listing": "prefixes",
     "equiv_eo": "prefixes",
+    "inverse_lookup": "prefixes",
     "inversions": "prefixes",
     "leq_eo": "prefixes",
     "make_prefix": "prefixes",

@@ -1,5 +1,5 @@
-"""Constructive listing manipulations: inverse lookup, transport through an
-equivalent pair, and repeat detection in descending reducibility chains.
+"""Constructive listing manipulations: transport through an equivalent
+pair, and repeat detection in descending reducibility chains.
 """
 
 from __future__ import annotations
@@ -46,18 +46,6 @@ class Chain(FrozenSlots):
                     f"chain not descending at step {k + 1}: "
                     f"listing {k + 2} is not reducible to listing {k + 1}"
                 )
-
-
-def inverse_lookup(p: PrefixListing, v: int) -> int:
-    """The position at which p enumerates v.
-
-    O(1) per call through p's cached position map, after an O(n) build on
-    the first lookup into p.
-    """
-    try:
-        return p.positions[v]
-    except KeyError:
-        raise EnumOrderError(f"value not enumerated in prefix: {v}") from None
 
 
 def transport(h: PrefixListing, h_prime: PrefixListing, g_prime: PrefixListing) -> PrefixListing:

@@ -12,9 +12,8 @@ import enum
 from operator import itemgetter
 from typing import List, NamedTuple, Tuple
 
-from .algebra import inverse_lookup
-from .errors import EnumOrderError, TooLarge
-from .prefixes import FrozenSlots, Pattern, PrefixListing, SetSample, leq_eo
+from .errors import EnumOrderError, LengthMismatch, TooLarge
+from .prefixes import FrozenSlots, Pattern, PrefixListing, SetSample, inverse_lookup, leq_eo
 
 # family_below's output has n + 1 sets of up to n plus |A above n| elements
 # each, so its time, memory and printed size grow as their product.  The
@@ -30,27 +29,21 @@ MAX_FAMILY_SIZE = (MAX_FAMILY_N + 1) * 2 * MAX_FAMILY_N
 MAX_INVERSE_POSITIONS = 65_536
 
 
-class Clause1(NamedTuple):
-    fpos: int
-    gpos: int
-    holds: bool
-
-
-class Clause2Entry(NamedTuple):
+class Clause(NamedTuple):
     index: int
-    premise_held: bool
+    premise_held: bool  # vacuously true at index 1
     fpos: int
     gpos: int
     holds: bool  # vacuously true when the premise fails
 
 
 class InversePositionReport(NamedTuple):
-    clause1: Clause1
-    clause2: Tuple[Clause2Entry, ...]
+    clause1: Clause
+    clause2: Tuple[Clause, ...]
 
     @property
     def all_hold(self) -> bool:
-        # an entry's field 4 is its holds
+        # a clause's field 4 is its holds
         return self.clause1.holds and all(map(itemgetter(4), self.clause2))
 
 
@@ -58,10 +51,10 @@ def check_inverse_positions(f: PrefixListing, g: PrefixListing) -> InversePositi
     """Inverse-position inequalities along the ascending views of f and g.
 
     Requires f reducible to g.  With a = ascending view of f's values and
-    b = of g's: clause 1 asserts f^-1(a_1) <= g^-1(b_1); clause 2 asserts,
-    for each i > 1 whose premise (all earlier inverse positions agree)
-    holds, f^-1(a_i) <= g^-1(b_i).  Every evaluated clause must come back
-    true; a false one means a bug upstream.  Refuses an f of more than
+    b = of g's, clause i (i >= 1) asserts f^-1(a_i) <= g^-1(b_i) when its
+    premise, that all earlier inverse positions agree, holds; clause 1's
+    premise is empty.  Every evaluated clause must come back true; a false
+    one means a bug upstream.  Refuses an f of more than
     MAX_INVERSE_POSITIONS positions with TooLarge, before any other work;
     leq_eo refuses a g of another length at once.
     """
@@ -77,13 +70,14 @@ def check_inverse_positions(f: PrefixListing, g: PrefixListing) -> InversePositi
     # does; calling it here skips that Python frame, ~0.3 us a record, and
     # the records keep their exact classes
     new = tuple.__new__
-    clause1 = new(Clause1, (fpos[0], gpos[0], fpos[0] <= gpos[0]) if a else (0, 0, True))
+    clause1 = new(Clause, (1, True, fpos[0], gpos[0], fpos[0] <= gpos[0])
+                  if a else (1, True, 0, 0, True))
     entries = []
     premise = True  # fpos and gpos agree at every index below i
     for i in range(2, len(a) + 1):
         premise = premise and fpos[i - 2] == gpos[i - 2]
         fp, gp = fpos[i - 1], gpos[i - 1]
-        entries.append(new(Clause2Entry, (i, premise, fp, gp, fp <= gp if premise else True)))
+        entries.append(new(Clause, (i, premise, fp, gp, fp <= gp if premise else True)))
     return new(InversePositionReport, (clause1, tuple(entries)))
 
 
@@ -108,7 +102,7 @@ class PairedListings(FrozenSlots):
 
     def __init__(self, f: PrefixListing, g: PrefixListing, m: int):
         if len(f) != len(g):
-            raise EnumOrderError(f"lengths differ: {len(f)} != {len(g)}")
+            raise LengthMismatch(len(f), len(g))
         if len(f) == 0:
             raise EnumOrderError("empty pairing")
         if m in g.positions:

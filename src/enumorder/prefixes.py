@@ -17,8 +17,10 @@ from .errors import DuplicateValue, EnumOrderError, LengthMismatch, TooLarge, Ze
 
 PositionPair = Tuple[int, int]
 
-# up to this length leq_eo ANDs cached inversion masks; on fresh listings the
-# Fenwick scan ties with it at 32-64 positions and wins above (CHANGES.md)
+# up to this length leq_eo ANDs cached inversion masks.  On 400 fresh random
+# pairs the mask path beats the rank path through 64 positions (32.6 against
+# 49.7 ms at 64) and loses at 96 (61.0 against 27.2 ms; 2 cores, Python
+# 3.11), so this is below the crossover; re-tuning it is ROADMAP item 6
 LEQ_EO_SMALL_N = 32
 
 # above the small path, leq_eo decides a pair whose ranks differ at up to
@@ -171,6 +173,18 @@ class PrefixListing(FrozenSlots):
         return mask
 
 
+def inverse_lookup(p: PrefixListing, v: int) -> int:
+    """The position at which p enumerates v.
+
+    O(1) per call through p's cached position map, after an O(n) build on
+    the first lookup into p.
+    """
+    try:
+        return p.positions[v]
+    except KeyError:
+        raise EnumOrderError(f"value not enumerated in prefix: {v}") from None
+
+
 def _ranks(seq: Tuple[int, ...]) -> Tuple[int, ...]:
     """Rank of each item of a tuple of distinct ints, from 1: the argsort,
     scattered."""
@@ -304,10 +318,10 @@ def leq_eo(f: PrefixListing, g: PrefixListing) -> ReducibilityVerdict:
     witness (`_fenwick_fail_at`).  When the ranks differ at no more than
     LEQ_EO_MAX_DIFFERING positions and the rows that can fail
     (`_rows_that_can_fail`) leave out some position, the scan runs on both
-    rank tuples restricted to those rows, each ranked again.  A pair of rows
-    fails in the restrictions exactly when it fails in f and g, and the map
-    from a row's index to its position is increasing, so the least witness
-    maps back to the least witness.
+    rank tuples restricted to those rows, f's restriction ranked again.  A
+    pair of rows fails in the restrictions exactly when it fails in f and g,
+    and the map from a row's index to its position is increasing, so the
+    least witness maps back to the least witness.
     """
     n, m = len(f.values), len(g.values)
     if n != m:
@@ -325,7 +339,7 @@ def leq_eo(f: PrefixListing, g: PrefixListing) -> ReducibilityVerdict:
         fail_at = _fenwick_fail_at(fr, gr)
     else:
         fail_at = _fenwick_fail_at(_ranks(tuple(map(fr.__getitem__, rows))),
-                                   _ranks(tuple(map(gr.__getitem__, rows))))
+                                   tuple(map(gr.__getitem__, rows)))
         if fail_at is not None:
             i, j = fail_at
             fail_at = (rows[i - 1] + 1, rows[j - 1] + 1)
@@ -362,14 +376,15 @@ def _rows_that_can_fail(fr: Tuple[int, ...], gr: Tuple[int, ...]) -> Optional[Li
 
 def _fenwick_fail_at(fr: Tuple[int, ...], gr: Tuple[int, ...]) -> Optional[PositionPair]:
     """leq_eo's least witness by a right-to-left Fenwick prefix-max scan, on
-    f's and g's ranks or on the ranks of their restrictions to the rows.
+    f's and g's ranks or on their restrictions to the rows.
 
     Position i fails when some j > i has fr[j] < fr[i] and gr[j] > gr[i].
-    The tree is indexed by f-rank and holds the largest g-rank inserted at
-    or below each f-rank (0 when none); positions are inserted right to
-    left, so a query before inserting i sees exactly the j > i.  The first
-    adjacent failure, where fr descends and gr ascends, fails and bounds the
-    answer; a lazy C-level scan of the ranks stops at it.  The rows from it
+    The tree is indexed by f-rank, so fr holds the ranks 1..n; gr is only
+    compared, so any distinct ints >= 1 serve.  It holds the largest gr
+    inserted at or below each f-rank (0 when none); positions are inserted
+    right to left, so a query before inserting i sees exactly the j > i.
+    The first adjacent failure, where fr descends and gr ascends, fails and
+    bounds the answer; a lazy C-level scan stops at it.  The rows from it
     on are loaded at once, the max-tree is built over them bottom-up in
     O(n), and only the rows left of it are queried.  The least failing i is
     the last one flagged, and a linear scan from it finds the least j.

@@ -51,17 +51,55 @@ MUTANTS = [
      "(rows[i - 1] + 1, rows[j - 1] + 1)",
      "(rows[i] + 1, rows[j] + 1)",
      [ROW_TEST], "killed"),
-    # g's restriction to the rows is ranked from f's ranks
+    # g's restriction to the rows is read from f's ranks
     ("src/enumorder/prefixes.py",
-     "_ranks(tuple(map(gr.__getitem__, rows)))",
-     "_ranks(tuple(map(fr.__getitem__, rows)))",
+     "tuple(map(gr.__getitem__, rows))",
+     "tuple(map(fr.__getitem__, rows))",
      [ROW_TEST], "killed"),
+    # a pair of equal patterns goes on to the row search and the kernel
+    ("src/enumorder/prefixes.py",
+     "if fr == gr:",
+     "if False:",
+     ["tests/test_fast_paths.py::TestLeqEoFastPath::test_equal_patterns_skip_the_scan"],
+     "killed"),
     # the kernel's least j is the first one right of i with a lower f-rank,
     # whatever its g-rank
     ("src/enumorder/prefixes.py",
      "if fr[j] < a and gr[j] > b)",
      "if fr[j] < a)",
      [KERNEL_TEST], "killed"),
+    # the kernel's tree over the rows from the bound on is not built bottom-up
+    ("src/enumorder/prefixes.py",
+     "if up <= n and tree[up] < tree[r]:",
+     "if False:",
+     [KERNEL_TEST], "killed"),
+    # the adjacent failure that bounds the scan is not the default answer
+    ("src/enumorder/prefixes.py",
+     "least = bound",
+     "least = None",
+     [KERNEL_TEST], "killed"),
+    # each query reads one tree node instead of walking down to the first
+    # node above the bound
+    ("src/enumorder/prefixes.py",
+     "while r and tree[r] < b:",
+     "if r and tree[r] < b:",
+     [KERNEL_TEST], "killed"),
+    # the row just left of the bound is never queried
+    ("src/enumorder/prefixes.py",
+     "range(bound - 1, -1, -1)",
+     "range(bound - 2, -1, -1)",
+     [KERNEL_TEST], "killed"),
+    # an absent value is looked up at position 0 instead of refused
+    ("src/enumorder/prefixes.py",
+     'raise EnumOrderError(f"value not enumerated in prefix: {v}") from None',
+     "return 0",
+     ["tests/test_algebra.py::TestInverseLookup::test_absent"], "killed"),
+    # clause 1 is taken as holding; as with clause 2 below, only a pair
+    # leq_eo refuses can fail it
+    ("src/enumorder/extraction.py",
+     "fpos[0] <= gpos[0]",
+     "True",
+     [CLAUSES_TEST], "killed"),
     # an evaluated clause 2 is taken as holding, as a vacuous one is; on a
     # pair that leq_eo accepts no evaluated clause fails, so the test that
     # kills it patches the precondition out
@@ -74,6 +112,17 @@ MUTANTS = [
      "all(map(itemgetter(4), self.clause2))",
      "all(map(itemgetter(1), self.clause2))",
      [SEEDED_TEST], "killed"),
+    # PairedListings accepts a pair whose ranks are not aligned
+    ("src/enumorder/extraction.py",
+     "if image != f.values:",
+     "if False:",
+     ["tests/test_extraction.py::TestMakePaired"], "killed"),
+    # membership is decided from the largest enumerated value above x, not
+    # the least
+    ("src/enumorder/extraction.py",
+     "min(filter(x.__lt__, p.g.values), default=None)",
+     "max(filter(x.__lt__, p.g.values), default=None)",
+     ["tests/test_extraction.py::TestDecideMembership"], "killed"),
     # the small path decodes its witness one bit high
     ("src/enumorder/prefixes.py",
      "i, j = divmod(low.bit_length() - 1, n)",
@@ -115,6 +164,17 @@ MUTANTS = [
      "if (saved0 <= r0 and (r0 == saved0 or not zeroed[0])",
      "if ((r0 == saved0 or not zeroed[0])",
      ["tests/test_enumerators.py::TestRegisterMachineCycleCut"], "survives"),
+    # the cut ignores register 1's zero-test flag
+    ("src/enumorder/enumerators.py",
+     "or not zeroed[1])",
+     "or True)",
+     ["tests/test_enumerators.py::TestRegisterMachineCycleCut"], "killed"),
+    # the cut accepts a register 1 that shrank since the checkpoint
+    ("src/enumorder/enumerators.py",
+     "saved1 <= r1 and ",
+     "",
+     ["tests/test_enumerators.py::TestRegisterMachineCycleCut::"
+      "test_shrunk_register_is_not_cut"], "killed"),
 ]
 
 

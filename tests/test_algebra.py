@@ -5,15 +5,15 @@ import pytest
 
 from enumorder import cli
 
-from enumorder.algebra import (
-    Chain,
-    chain_stabilize,
-    inverse_lookup,
-    make_strict_chain,
-    transport,
-)
+from enumorder.algebra import Chain, chain_stabilize, make_strict_chain, transport
 from enumorder.errors import EnumOrderError, LengthMismatch
-from enumorder.prefixes import PrefixListing, inversions, make_prefix, standardize
+from enumorder.prefixes import (
+    PrefixListing,
+    inverse_lookup,
+    inversions,
+    make_prefix,
+    standardize,
+)
 
 
 def perms(n, base=1):

@@ -549,7 +549,7 @@ def test_bad_input_exits_2(capsys, tmp_path, monkeypatch, argv):
     [
         (DECIDE, "1 4 2 6\n2 6 4 8\n", "paired file needs two prefix lines then 'm=<nat>'"),
         (DECIDE, "1 4\n2 4\nm=x\n", "bad m line: 'm=x'"),
-        (DECIDE, "1 2\n2 3 4\nm=1\n", "lengths differ: 2 != 3"),
+        (DECIDE, "1 2\n2 3 4\nm=1\n", "prefix lengths differ: 2 != 3"),
         (DECIDE, "[]\n[]\nm=1\n", "empty pairing"),
         (DECIDE, "5 3\n3 4\nm=5\n", "extra element 5 is not below min of g's values"),
         (("stabilize", "--chain", "in.txt"), "2 1\n1 2 3\n", "prefix lengths differ: 2 != 3"),

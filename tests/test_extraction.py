@@ -10,8 +10,7 @@ from enumorder.errors import EnumOrderError, TooLarge, ZeroValue
 from enumorder.extraction import (
     MAX_FAMILY_N,
     MAX_INVERSE_POSITIONS,
-    Clause1,
-    Clause2Entry,
+    Clause,
     InversePositionReport,
     Membership,
     PairedListings,
@@ -96,13 +95,15 @@ def clause_report(f, g):
     a, b = sorted(f.values), sorted(g.values)
     fpos = [f.positions[v] for v in a]
     gpos = [g.positions[v] for v in b]
-    clause1 = Clause1(fpos[0], gpos[0], fpos[0] <= gpos[0]) if a else Clause1(0, 0, True)
+    # clause 1's premise is empty, so it is held and the clause evaluated
+    clause1 = (Clause(1, True, fpos[0], gpos[0], fpos[0] <= gpos[0]) if a
+               else Clause(1, True, 0, 0, True))
     entries = []
     premise = True
     for i in range(2, len(a) + 1):
         premise = premise and fpos[i - 2] == gpos[i - 2]
         holds = fpos[i - 1] <= gpos[i - 1] if premise else True
-        entries.append(Clause2Entry(i, premise, fpos[i - 1], gpos[i - 1], holds))
+        entries.append(Clause(i, premise, fpos[i - 1], gpos[i - 1], holds))
     return InversePositionReport(clause1, tuple(entries))
 
 
@@ -111,8 +112,8 @@ def assert_same_report(f, g):
     assert got == want
     assert got.all_hold is (want.clause1.holds and all(e.holds for e in want.clause2))
     # exact classes, so _asdict, _replace and repr work as on the constructed ones
-    assert type(got) is InversePositionReport and type(got.clause1) is Clause1
-    assert all(type(e) is Clause2Entry for e in got.clause2)
+    assert type(got) is InversePositionReport
+    assert all(type(e) is Clause for e in (got.clause1, *got.clause2))
     assert repr(got) == repr(want) and got._asdict() == want._asdict()
     assert got.clause1._replace(holds=False) == want.clause1._replace(holds=False)
 
@@ -149,7 +150,7 @@ class TestInversePositionRecords:
         for f, g in itertools.product(perms, repeat=2):
             assert_same_report(f, g)
         report = check_inverse_positions(make_prefix([1, 3, 2]), make_prefix([1, 2, 3]))
-        assert report.clause2[0] == Clause2Entry(2, True, 3, 2, False)
+        assert report.clause2[0] == Clause(2, True, 3, 2, False)
         assert not report.all_hold
 
 
@@ -157,7 +158,7 @@ def rank_loop_refusal(f, g, m):
     """The message PairedListings refused (f, g, m) with when it walked
     every position of the pair, or None where it accepted."""
     if len(f) != len(g):
-        return f"lengths differ: {len(f)} != {len(g)}"
+        return f"prefix lengths differ: {len(f)} != {len(g)}"
     if len(f) == 0:
         return "empty pairing"
     if m in g.values:

@@ -23,13 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from enumorder import prefixes
-from enumorder.algebra import (
-    Chain,
-    chain_stabilize,
-    inverse_lookup,
-    make_strict_chain,
-    transport,
-)
+from enumorder.algebra import Chain, chain_stabilize, make_strict_chain, transport
 from enumorder.errors import DuplicateValue, EnumOrderError, ZeroValue
 from enumorder.oracle import _inversion_masks, _prefixes
 from enumorder.prefixes import (
@@ -40,6 +34,7 @@ from enumorder.prefixes import (
     _ranks,
     _rows_that_can_fail,
     equiv_eo,
+    inverse_lookup,
     leq_eo,
     make_prefix,
 )
@@ -159,7 +154,11 @@ class TestFenwickKernel:
     def test_exhaustive_on_permutations(self, n):
         perms = [PrefixListing(p) for p in itertools.permutations(range(1, n + 1))]
         for f, g in itertools.product(perms, repeat=2):
-            assert _fenwick_fail_at(f.ranks, g.ranks) == least_witness(f.values, g.values)
+            want = least_witness(f.values, g.values)
+            assert _fenwick_fail_at(f.ranks, g.ranks) == want
+            # g is only compared, so an increasing relabelling of its ranks,
+            # such as the g-ranks at leq_eo's rows, keeps the witness
+            assert _fenwick_fail_at(f.ranks, tuple(3 * r + 7 for r in g.ranks)) == want
 
     @pytest.mark.parametrize("n", range(5))
     def test_exhaustive_with_repeated_values(self, n):
@@ -195,9 +194,9 @@ class TestRowRestriction:
     @pytest.mark.parametrize("n", [*range(6), pytest.param(6, marks=pytest.mark.slow)])
     def test_exhaustive_on_permutations(self, n, monkeypatch):
         # every ordered pair, g relabelled: the rows and both restrictions
-        # come from ranks.  With the mask path off, each pair goes through
-        # the equal-ranks check, the row search, the restriction and the
-        # kernel
+        # come from ranks, and only f's restriction is ranked again.  With
+        # the mask path off, each pair goes through the equal-ranks check,
+        # the row search, the restriction and the kernel
         monkeypatch.setattr(prefixes, "LEQ_EO_SMALL_N", 0)
         perms = list(itertools.permutations(range(1, n + 1)))
         listings = [PrefixListing(p) for p in perms]
@@ -284,6 +283,25 @@ class TestLeqEoFastPath:
         leq_eo(f, moved)
         leq_eo(moved, f)
         assert searched[4:] == scanned[4:] == [w + 1, w + 1]
+
+    @pytest.mark.parametrize("n", [LEQ_EO_SMALL_N + 1, 4096])
+    def test_only_f_restriction_is_ranked(self, n, monkeypatch):
+        # with both listings' ranks warm, a value swap ranks one restriction
+        # per direction, f's, which indexes the kernel's tree; g's is passed
+        # as its ranks at the rows.  The list holds each call's length
+        ranked = []
+
+        def counting_ranks(seq):
+            ranked.append(len(seq))
+            return _ranks(seq)
+
+        fv = tuple(random.Random(n).sample(range(1, n + 1), n))
+        f, g = PrefixListing(fv), PrefixListing(plant_value_swap(fv, 1))
+        assert len(f.ranks) == len(g.ranks) == n  # both warm
+        monkeypatch.setattr(prefixes, "_ranks", counting_ranks)
+        verdicts = [leq_eo(f, g).fail_at, leq_eo(g, f).fail_at]
+        assert verdicts.count(None) == 1
+        assert ranked == [2, 2]
 
     @pytest.mark.parametrize("n", [LEQ_EO_SMALL_N + 1, 4096])
     def test_a_restricted_pair_builds_no_listing(self, n):

@@ -3,11 +3,16 @@ import os
 import pytest
 
 from enumorder import algebra, extraction, oracle
-from enumorder.algebra import inverse_lookup
 from enumorder.errors import EnumOrderError, TooLarge
 from enumorder.extraction import check_inverse_positions
 from enumorder.oracle import REGISTRY, run_properties, run_property
-from enumorder.prefixes import PrefixListing, ReducibilityVerdict, inversions, leq_eo
+from enumorder.prefixes import (
+    PrefixListing,
+    ReducibilityVerdict,
+    inverse_lookup,
+    inversions,
+    leq_eo,
+)
 
 # the oracle calls the prefixes functions through its own names, and imports
 # the others from their modules when a checker runs: a fault planted in a

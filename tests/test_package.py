@@ -86,6 +86,14 @@ def test_cold_verify_call_loads_only_the_oracle():
     ]
 
 
+def test_cold_lemma8_call_loads_extraction_without_algebra():
+    # the inverse position report reads the positions index in prefixes
+    out, probe = _cold_call("lemma8", "inline", "2 4 6", "inline", "2 3 4")
+    assert json.loads(out)["all_hold"] is True and probe["code"] == 0
+    assert "enumorder.extraction" in probe["cli"]
+    assert "enumorder.algebra" not in probe["cli"]
+
+
 def test_public_names():
     assert enumorder.__all__ == PUBLIC
     assert set(PUBLIC) <= set(dir(enumorder))

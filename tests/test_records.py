@@ -10,8 +10,7 @@ import pytest
 from enumorder.algebra import Chain
 from enumorder.errors import DuplicateValue, EnumOrderError, ZeroValue
 from enumorder.extraction import (
-    Clause1,
-    Clause2Entry,
+    Clause,
     InversePositionReport,
     Membership,
     MembershipReport,
@@ -57,19 +56,16 @@ RECORDS = {
         lambda: ReducibilityVerdict(fail_at=(1, 2)), ReducibilityVerdict,
         "ReducibilityVerdict(fail_at=(1, 2))", "fail_at",
     ),
-    "Clause1": (
-        lambda: Clause1(1, 2, True), lambda: Clause1(1, 2, False),
-        "Clause1(fpos=1, gpos=2, holds=True)", "holds",
-    ),
-    "Clause2Entry": (
-        lambda: Clause2Entry(2, True, 1, 3, True), lambda: Clause2Entry(3, True, 1, 3, True),
-        "Clause2Entry(index=2, premise_held=True, fpos=1, gpos=3, holds=True)", "index",
+    "Clause": (
+        lambda: Clause(2, True, 1, 3, True), lambda: Clause(3, True, 1, 3, True),
+        "Clause(index=2, premise_held=True, fpos=1, gpos=3, holds=True)", "index",
     ),
     "InversePositionReport": (
-        lambda: InversePositionReport(Clause1(1, 1, True), (Clause2Entry(2, True, 2, 3, True),)),
-        lambda: InversePositionReport(Clause1(1, 1, True), ()),
-        "InversePositionReport(clause1=Clause1(fpos=1, gpos=1, holds=True), "
-        "clause2=(Clause2Entry(index=2, premise_held=True, fpos=2, gpos=3, holds=True),))",
+        lambda: InversePositionReport(Clause(1, True, 1, 1, True), (Clause(2, True, 2, 3, True),)),
+        lambda: InversePositionReport(Clause(1, True, 1, 1, True), ()),
+        "InversePositionReport("
+        "clause1=Clause(index=1, premise_held=True, fpos=1, gpos=1, holds=True), "
+        "clause2=(Clause(index=2, premise_held=True, fpos=2, gpos=3, holds=True),))",
         "clause2",
     ),
     "MembershipReport": (
@@ -162,7 +158,7 @@ def test_a_listing_with_cached_indexes_copies_and_pickles_by_values():
 def test_plain_records_are_tuples():
     # the NamedTuple trade-off: a record also equals the plain tuple of its fields
     assert ReducibilityVerdict(fail_at=(1, 2)) == ((1, 2),)
-    assert Clause1(1, 2, True) == (1, 2, True)
+    assert Clause(1, True, 1, 2, True) == (1, True, 1, 2, True)
     # the validated classes do not
     assert PrefixListing((2, 1)) != ((2, 1),)
     assert Pattern((2, 1)) != ((2, 1),)
