@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 from itertools import compress, count, islice
-from operator import and_, gt, lt, ne
+from operator import and_, gt, itemgetter, lt, ne
 from typing import Iterable, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import DuplicateValue, EnumOrderError, LengthMismatch, TooLarge, ZeroValue
@@ -20,19 +20,23 @@ PositionPair = Tuple[int, int]
 # up to this length leq_eo ANDs cached inversion masks.  On 400 fresh random
 # pairs the mask path beats the rank path through 64 positions (32.6 against
 # 49.7 ms at 64) and loses at 96 (61.0 against 27.2 ms; 2 cores, Python
-# 3.11), so this is below the crossover; re-tuning it is ROADMAP item 6
+# 3.11), so this is below the crossover; re-tuning it is ROADMAP item 5
 LEQ_EO_SMALL_N = 32
 
-# above the small path, leq_eo decides a pair whose ranks differ at up to
-# this many positions on the rows that can fail.  At 64, planted by value
-# swaps, that takes 0.06-0.08 ms at n = 256 and 0.21 ms at n = 4096, against
-# 0.10 and 2.4-2.6 ms for the Fenwick scan.  The search gives up within ~3 us
-# on a pair that differs nearly everywhere, and takes ~0.16 ms at n = 4096 on
-# one that differs only at its end (warm ranks, 2 cores, Python 3.11)
+# above the small path, leq_eo decides a pair whose values, or else ranks,
+# differ at up to this many positions on the rows that can fail.  At 64,
+# planted by value swaps on one value set, the whole call reads values only
+# and takes 0.06 ms at n = 256 and 0.19-0.20 ms at n = 4096, against 0.09-0.10
+# and 2.3-2.4 ms for the Fenwick scan alone on warm ranks.  The search gives
+# up within ~3 us on a pair that differs nearly everywhere, and takes
+# ~0.15 ms at n = 4096 on one that differs only at its end (2 cores,
+# Python 3.11)
 LEQ_EO_MAX_DIFFERING = 64
 
-# inversions on a reversed listing of this many positions takes ~2 s and
-# ~150 MB for its 523,776 pairs, four times both per doubling
+# inversions on a reversed listing of this many positions builds its 523,776
+# pairs in 0.14-0.29 s at 77 MB peak RSS; the `inversions` command, which
+# also sorts and prints them, takes 0.75-0.82 s and 125 MB as a subprocess
+# (2 cores, Python 3.11).  The pairs grow four times per doubling
 MAX_INVERSIONS_N = 1024
 
 
@@ -312,16 +316,21 @@ def leq_eo(f: PrefixListing, g: PrefixListing) -> ReducibilityVerdict:
     Returns the lexicographically least violating (i, j) on failure.  Up to
     LEQ_EO_SMALL_N positions the inversions missing from g are one AND-NOT
     of the cached `inversion_mask`s, and the lowest missing bit is the least
-    witness.  Above it, only the cached ranks are read, since they order
-    positions as the values do.  Equal patterns hold at once, in O(n).
-    Otherwise one Fenwick scan, in O(n log n) time and O(n) space, finds the
-    witness (`_fenwick_fail_at`).  When the ranks differ at no more than
-    LEQ_EO_MAX_DIFFERING positions and the rows that can fail
-    (`_rows_that_can_fail`) leave out some position, the scan runs on both
-    rank tuples restricted to those rows, f's restriction ranked again.  A
-    pair of rows fails in the restrictions exactly when it fails in f and g,
-    and the map from a row's index to its position is increasing, so the
-    least witness maps back to the least witness.
+    witness.  Above it, D, the positions where the values differ, is found
+    by a lazy scan that stops past LEQ_EO_MAX_DIFFERING; equal values hold
+    at once.  f and g agree outside D, so when D's f-values and g-values are
+    one multiset they list one value set, where the values order positions
+    as the ranks do: the rows that can fail (`_rows_that_can_fail`) are
+    read off the values, in O(n) C-level passes and with no rank sort.
+    Every other pair, and one whose rows would need value flags above 8n,
+    is read through its cached ranks: equal patterns hold at once, and D is
+    found again on them.  One Fenwick scan (`_fenwick_fail_at`), in
+    O(n log n) time and O(n) space, then finds the witness: on f's ranks
+    and g's entries when there are no rows or every position is one, else
+    on f and g restricted to the rows, f's restriction ranked.  A pair of
+    rows fails in the restrictions exactly when it fails in f and g, and
+    the map from a row's index to its position is increasing, so the least
+    witness maps back to the least witness.
     """
     n, m = len(f.values), len(g.values)
     if n != m:
@@ -331,47 +340,69 @@ def leq_eo(f: PrefixListing, g: PrefixListing) -> ReducibilityVerdict:
         if not missing:
             return _HOLDS
         return _failure_at(missing & -missing, n)
-    fr, gr = f.ranks, g.ranks
-    if fr == gr:
+    fx, gx = f.values, g.values
+    differ = _differing(fx, gx)
+    if not differ:
         return _HOLDS
-    rows = _rows_that_can_fail(fr, gr)
+    rows = None
+    # f and g agree outside D, so they list one value set when D's f-values
+    # and g-values are one multiset; a D cut at the limit gets no rows
+    if sorted(map(fx.__getitem__, differ)) == sorted(map(gx.__getitem__, differ)):
+        rows = _rows_that_can_fail(fx, gx, differ)
+    if rows is None:
+        fx, gx = f.ranks, g.ranks
+        if fx == gx:
+            return _HOLDS
+        rows = _rows_that_can_fail(fx, gx, _differing(fx, gx))
     if rows is None or len(rows) == n:
-        fail_at = _fenwick_fail_at(fr, gr)
+        fail_at = _fenwick_fail_at(f.ranks, gx)
     else:
-        fail_at = _fenwick_fail_at(_ranks(tuple(map(fr.__getitem__, rows))),
-                                   tuple(map(gr.__getitem__, rows)))
+        fail_at = _fenwick_fail_at(_ranks(tuple(map(fx.__getitem__, rows))),
+                                   tuple(map(gx.__getitem__, rows)))
         if fail_at is not None:
             i, j = fail_at
             fail_at = (rows[i - 1] + 1, rows[j - 1] + 1)
     return _HOLDS if fail_at is None else ReducibilityVerdict(fail_at=fail_at)
 
 
-def _rows_that_can_fail(fr: Tuple[int, ...], gr: Tuple[int, ...]) -> Optional[List[int]]:
-    """0-based positions, ascending, that hold both ends of every failing
-    pair of leq_eo(f, g), given f's ranks fr and g's ranks gr; None when the
-    ranks differ at more than LEQ_EO_MAX_DIFFERING positions.
+def _differing(fx: Tuple[int, ...], gx: Tuple[int, ...]) -> List[int]:
+    """The 0-based positions where fx and gx differ, by one lazy C-level
+    scan that stops at LEQ_EO_MAX_DIFFERING + 1 of them."""
+    return list(islice(compress(count(), map(ne, fx, gx)), LEQ_EO_MAX_DIFFERING + 1))
 
-    Let D be the positions where fr and gr differ, found by one lazy
-    C-level scan that stops past the limit.  A failing pair i < j has
-    f-ranks a > b and g-ranks a' < b', so an end d lies in D: else
-    a = a' < b' = b < a.  The other end lies in D too, or has one rank r in
-    both listings; then r lies strictly between d's f-rank and g-rank.  So
-    the rows are D and the positions of f-ranks inside those intervals.  A
-    value-adjacent swap makes an interval of two ranks, both held by D, so a
-    pair that differs only by such swaps keeps D alone.
+
+def _rows_that_can_fail(fx: Tuple[int, ...], gx: Tuple[int, ...],
+                        differ: List[int]) -> Optional[List[int]]:
+    """0-based positions, ascending, that hold both ends of every failing
+    pair of leq_eo(f, g), given D = `_differing(fx, gx)`.  fx and gx are f's
+    and g's ranks, or their values when f and g list one value set; either
+    way each g-entry of D is an f-entry of D.  None when D is past
+    LEQ_EO_MAX_DIFFERING, or when the flags below would take a byte per
+    value up to max(fx) > 8n, more than the 8 bytes per position of a
+    ranks tuple.
+
+    A failing pair i < j has f-entries a > b and g-entries a' < b', so an
+    end d lies in D: else a = a' < b' = b < a.  The other end lies in D
+    too, or has one entry v in both; then v lies strictly between fx[d] and
+    gx[d].  So the rows are D and the positions whose f-entry lies inside
+    those intervals.  An interval of two adjacent integers holds no v, so a
+    pair whose entries differ by 1 at each position of D keeps D alone.
     """
-    differ = list(islice(compress(count(), map(ne, fr, gr)), LEQ_EO_MAX_DIFFERING + 1))
     if len(differ) > LEQ_EO_MAX_DIFFERING:
         return None
-    if all(abs(fr[d] - gr[d]) == 1 for d in differ):
+    if all(abs(fx[d] - gx[d]) == 1 for d in differ):
         return differ
-    # flag each closed interval of ranks: its ends are f-ranks of D, since
-    # the position holding f-rank gr[d] cannot also hold g-rank gr[d]
-    flags = bytearray(len(fr) + 1)
+    top = max(fx)
+    if top > 8 * len(fx):
+        return None
+    # flag each closed interval: its ends are f-entries of D, so one C-level
+    # gather of the flags at fx keeps D and the positions inside.  D holds
+    # two positions here, so fx does too, and itemgetter returns a tuple
+    flags = bytearray(top + 1)
     for d in differ:
-        lo, hi = sorted((fr[d], gr[d]))
+        lo, hi = sorted((fx[d], gx[d]))
         flags[lo : hi + 1] = b"\1" * (hi - lo + 1)
-    return list(compress(count(), map(flags.__getitem__, fr)))
+    return list(compress(count(), itemgetter(*fx)(flags)))
 
 
 def _fenwick_fail_at(fr: Tuple[int, ...], gr: Tuple[int, ...]) -> Optional[PositionPair]:

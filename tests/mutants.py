@@ -28,6 +28,7 @@ ROOT = Path(__file__).resolve().parent.parent
 TIMEOUT_S = 600
 
 ROW_TEST = "tests/test_fast_paths.py::TestRowRestriction::test_exhaustive_on_permutations[3]"
+VALUE_TEST = "tests/test_fast_paths.py::TestValueRows::test_exhaustive_on_one_value_set[4]"
 KERNEL_TEST = "tests/test_fast_paths.py::TestFenwickKernel::test_exhaustive_on_permutations[4]"
 RECORDS = "tests/test_extraction.py::TestInversePositionRecords"
 CLAUSES_TEST = RECORDS + "::test_clauses_are_evaluated_without_the_precondition[3]"
@@ -38,7 +39,7 @@ MUTANTS = [
     # leq_eo's rows keep the differing positions alone, without the
     # positions whose equal rank lies inside a differing interval
     ("src/enumorder/prefixes.py",
-     "if all(abs(fr[d] - gr[d]) == 1 for d in differ):",
+     "if all(abs(fx[d] - gx[d]) == 1 for d in differ):",
      "if True:",
      [ROW_TEST], "killed"),
     # each interval of ranks is flagged without its two ends
@@ -46,19 +47,41 @@ MUTANTS = [
      'flags[lo : hi + 1] = b"\\1" * (hi - lo + 1)',
      'flags[lo + 1 : hi] = b"\\1" * (hi - lo - 1)',
      [ROW_TEST], "killed"),
+    # each interval of values is flagged without its two ends
+    ("src/enumorder/prefixes.py",
+     'flags[lo : hi + 1] = b"\\1" * (hi - lo + 1)',
+     'flags[lo + 1 : hi] = b"\\1" * (hi - lo - 1)',
+     [VALUE_TEST], "killed"),
+    # every pair that differs at a few positions is read off its values,
+    # two value sets included
+    ("src/enumorder/prefixes.py",
+     "if sorted(map(fx.__getitem__, differ)) == sorted(map(gx.__getitem__, differ)):",
+     "if True:",
+     [VALUE_TEST], "killed"),
+    # values above 8n are flagged, at more bytes than the ranks they replace
+    ("src/enumorder/prefixes.py",
+     "if top > 8 * len(fx):",
+     "if False:",
+     [VALUE_TEST], "killed"),
+    # when every position is a row, the kernel's tree is indexed by f's
+    # values instead of its ranks
+    ("src/enumorder/prefixes.py",
+     "_fenwick_fail_at(f.ranks, gx)",
+     "_fenwick_fail_at(fx, gx)",
+     [VALUE_TEST], "killed"),
     # the restricted witness maps back one row too far
     ("src/enumorder/prefixes.py",
      "(rows[i - 1] + 1, rows[j - 1] + 1)",
      "(rows[i] + 1, rows[j] + 1)",
      [ROW_TEST], "killed"),
-    # g's restriction to the rows is read from f's ranks
+    # g's restriction to the rows is read from f's entries
     ("src/enumorder/prefixes.py",
-     "tuple(map(gr.__getitem__, rows))",
-     "tuple(map(fr.__getitem__, rows))",
+     "tuple(map(gx.__getitem__, rows))",
+     "tuple(map(fx.__getitem__, rows))",
      [ROW_TEST], "killed"),
     # a pair of equal patterns goes on to the row search and the kernel
     ("src/enumorder/prefixes.py",
-     "if fr == gr:",
+     "if fx == gx:",
      "if False:",
      ["tests/test_fast_paths.py::TestLeqEoFastPath::test_equal_patterns_skip_the_scan"],
      "killed"),

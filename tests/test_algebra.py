@@ -69,6 +69,11 @@ class TestTransport:
         with pytest.raises(LengthMismatch):
             transport(make_prefix([1, 2]), make_prefix([2, 1]), make_prefix([4]))
 
+    def test_h_prime_length_mismatch(self):
+        # h_prime is checked first, so g_prime's equal length does not hide it
+        with pytest.raises(LengthMismatch, match="^prefix lengths differ: 2 != 1$"):
+            transport(make_prefix([1, 2]), make_prefix([1]), make_prefix([4, 5]))
+
     @pytest.mark.parametrize("n", range(1, 5))
     def test_pattern_preserved_exhaustively(self, n):
         # whenever g' matches h' in pattern, the result matches h in pattern

@@ -3,15 +3,16 @@
 Each reference below is the straightforward loop: the double loop for the
 least reducibility witness, tuple.index for positions, the pairwise scan for
 chain repeats, and sorting the values for ranks.  The Fenwick kernel, on
-two rank tuples, leq_eo's inversion-mask path and its path through the rows
-that can fail, whose restrictions are rank tuples too, are checked
-exhaustively at small n, the last with the mask path switched off, and the
-public entries with hypothesis both up to leq_eo's small-n threshold and
-well above it, where one row search and one Fenwick scan run.  Inflating
-each value of a small permutation to a block carries the oracle's own least
-witness to 64 and 80 positions.  Up to 10^4 positions, past the double
-loop's reach, leq_eo's verdicts are checked against an identity of
-inversion counts that shares no code with the package.
+two rank tuples, leq_eo's inversion-mask path and its paths through the rows
+that can fail, read off the ranks or, on one value set, off the values, are
+checked exhaustively at small n, the last two with the mask path switched
+off, and the public entries with hypothesis both up to leq_eo's small-n
+threshold and well above it, where one row search and one Fenwick scan run.
+Inflating each value of a small permutation to a block carries the oracle's
+own least witness to 64 and 80 positions.  Up to 10^4 positions, past the
+double loop's reach, leq_eo's verdicts are checked against an identity of
+inversion counts that shares no code with the package, and at 2^16 the
+value path against the rank path on one pattern question.
 """
 
 import itertools
@@ -30,6 +31,7 @@ from enumorder.prefixes import (
     LEQ_EO_MAX_DIFFERING,
     LEQ_EO_SMALL_N,
     PrefixListing,
+    _differing,
     _fenwick_fail_at,
     _ranks,
     _rows_that_can_fail,
@@ -111,8 +113,10 @@ seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
 
 @st.composite
-def listing_pairs(draw, max_n=MAX_N):
-    """Two permutations of 1..n, the second relabelled to other values.
+def listing_pairs(draw, max_n=MAX_N, relabel=True):
+    """Two permutations of 1..n, the second relabelled to other values, or
+    with relabel=False both relabelled alike, so that they list one value
+    set, under leq_eo's flag bound of 8n or, scaled by 9, above it.
 
     Either independent, or a copy of the first with one planted value swap
     (so the only possible witness can sit anywhere, deep in the listing
@@ -145,8 +149,9 @@ def listing_pairs(draw, max_n=MAX_N):
         g = plant_value_swap(g, min(k, n - 1))
     else:
         g = f
-    scale = draw(st.integers(min_value=1, max_value=3))
-    return f, tuple(scale * v + 7 for v in g)
+    scale = draw(st.sampled_from([1, 2, 3] if relabel else [1, 3, 9]))
+    g = tuple(scale * v + 7 for v in g)
+    return (f, g) if relabel else (tuple(scale * v + 7 for v in f), g)
 
 
 class TestFenwickKernel:
@@ -203,11 +208,84 @@ class TestRowRestriction:
         relabelled = [PrefixListing(tuple(3 * v + 7 for v in p)) for p in perms]
         for fv, f in zip(perms, listings):
             for gv, g in zip(perms, relabelled):
-                rows = _rows_that_can_fail(f.ranks, g.ranks)
+                rows = _rows_that_can_fail(f.ranks, g.ranks, _differing(f.ranks, g.ranks))
                 assert rows == sorted(set(rows))
                 kept = set(rows)
                 assert all(i in kept and j in kept for i, j in failing_pairs(fv, gv))
                 assert leq_eo(f, g).fail_at == least_witness(fv, gv)
+
+
+def reads_values(fv, gv):
+    """Whether leq_eo should decide fv against gv on their values, with no
+    ranks: they list one value set and differ at a few positions, and flags
+    over the values are needed only while max(fv) <= 8n."""
+    differ = [d for d in range(len(fv)) if fv[d] != gv[d]]
+    if sorted(fv) != sorted(gv) or len(differ) > LEQ_EO_MAX_DIFFERING:
+        return False
+    return all(abs(fv[d] - gv[d]) == 1 for d in differ) or max(fv, default=0) <= 8 * len(fv)
+
+
+class TestValueRows:
+    @pytest.mark.parametrize("n", [*range(6), pytest.param(6, marks=pytest.mark.slow)])
+    def test_exhaustive_on_one_value_set(self, n, monkeypatch):
+        # every ordered pair on f's own values 1..n, on a shared sparse set
+        # under the flags' bound of 8n and on one above it, and with g alone
+        # relabelled onto another set.  With the mask path off, a pair on one
+        # value set takes its rows from the values, which hold both ends of
+        # each failing pair, and g's ranks are built only on the rank path
+        monkeypatch.setattr(prefixes, "LEQ_EO_SMALL_N", 0)
+        searched = []
+
+        def recording_search(fx, gx, differ):
+            searched.append((fx, _rows_that_can_fail(fx, gx, differ)))
+            return searched[-1][1]
+
+        monkeypatch.setattr(prefixes, "_rows_that_can_fail", recording_search)
+        perms = list(itertools.permutations(range(1, n + 1)))
+        sets = [perms, *([tuple(map(label, p)) for p in perms]
+                         for label in (lambda v: 3 * v + 7, lambda v: 9 * v))]
+        for k, fp in enumerate(perms):
+            for m, gp in enumerate(perms):
+                want = least_witness(fp, gp)
+                ends = set(itertools.chain.from_iterable(failing_pairs(fp, gp)))
+                for fv, gv in [(s[k], s[m]) for s in sets] + [(fp, sets[1][m])]:
+                    f, g = PrefixListing(fv), PrefixListing(gv)
+                    del searched[:]
+                    assert leq_eo(f, g).fail_at == want
+                    on_values = reads_values(fv, gv)
+                    assert ("ranks" in vars(g)) != on_values
+                    if on_values and searched:
+                        (fx, rows), = searched
+                        assert fx is fv and rows == sorted(ends.union(rows))
+
+    @settings(deadline=None)
+    @given(listing_pairs(relabel=False))
+    def test_least_witness_on_one_value_set(self, pair):
+        fv, gv = pair
+        f, g = PrefixListing(fv), PrefixListing(gv)
+        assert leq_eo(f, g).fail_at == least_witness(fv, gv)
+        assert leq_eo(g, f).fail_at == least_witness(gv, fv)
+
+    @pytest.mark.parametrize("n", [LEQ_EO_SMALL_N + 1, 400])
+    def test_the_ranks_decide_the_rest(self, n):
+        # a pair whose differing positions hold values the other lacks lists
+        # two value sets, and a swap on a sparse set above 8n needs flags
+        # over the values that would cost more than the ranks: both are read
+        # through ranks.  An integer-adjacent swap on that set needs no flags
+        rng = random.Random(n)
+        fp = tuple(rng.sample(range(1, n + 1), n))
+        others = list(fp)
+        for p in rng.sample(range(n), 3):
+            others[p] += n
+        sparse = lambda p: tuple({2: 10}.get(v, 9 * v) for v in p)
+        for fv, gv, ranked in [
+                (fp, tuple(others), True),
+                (sparse(fp), sparse(plant_value_swap(fp, 2)), True),
+                (sparse(fp), sparse(plant_value_swap(fp, 1)), False)]:
+            f, g = PrefixListing(fv), PrefixListing(gv)
+            assert leq_eo(f, g).fail_at == least_witness(fv, gv)
+            assert leq_eo(g, f).fail_at == least_witness(gv, fv)
+            assert ("ranks" in vars(f)) == ("ranks" in vars(g)) == ranked
 
 
 class TestLeqEoFastPath:
@@ -248,11 +326,13 @@ class TestLeqEoFastPath:
     @pytest.mark.parametrize("n", [LEQ_EO_SMALL_N + 1, 4096])
     def test_equal_patterns_skip_the_scan(self, n, monkeypatch):
         # each call above the mask path searches its rows at most once and
-        # runs the kernel at most once; the lists hold each one's row count
+        # runs the kernel at most once; the lists hold each one's row count.
+        # Equal values hold before the search, and so do equal patterns on
+        # two value sets, after a multiset test that fails at once
         searched, scanned = [], []
 
-        def counting_search(f, g):
-            rows = _rows_that_can_fail(f, g)
+        def counting_search(f, g, differ):
+            rows = _rows_that_can_fail(f, g, differ)
             searched.append(None if rows is None else len(rows))
             return rows
 
@@ -266,12 +346,15 @@ class TestLeqEoFastPath:
         f, g = PrefixListing(fv), PrefixListing(tuple(3 * v + 7 for v in fv))
         assert leq_eo(f, g).holds and leq_eo(g, f).holds and leq_eo(f, f).holds
         assert searched == scanned == []
-        # a value swap is decided by one kernel call on its two positions
+        # a value swap is decided by one kernel call on its two positions,
+        # read off the values
         swapped = PrefixListing(plant_value_swap(fv, 1))
         leq_eo(f, swapped)
         leq_eo(swapped, f)
         assert searched == scanned == [2, 2]
-        # an independent shuffle differs nearly everywhere: the kernel scans all n
+        # an independent shuffle differs nearly everywhere: the values' D is
+        # past the limit, so the ranks are searched once and the kernel
+        # scans all n
         shuffled = PrefixListing(tuple(random.Random(n + 1).sample(fv, n)))
         leq_eo(f, shuffled)
         leq_eo(shuffled, f)
@@ -286,9 +369,12 @@ class TestLeqEoFastPath:
 
     @pytest.mark.parametrize("n", [LEQ_EO_SMALL_N + 1, 4096])
     def test_only_f_restriction_is_ranked(self, n, monkeypatch):
-        # with both listings' ranks warm, a value swap ranks one restriction
-        # per direction, f's, which indexes the kernel's tree; g's is passed
-        # as its ranks at the rows.  The list holds each call's length
+        # a value swap on one value set ranks one restriction per direction,
+        # f's, which indexes the kernel's tree; g's is passed as its values
+        # at the rows, and neither listing's ranks are built.  The same
+        # swap relabelled onto two value sets is read through both warm
+        # ranks, and again only f's restriction is ranked.  The list holds
+        # each call's length
         ranked = []
 
         def counting_ranks(seq):
@@ -296,11 +382,16 @@ class TestLeqEoFastPath:
             return _ranks(seq)
 
         fv = tuple(random.Random(n).sample(range(1, n + 1), n))
-        f, g = PrefixListing(fv), PrefixListing(plant_value_swap(fv, 1))
-        assert len(f.ranks) == len(g.ranks) == n  # both warm
+        gv = plant_value_swap(fv, 1)
         monkeypatch.setattr(prefixes, "_ranks", counting_ranks)
+        f, g = PrefixListing(fv), PrefixListing(gv)
         verdicts = [leq_eo(f, g).fail_at, leq_eo(g, f).fail_at]
         assert verdicts.count(None) == 1
+        assert ranked == [2, 2]
+        relabelled = PrefixListing(tuple(3 * v + 7 for v in gv))
+        assert len(f.ranks) == len(relabelled.ranks) == n  # both warm
+        del ranked[:]
+        assert [leq_eo(f, relabelled).fail_at, leq_eo(relabelled, f).fail_at] == verdicts
         assert ranked == [2, 2]
 
     @pytest.mark.parametrize("n", [LEQ_EO_SMALL_N + 1, 4096])
@@ -313,7 +404,7 @@ class TestLeqEoFastPath:
         # after the patch is undone
         fv = tuple(random.Random(n).sample(range(1, n + 1), n))
         f, g = PrefixListing(fv), PrefixListing(plant_value_swap(fv, 1))
-        assert len(_rows_that_can_fail(f.ranks, g.ranks)) == 2
+        assert len(_rows_that_can_fail(f.values, g.values, _differing(f.values, g.values))) == 2
         init = PrefixListing.__init__.__code__
         built = []
 
@@ -340,17 +431,27 @@ class TestLeqEoFastPath:
 
     @pytest.mark.parametrize("n", [LEQ_EO_SMALL_N + 1, 4096])
     def test_the_scan_caches_only_ranks(self, n):
-        # the row search and the Fenwick kernel read only ranks, so the only
-        # index leq_eo leaves on a listing above the small path is its ranks
+        # the row search and the Fenwick kernel read only values or ranks,
+        # so the only index leq_eo leaves on a listing above the small path
+        # is its ranks.  A pair on one value set that differs at a few
+        # positions, or not at all, leaves none (f's ranks only when every
+        # position is a row); one that differs nearly everywhere, or lists
+        # two value sets, leaves both listings' ranks
         fv = tuple(random.Random(n).sample(range(1, n + 1), n))
         adjacent = list(fv)
         adjacent[n // 2], adjacent[n // 2 + 1] = adjacent[n // 2 + 1], adjacent[n // 2]
-        others = [tuple(range(1, n + 1)), tuple(adjacent), plant_value_swap(fv, n // 2), fv]
-        for gv in others:
+        others = [
+            (tuple(range(1, n + 1)), ["ranks"]),
+            (tuple(3 * v + 7 for v in fv), ["ranks"]),
+            (tuple(adjacent), []),
+            (plant_value_swap(fv, n // 2), []),
+            (fv, []),
+        ]
+        for gv, cached in others:
             f, g = PrefixListing(fv), PrefixListing(gv)
             leq_eo(f, g)
             leq_eo(g, f)
-            assert list(vars(f)) == list(vars(g)) == ["ranks"]
+            assert list(vars(f)) == list(vars(g)) == cached
 
 
 def merge_inversions(values):
@@ -431,6 +532,34 @@ class TestLeqEoAtLargeN:
             if not verdict.holds:
                 i, j = verdict.fail_at
                 assert i < j and fv[i - 1] > fv[j - 1] and gv[i - 1] < gv[j - 1]
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("kind", ["value-adjacent swaps", "distant swap"])
+    def test_values_and_ranks_agree(self, kind):
+        # f and g list one sparse value set at n = 2^16, so leq_eo reads
+        # their rows off the values; g relabelled to other values has g's
+        # pattern, and is read through ranks.  One pattern question, asked
+        # of both paths, in both directions
+        n = 2**16
+        rng = random.Random(kind)
+        perm = tuple(rng.sample(range(1, n + 1), n))
+        if kind == "distant swap":
+            w = n // 3
+            planted = plant_value_swap(perm, rng.randrange(1, n - w + 1), w)
+        else:
+            planted = perm
+            for _ in range(5):
+                planted = plant_value_swap(planted, rng.randrange(1, n))
+        values = sorted(rng.sample(range(1, 4 * n), n))
+        f = PrefixListing(tuple(values[r - 1] for r in perm))
+        g = PrefixListing(tuple(values[r - 1] for r in planted))
+        relabelled = PrefixListing(tuple(3 * values[r - 1] + 7 for r in planted))
+        verdicts = [leq_eo(f, g), leq_eo(g, f)]
+        assert "ranks" not in vars(g)
+        assert verdicts == [leq_eo(f, relabelled), leq_eo(relabelled, f)]
+        for (a, b), verdict in zip([(f, g), (g, f)], verdicts):
+            i, j = verdict.fail_at
+            assert i < j and a(i) > a(j) and b(i) < b(j)
 
 
 def inflate(perm, m):

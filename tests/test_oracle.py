@@ -17,7 +17,7 @@ from enumorder.prefixes import (
 # the oracle calls the prefixes functions through its own names, and imports
 # the others from their modules when a checker runs: a fault planted in a
 # target goes on the module that the oracle reads it from
-OWNERS = {"transport": algebra, "chain_stabilize": algebra,
+OWNERS = {"transport": algebra, "chain_stabilize": algebra, "Chain": algebra,
           "check_inverse_positions": extraction}
 
 

@@ -4,7 +4,7 @@ Each reference below is the straightforward form of a checker in
 `enumorder.oracle`: it recomputes its per-prefix facts inside the n!^2 or
 n!^3 loop.  The table-driven checkers must give the same instance count,
 sorted violations and witness at every n up to the cap, and under every
-fault planted in `tests/test_oracle.py`, plus three probes that make
+fault planted in `tests/test_oracle.py`, plus five probes that make
 every instance report: then the violations list every triple, pair or
 random chain a checker examined, so equal violations mean the tables select
 the same instances and the random walks are unchanged.
@@ -18,7 +18,7 @@ import pytest
 
 from enumorder.algebra import Chain, chain_stabilize, transport
 from enumorder.extraction import check_inverse_positions
-from enumorder.oracle import REGISTRY, _prefixes
+from enumorder.oracle import REGISTRY, _prefixes, run_property
 from enumorder.prefixes import (
     Pattern,
     PrefixListing,
@@ -98,7 +98,7 @@ def _check_transport(n: int):
     return count, violations, None
 
 
-def _random_descending_chain(rng, prefixes, inv, length: int) -> Chain:
+def _random_descending_chain(rng, prefixes, inv, length: int):
     # each draw is seq[int(rng.random() * len(seq))], as the checker's
     current = prefixes[int(rng.random() * len(prefixes))]
     chain = [current]
@@ -106,7 +106,7 @@ def _random_descending_chain(rng, prefixes, inv, length: int) -> Chain:
         below = [p for p in prefixes if inv[p.values] <= inv[current.values]]
         current = below[int(rng.random() * len(below))]
         chain.append(current)
-    return Chain(tuple(chain))
+    return tuple(chain)
 
 
 def _check_stabilization(n: int):
@@ -118,7 +118,7 @@ def _check_stabilization(n: int):
     inv = {p.values: inversions(p) for p in prefixes}
     walks = 200
     for _ in range(walks):
-        chain = _random_descending_chain(rng, prefixes, inv, length)
+        chain = Chain(_random_descending_chain(rng, prefixes, inv, length))
         found = chain_stabilize(chain)
         # independent pairwise scan, minimizing (j, i)
         expected = None
@@ -178,10 +178,30 @@ def _stabilize_echoes_chain(c):
     return c.listings
 
 
+def _transport_returns_h(h, h_prime, g_prime):
+    # keeps h's pattern, on h's own values in place of g_prime's
+    return h
+
+
+class _ChainOfLiftedListings(Chain):
+    """Each listing lifted above the one before it, so no walk repeats; its
+    validate accepts the lifted chain, which the real one refuses."""
+
+    def __init__(self, listings):
+        n = len(listings[0].values)
+        super().__init__(tuple(PrefixListing(tuple(v + k * n for v in p.values))
+                               for k, p in enumerate(listings)))
+
+    def validate(self):
+        pass
+
+
 PROBES = [
     ("probe", 0, "leq_eo", _leq_eo_within_one_inversion),
     ("probe", 0, "check_inverse_positions", _clauses_fail_everywhere),
     ("probe", 0, "chain_stabilize", _stabilize_echoes_chain),
+    ("probe", 0, "transport", _transport_returns_h),
+    ("probe", 0, "Chain", _ChainOfLiftedListings),
 ]
 
 # each distinct fault, against every rewritten checker whose reference
@@ -195,6 +215,19 @@ FAULT_CASES = sorted(
     },
     key=lambda case: (case[0], case[1], case[2].__name__),
 )
+
+
+@pytest.mark.parametrize("pid, target, fault, violation", [
+    ("transport", "transport", _transport_returns_h, "transport leaves target values: "),
+    ("stabilization", "Chain", _ChainOfLiftedListings, "chain of length 5 without repeat: "),
+], ids=["transport", "stabilization"])
+def test_fault_reaches_its_violation(monkeypatch, pid, target, fault, violation):
+    # the only violation these faults cause, at each instance the checker
+    # examines: each is the one fault that reaches its line
+    monkeypatch.setattr(owner(target), target, fault)
+    report = run_property(pid, 3)
+    assert report.violations and all(v.startswith(violation) for v in report.violations)
+    assert len(report.violations) == report.instances
 
 
 @pytest.mark.parametrize(

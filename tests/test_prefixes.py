@@ -65,6 +65,12 @@ class TestMakePrefix:
         p = make_prefix([5, 9])
         assert p(1) == 5 and p(2) == 9
 
+    @pytest.mark.parametrize("position", [0, 3, -1])
+    def test_position_outside_is_refused(self, position):
+        # a tuple would read position 0 or -1 from the end
+        with pytest.raises(IndexError, match=rf"^position {position} outside 1\.\.2$"):
+            make_prefix([5, 9])(position)
+
 
 class TestHead:
     VALUES = (7, 3, 9, 1, 4)
