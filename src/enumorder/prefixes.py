@@ -316,16 +316,11 @@ def leq_eo(f: PrefixListing, g: PrefixListing) -> ReducibilityVerdict:
     Returns the lexicographically least violating (i, j) on failure.  Up to
     LEQ_EO_SMALL_N positions the inversions missing from g are one AND-NOT
     of the cached `inversion_mask`s, and the lowest missing bit is the least
-    witness.  Above it, D, the positions where the values differ, is found
-    by a lazy scan that stops past LEQ_EO_MAX_DIFFERING; equal values hold
-    at once.  f and g agree outside D, so when D's f-values and g-values are
-    one multiset they list one value set, where the values order positions
-    as the ranks do: the rows that can fail (`_rows_that_can_fail`) are
-    read off the values, in O(n) C-level passes and with no rank sort.
-    Every other pair, and one whose rows would need value flags above 8n,
-    is read through its cached ranks: equal patterns hold at once, and D is
-    found again on them.  One Fenwick scan (`_fenwick_fail_at`), in
-    O(n log n) time and O(n) space, then finds the witness: on f's ranks
+    witness.  Above it, the rows that can fail (`_rows_that_can_fail`) are
+    read off the values, in O(n) C-level passes and with no rank sort, and
+    only when the values give none, off the cached ranks; equal values, or
+    equal patterns, hold at once.  One Fenwick scan (`_fenwick_fail_at`),
+    in O(n log n) time and O(n) space, then finds the witness: on f's ranks
     and g's entries when there are no rows or every position is one, else
     on f and g restricted to the rows, f's restriction ranked.  A pair of
     rows fails in the restrictions exactly when it fails in f and g, and
@@ -340,20 +335,13 @@ def leq_eo(f: PrefixListing, g: PrefixListing) -> ReducibilityVerdict:
         if not missing:
             return _HOLDS
         return _failure_at(missing & -missing, n)
-    fx, gx = f.values, g.values
-    differ = _differing(fx, gx)
-    if not differ:
-        return _HOLDS
-    rows = None
-    # f and g agree outside D, so they list one value set when D's f-values
-    # and g-values are one multiset; a D cut at the limit gets no rows
-    if sorted(map(fx.__getitem__, differ)) == sorted(map(gx.__getitem__, differ)):
-        rows = _rows_that_can_fail(fx, gx, differ)
-    if rows is None:
-        fx, gx = f.ranks, g.ranks
+    for kind in ("values", "ranks"):
+        fx, gx = getattr(f, kind), getattr(g, kind)
         if fx == gx:
             return _HOLDS
-        rows = _rows_that_can_fail(fx, gx, _differing(fx, gx))
+        rows = _rows_that_can_fail(fx, gx)
+        if rows is not None:
+            break
     if rows is None or len(rows) == n:
         fail_at = _fenwick_fail_at(f.ranks, gx)
     else:
@@ -365,21 +353,15 @@ def leq_eo(f: PrefixListing, g: PrefixListing) -> ReducibilityVerdict:
     return _HOLDS if fail_at is None else ReducibilityVerdict(fail_at=fail_at)
 
 
-def _differing(fx: Tuple[int, ...], gx: Tuple[int, ...]) -> List[int]:
-    """The 0-based positions where fx and gx differ, by one lazy C-level
-    scan that stops at LEQ_EO_MAX_DIFFERING + 1 of them."""
-    return list(islice(compress(count(), map(ne, fx, gx)), LEQ_EO_MAX_DIFFERING + 1))
-
-
-def _rows_that_can_fail(fx: Tuple[int, ...], gx: Tuple[int, ...],
-                        differ: List[int]) -> Optional[List[int]]:
+def _rows_that_can_fail(fx: Tuple[int, ...], gx: Tuple[int, ...]) -> Optional[List[int]]:
     """0-based positions, ascending, that hold both ends of every failing
-    pair of leq_eo(f, g), given D = `_differing(fx, gx)`.  fx and gx are f's
-    and g's ranks, or their values when f and g list one value set; either
-    way each g-entry of D is an f-entry of D.  None when D is past
-    LEQ_EO_MAX_DIFFERING, or when the flags below would take a byte per
-    value up to max(fx) > 8n, more than the 8 bytes per position of a
-    ranks tuple.
+    pair of leq_eo(f, g), where fx and gx are f's and g's values or their
+    ranks: any two equal-length tuples of distinct ints >= 1.  D, the
+    positions where they differ, is found by a lazy C-level scan that stops
+    past LEQ_EO_MAX_DIFFERING.  None when D is past it, or is every
+    position, where the rows would save nothing; or when the flags below
+    would take a byte per value up to max(fx) > 8n, more than the 8 bytes
+    per position of a ranks tuple.
 
     A failing pair i < j has f-entries a > b and g-entries a' < b', so an
     end d lies in D: else a = a' < b' = b < a.  The other end lies in D
@@ -388,19 +370,23 @@ def _rows_that_can_fail(fx: Tuple[int, ...], gx: Tuple[int, ...],
     those intervals.  An interval of two adjacent integers holds no v, so a
     pair whose entries differ by 1 at each position of D keeps D alone.
     """
-    if len(differ) > LEQ_EO_MAX_DIFFERING:
+    differ = list(islice(compress(count(), map(ne, fx, gx)), LEQ_EO_MAX_DIFFERING + 1))
+    if len(differ) > LEQ_EO_MAX_DIFFERING or len(differ) == len(fx):
         return None
     if all(abs(fx[d] - gx[d]) == 1 for d in differ):
         return differ
     top = max(fx)
     if top > 8 * len(fx):
         return None
-    # flag each closed interval: its ends are f-entries of D, so one C-level
-    # gather of the flags at fx keeps D and the positions inside.  D holds
-    # two positions here, so fx does too, and itemgetter returns a tuple
+    # flag each closed interval: an end is an entry of D, which no position
+    # outside D holds in f or in g, so one C-level gather of the flags at fx
+    # keeps D and the positions inside.  Clipping at top, above which no
+    # f-entry lies, changes no gathered flag and keeps a huge g-entry from
+    # sizing the flags.  D holds a position and misses one, so fx holds
+    # two, and itemgetter returns a tuple
     flags = bytearray(top + 1)
     for d in differ:
-        lo, hi = sorted((fx[d], gx[d]))
+        lo, hi = sorted((fx[d], min(gx[d], top)))
         flags[lo : hi + 1] = b"\1" * (hi - lo + 1)
     return list(compress(count(), itemgetter(*fx)(flags)))
 

@@ -52,12 +52,19 @@ MUTANTS = [
      'flags[lo : hi + 1] = b"\\1" * (hi - lo + 1)',
      'flags[lo + 1 : hi] = b"\\1" * (hi - lo - 1)',
      [VALUE_TEST], "killed"),
-    # every pair that differs at a few positions is read off its values,
-    # two value sets included
+    # a pair that differs at every position is read off its values, not
+    # handed to its ranks
     ("src/enumorder/prefixes.py",
-     "if sorted(map(fx.__getitem__, differ)) == sorted(map(gx.__getitem__, differ)):",
-     "if True:",
+     " or len(differ) == len(fx):",
+     ":",
      [VALUE_TEST], "killed"),
+    # the flagged intervals are not clipped at max(f), so a g-value far
+    # above it sizes the flags
+    ("src/enumorder/prefixes.py",
+     "min(gx[d], top)",
+     "gx[d]",
+     ["tests/test_fast_paths.py::TestValueRows::test_the_ranks_decide_the_rest"],
+     "killed"),
     # values above 8n are flagged, at more bytes than the ranks they replace
     ("src/enumorder/prefixes.py",
      "if top > 8 * len(fx):",

@@ -4,10 +4,11 @@ Each reference below is the straightforward loop: the double loop for the
 least reducibility witness, tuple.index for positions, the pairwise scan for
 chain repeats, and sorting the values for ranks.  The Fenwick kernel, on
 two rank tuples, leq_eo's inversion-mask path and its paths through the rows
-that can fail, read off the ranks or, on one value set, off the values, are
-checked exhaustively at small n, the last two with the mask path switched
-off, and the public entries with hypothesis both up to leq_eo's small-n
-threshold and well above it, where one row search and one Fenwick scan run.
+that can fail, read off the values or else off the ranks, are checked
+exhaustively at small n, the last two with the mask path switched off, and
+the public entries with hypothesis both up to leq_eo's small-n threshold and
+well above it, where a row search on the values, then perhaps on the ranks,
+and one Fenwick scan run.
 Inflating each value of a small permutation to a block carries the oracle's
 own least witness to 64 and 80 positions.  Up to 10^4 positions, past the
 double loop's reach, leq_eo's verdicts are checked against an identity of
@@ -31,7 +32,6 @@ from enumorder.prefixes import (
     LEQ_EO_MAX_DIFFERING,
     LEQ_EO_SMALL_N,
     PrefixListing,
-    _differing,
     _fenwick_fail_at,
     _ranks,
     _rows_that_can_fail,
@@ -208,7 +208,10 @@ class TestRowRestriction:
         relabelled = [PrefixListing(tuple(3 * v + 7 for v in p)) for p in perms]
         for fv, f in zip(perms, listings):
             for gv, g in zip(perms, relabelled):
-                rows = _rows_that_can_fail(f.ranks, g.ranks, _differing(f.ranks, g.ranks))
+                rows = _rows_that_can_fail(f.ranks, g.ranks)
+                if rows is None:  # every position differs
+                    assert all(a != b for a, b in zip(f.ranks, g.ranks))
+                    rows = list(range(n))
                 assert rows == sorted(set(rows))
                 kept = set(rows)
                 assert all(i in kept and j in kept for i, j in failing_pairs(fv, gv))
@@ -217,38 +220,45 @@ class TestRowRestriction:
 
 def reads_values(fv, gv):
     """Whether leq_eo should decide fv against gv on their values, with no
-    ranks: they list one value set and differ at a few positions, and flags
-    over the values are needed only while max(fv) <= 8n."""
+    ranks: they are equal, or differ at a few positions but not at all of
+    them, and flags over the values are needed only while max(fv) <= 8n."""
     differ = [d for d in range(len(fv)) if fv[d] != gv[d]]
-    if sorted(fv) != sorted(gv) or len(differ) > LEQ_EO_MAX_DIFFERING:
+    if not differ:
+        return True
+    if len(differ) > LEQ_EO_MAX_DIFFERING or len(differ) == len(fv):
         return False
-    return all(abs(fv[d] - gv[d]) == 1 for d in differ) or max(fv, default=0) <= 8 * len(fv)
+    return all(abs(fv[d] - gv[d]) == 1 for d in differ) or max(fv) <= 8 * len(fv)
 
 
 class TestValueRows:
     @pytest.mark.parametrize("n", [*range(6), pytest.param(6, marks=pytest.mark.slow)])
     def test_exhaustive_on_one_value_set(self, n, monkeypatch):
-        # every ordered pair on f's own values 1..n, on a shared sparse set
-        # under the flags' bound of 8n and on one above it, and with g alone
-        # relabelled onto another set.  With the mask path off, a pair on one
-        # value set takes its rows from the values, which hold both ends of
-        # each failing pair, and g's ranks are built only on the rank path
+        # every ordered pair on f's own values 1..n and on a shared sparse
+        # set under the flags' bound of 8n; up to n = 4 also on a shared set
+        # above it, and with g alone relabelled onto another set, whose flags
+        # are clipped at max(f).  With the mask path off, a pair that differs
+        # at a few positions, not all, takes its rows from the values, which
+        # hold both ends of each failing pair, and g's ranks are built only
+        # on the rank path
         monkeypatch.setattr(prefixes, "LEQ_EO_SMALL_N", 0)
         searched = []
 
-        def recording_search(fx, gx, differ):
-            searched.append((fx, _rows_that_can_fail(fx, gx, differ)))
+        def recording_search(fx, gx):
+            searched.append((fx, _rows_that_can_fail(fx, gx)))
             return searched[-1][1]
 
         monkeypatch.setattr(prefixes, "_rows_that_can_fail", recording_search)
         perms = list(itertools.permutations(range(1, n + 1)))
-        sets = [perms, *([tuple(map(label, p)) for p in perms]
-                         for label in (lambda v: 3 * v + 7, lambda v: 9 * v))]
+        sparse = [tuple(3 * v + 7 for v in p) for p in perms]
+        families = [(perms, perms), (sparse, sparse)]
+        if n <= 4:
+            nine = [tuple(9 * v for v in p) for p in perms]
+            families += [(nine, nine), (perms, sparse)]
         for k, fp in enumerate(perms):
             for m, gp in enumerate(perms):
                 want = least_witness(fp, gp)
                 ends = set(itertools.chain.from_iterable(failing_pairs(fp, gp)))
-                for fv, gv in [(s[k], s[m]) for s in sets] + [(fp, sets[1][m])]:
+                for fv, gv in [(fs[k], gs[m]) for fs, gs in families]:
                     f, g = PrefixListing(fv), PrefixListing(gv)
                     del searched[:]
                     assert leq_eo(f, g).fail_at == want
@@ -268,20 +278,25 @@ class TestValueRows:
 
     @pytest.mark.parametrize("n", [LEQ_EO_SMALL_N + 1, 400])
     def test_the_ranks_decide_the_rest(self, n):
-        # a pair whose differing positions hold values the other lacks lists
-        # two value sets, and a swap on a sparse set above 8n needs flags
-        # over the values that would cost more than the ranks: both are read
-        # through ranks.  An integer-adjacent swap on that set needs no flags
+        # a swap on a sparse set above 8n needs flags over the values that
+        # would cost more than the ranks, so it is read through ranks.  An
+        # integer-adjacent swap on that set needs no flags.  A pair on two
+        # value sets, f's top three values replaced in g by three others in
+        # reverse order, is read off its values both ways.  A g-value of
+        # 2**64 above max(f) is read off the values through flags clipped at
+        # max(f), and the other way round, through ranks
         rng = random.Random(n)
         fp = tuple(rng.sample(range(1, n + 1), n))
-        others = list(fp)
-        for p in rng.sample(range(n), 3):
-            others[p] += n
+        others, huge = list(fp), list(fp)
+        for v in range(n - 2, n + 1):
+            others[fp.index(v)] = 3 * n - v
+        huge[fp.index(n // 2)] = 2**64
         sparse = lambda p: tuple({2: 10}.get(v, 9 * v) for v in p)
         for fv, gv, ranked in [
-                (fp, tuple(others), True),
                 (sparse(fp), sparse(plant_value_swap(fp, 2)), True),
-                (sparse(fp), sparse(plant_value_swap(fp, 1)), False)]:
+                (sparse(fp), sparse(plant_value_swap(fp, 1)), False),
+                (fp, tuple(others), False),
+                (fp, tuple(huge), True)]:
             f, g = PrefixListing(fv), PrefixListing(gv)
             assert leq_eo(f, g).fail_at == least_witness(fv, gv)
             assert leq_eo(g, f).fail_at == least_witness(gv, fv)
@@ -325,14 +340,16 @@ class TestLeqEoFastPath:
 
     @pytest.mark.parametrize("n", [LEQ_EO_SMALL_N + 1, 4096])
     def test_equal_patterns_skip_the_scan(self, n, monkeypatch):
-        # each call above the mask path searches its rows at most once and
-        # runs the kernel at most once; the lists hold each one's row count.
-        # Equal values hold before the search, and so do equal patterns on
-        # two value sets, after a multiset test that fails at once
+        # each call above the mask path searches its rows at most once on
+        # its values, then at most once on its ranks, and runs the kernel at
+        # most once; the lists hold each one's row count, None for no rows.
+        # Equal values hold before any search.  Equal patterns on two value
+        # sets differ at every position, or past the limit, so the value
+        # search gives no rows and they hold before the rank search
         searched, scanned = [], []
 
-        def counting_search(f, g, differ):
-            rows = _rows_that_can_fail(f, g, differ)
+        def counting_search(f, g):
+            rows = _rows_that_can_fail(f, g)
             searched.append(None if rows is None else len(rows))
             return rows
 
@@ -345,27 +362,29 @@ class TestLeqEoFastPath:
         fv = tuple(random.Random(n).sample(range(1, n + 1), n))
         f, g = PrefixListing(fv), PrefixListing(tuple(3 * v + 7 for v in fv))
         assert leq_eo(f, g).holds and leq_eo(g, f).holds and leq_eo(f, f).holds
-        assert searched == scanned == []
+        assert searched == [None, None] and scanned == []
         # a value swap is decided by one kernel call on its two positions,
         # read off the values
         swapped = PrefixListing(plant_value_swap(fv, 1))
+        del searched[:]
         leq_eo(f, swapped)
         leq_eo(swapped, f)
         assert searched == scanned == [2, 2]
-        # an independent shuffle differs nearly everywhere: the values' D is
-        # past the limit, so the ranks are searched once and the kernel
+        # an independent shuffle differs nearly everywhere, and the kernel
         # scans all n
         shuffled = PrefixListing(tuple(random.Random(n + 1).sample(fv, n)))
+        del searched[:]
         leq_eo(f, shuffled)
         leq_eo(shuffled, f)
-        assert len(searched) == 4 and scanned == [2, 2, n, n]
+        assert len(searched) <= 4 and scanned == [2, 2, n, n]
         # a swap w values apart keeps w + 1 rows: past the mask path's reach
-        # at 4096, and each call still searches once
+        # at 4096, and each call searches once
         w = min(LEQ_EO_SMALL_N + 8, n - 2)
         moved = PrefixListing(plant_value_swap(fv, 1, w))
+        del searched[:]
         leq_eo(f, moved)
         leq_eo(moved, f)
-        assert searched[4:] == scanned[4:] == [w + 1, w + 1]
+        assert searched == scanned[4:] == [w + 1, w + 1]
 
     @pytest.mark.parametrize("n", [LEQ_EO_SMALL_N + 1, 4096])
     def test_only_f_restriction_is_ranked(self, n, monkeypatch):
@@ -404,7 +423,7 @@ class TestLeqEoFastPath:
         # after the patch is undone
         fv = tuple(random.Random(n).sample(range(1, n + 1), n))
         f, g = PrefixListing(fv), PrefixListing(plant_value_swap(fv, 1))
-        assert len(_rows_that_can_fail(f.values, g.values, _differing(f.values, g.values))) == 2
+        assert len(_rows_that_can_fail(f.values, g.values)) == 2
         init = PrefixListing.__init__.__code__
         built = []
 
@@ -433,10 +452,10 @@ class TestLeqEoFastPath:
     def test_the_scan_caches_only_ranks(self, n):
         # the row search and the Fenwick kernel read only values or ranks,
         # so the only index leq_eo leaves on a listing above the small path
-        # is its ranks.  A pair on one value set that differs at a few
-        # positions, or not at all, leaves none (f's ranks only when every
-        # position is a row); one that differs nearly everywhere, or lists
-        # two value sets, leaves both listings' ranks
+        # is its ranks.  A pair that differs at a few positions, or not at
+        # all, leaves none (f's ranks only when every position is a row);
+        # one that differs nearly everywhere, as a relabelling does, leaves
+        # both listings' ranks
         fv = tuple(random.Random(n).sample(range(1, n + 1), n))
         adjacent = list(fv)
         adjacent[n // 2], adjacent[n // 2 + 1] = adjacent[n // 2 + 1], adjacent[n // 2]
