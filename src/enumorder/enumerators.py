@@ -27,7 +27,7 @@ from bisect import bisect_right
 from typing import Callable, List, Optional, Tuple
 
 from .errors import EnumOrderError, SpecParseError, TooLarge
-from .prefixes import PrefixListing, parse_naturals
+from .prefixes import PrefixListing, _unchecked, parse_naturals
 
 # a drain at this size from a cold start, in process, takes 0.69-0.86 s with
 # halt:rm, the slower model, and 0.46-0.54 s with halt:collatz (2-core host,
@@ -38,8 +38,9 @@ from .prefixes import PrefixListing, parse_naturals
 # settles 800,000 (38.4 MB; see Dovetail).
 MAX_BUDGET = 200_000
 
-# called as e(budget, n), returning a checked PrefixListing or a head of
-# one; see the module docstring
+# called as e(budget, n), returning a PrefixListing: a checked one, or a
+# head of one or of a Dovetail's codes, which are distinct and >= 1 by
+# construction; see the module docstring
 Enumerator = Callable[[int, int], PrefixListing]
 
 # A halting model over codes 1, 2, ...: steps(code, cap) is the simulation
@@ -78,19 +79,16 @@ class Dovetail:
 
     Each code up to `settled` is either emitted or running, and a running
     code is simulated again from its first step in each later epoch.
-    `codes` is one PrefixListing of every emission, rebuilt through its
-    checking constructor at the end of each epoch, so each epoch checks
-    every code emitted so far, not only its own: a cold drain, one epoch,
-    checks each code once, and a run of growing reads checks the early
-    codes again.  A call's answer is then
+    `codes` is one PrefixListing of every emission, joined at the end of
+    each epoch without the constructor's checks: an epoch's codes come from
+    `running` or from `range(settled + 1, end + 1)`, so they are >= 1,
+    distinct, and none of them is kept already.  A call's answer is then
     `codes.head`, one tuple slice of the int objects the epochs made, with
     no check and no new int.  `rounds` stays an array('i') of 4 bytes a
     round, since only bisect_right reads it, ~18 probes a call.  A kept
     code, emitted (a 32-byte int as tracemalloc counts it, an 8-byte tuple
     slot with no spare slots, and its round) or running (the int and a list
-    slot), takes ~44 bytes and under 48.  An epoch releases its scratch
-    lists before the check runs, so the check's set does not raise the
-    drain's peak.
+    slot), takes ~44 bytes and under 48.
     Through take_prefix, rounds past MAX_BUDGET run only for a call of
     n <= MAX_BUDGET values, from a settled round with fewer than n
     emissions.  Both models emit MAX_BUDGET codes by round 2 * MAX_BUDGET,
@@ -133,11 +131,7 @@ class Dovetail:
         self.rounds.fromlist(list(map(round_of.__getitem__, emitted)))
         self.running = still
         self.settled = end
-        # freed before the check builds its set: held through it, they raise
-        # the peak of a 200,000 drain by 34-42%
-        del round_of, running
-        emitted[:0] = self.codes.values
-        self.codes = PrefixListing(tuple(emitted))
+        self.codes = _unchecked(self.codes.values + tuple(emitted))
 
 
 def take_prefix(e: Enumerator, n: int, budget: int) -> PrefixListing:

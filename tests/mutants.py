@@ -166,6 +166,31 @@ MUTANTS = [
      ["tests/test_oracle.py::TestRunProperty::test_passes_at_small_n[stabilization]",
       "tests/test_oracle_reference.py::test_matches_reference_up_to_cap[stabilization]"],
      "killed"),
+    # the ranks are the argsort itself, not its inverse: the position of
+    # each rank in place of the rank of each position.  (Ordinal against
+    # dense ranks, an older row's mutant, has no counterpart: construction
+    # refuses repeats, so the two agree on every tuple _ranks is handed)
+    ("src/enumorder/prefixes.py",
+     "ranks[k] = rank",
+     "ranks[rank - 1] = k + 1",
+     ["tests/test_fast_paths.py::TestRanks::test_matches_sorted_index"], "killed"),
+    # the parent reads a report for every job, so a job the child claimed
+    # and never reported is not run again here
+    ("src/enumorder/oracle.py",
+     "report = reports[i] if i in reports else run_property(*job)",
+     "report = reports[i]",
+     ["tests/test_oracle.py::TestRunProperties::test_child_dies"], "killed"),
+    # the killed child is never reaped, so it is left for the caller to wait for
+    ("src/enumorder/oracle.py",
+     "os.waitpid(child, 0)",
+     "pass",
+     ["tests/test_oracle.py::TestRunProperties::test_child_reaped_before_the_first_report"],
+     "killed"),
+    # stabilize reads one chain listing past the line-count cap
+    ("src/enumorder/cli.py",
+     "if len(listings) > max_listings:",
+     "if len(listings) > max_listings + 1:",
+     ["tests/test_cli.py::TestInputLimits::test_chain_past_the_listing_cap"], "killed"),
     # each derived index is stored under another key, so every read builds
     # it again
     ("src/enumorder/prefixes.py",
@@ -205,6 +230,21 @@ MUTANTS = [
      "",
      ["tests/test_enumerators.py::TestRegisterMachineCycleCut::"
       "test_shrunk_register_is_not_cut"], "killed"),
+    # an epoch keeps every code it ran as running, emitted ones too, so the
+    # next epoch emits them again; the epoch's join checks nothing, so only
+    # the schedule's own tests can see the repeat
+    ("src/enumorder/enumerators.py",
+     "self.running = still",
+     "self.running = running",
+     ["tests/test_enumerators.py::TestLazyDovetailMatchesEager::"
+      "test_fixed_rounds_below_and_above_budget"], "killed"),
+    # an epoch starts at the settled round, so it runs that round's last
+    # code again, and emits it again if it halts
+    ("src/enumorder/enumerators.py",
+     "range(self.settled + 1, end + 1)",
+     "range(self.settled, end + 1)",
+     ["tests/test_enumerators.py::TestSharedSchedule::test_calls_below_the_settled_round"],
+     "killed"),
 ]
 
 
