@@ -13,9 +13,10 @@ Each command is one ``COMMANDS`` entry: its number of prefix sources, its
 extra arguments, and a function yielding ``(json_obj, text, exit_code)``
 rows.  ``main`` prints each row and exits with the highest code; ``text``
 is a zero-argument callable, called only for ``--format text``, so JSON
-output never builds the text rendering.  The argparse parser is built once
-per process, on the first ``main`` call, and is only read after that: each
-parse makes a fresh namespace.
+output never builds the text rendering.  Rows carry the library's tuples
+uncopied, which ``json.dumps`` writes as arrays.  The argparse parser is
+built once per process, on the first ``main`` call, and is only read after
+that: each parse makes a fresh namespace.
 
 A command loads only the modules it runs.  This module imports ``errors``
 and ``prefixes``, which every prefix source needs; the rest are imported
@@ -178,7 +179,7 @@ def _compare(args, f: PrefixListing, g: PrefixListing) -> Iterator[Row]:
         "f_le_g": fg.holds,
         "g_le_f": gf.holds,
         "equiv": equiv,
-        "fail_at": list(fail_at) if fail_at else None,
+        "fail_at": fail_at,
     }
     text = f"f <=eo g: {fg.holds}; g <=eo f: {gf.holds}; equivalent: {equiv}"
     if fail_at:
@@ -215,13 +216,13 @@ def _decide(args) -> Iterator[Row]:
 def _pattern(args, p: PrefixListing) -> Iterator[Row]:
     """Standardized rank sequence of a prefix."""
     ranks = p.ranks
-    yield {"values": list(p.values), "pattern": list(ranks)}, lambda: _words(ranks), EXIT_OK
+    yield {"values": p.values, "pattern": ranks}, lambda: _words(ranks), EXIT_OK
 
 
 def _inversions(args, p: PrefixListing) -> Iterator[Row]:
     """Inverted position pairs of a prefix."""
-    pairs = sorted(inversions(p))
-    obj = {"values": list(p.values), "inversions": [list(pr) for pr in pairs]}
+    pairs = inversions(p)
+    obj = {"values": p.values, "inversions": pairs}
     yield obj, lambda: " ".join(f"({i},{j})" for i, j in pairs) or "(none)", EXIT_OK
 
 
@@ -230,7 +231,7 @@ def _transport(args, h, h_prime, g_prime) -> Iterator[Row]:
     from .algebra import transport
 
     result = transport(h, h_prime, g_prime)
-    yield {"result": list(result.values)}, lambda: _words(result.values), EXIT_OK
+    yield {"result": result.values}, lambda: _words(result.values), EXIT_OK
 
 
 def _stabilize(args) -> Iterator[Row]:
@@ -248,7 +249,7 @@ def _stabilize(args) -> Iterator[Row]:
             raise TooLarge("chain listings", len(listings), max_listings)
     chain = Chain(tuple(listings))
     repeat = chain_stabilize(chain)
-    obj = {"length": len(chain), "repeat": list(repeat) if repeat else None}
+    obj = {"length": len(chain), "repeat": repeat}
     yield obj, lambda: f"repeat at {repeat}" if repeat else "no repeat in chain", EXIT_OK
 
 
@@ -295,14 +296,14 @@ def _enumerate(args) -> Iterator[Row]:
 
     e = enumerators.parse_spec(args.spec)
     p = enumerators.take_prefix(e, args.prefix_len, args.budget)
-    yield {"spec": args.spec, "values": list(p.values)}, lambda: _words(p.values), EXIT_OK
+    yield {"spec": args.spec, "values": p.values}, lambda: _words(p.values), EXIT_OK
 
 
 def _chain_make(args) -> Iterator[Row]:
     """Maximal strictly descending chain."""
     from .algebra import make_strict_chain
 
-    listings = [list(p.values) for p in make_strict_chain(args.n).listings]
+    listings = [p.values for p in make_strict_chain(args.n).listings]
     obj = {"n": args.n, "chain": listings}
     yield obj, lambda: "\n".join(_words(values) for values in listings), EXIT_OK
 

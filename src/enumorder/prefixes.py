@@ -9,7 +9,7 @@ to g when every inversion of f is also an inversion of g.
 from __future__ import annotations
 
 import functools
-from itertools import compress, count, islice
+from itertools import compress, count, islice, repeat
 from operator import and_, gt, itemgetter, lt, ne
 from typing import Iterable, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
@@ -34,9 +34,9 @@ LEQ_EO_SMALL_N = 32
 LEQ_EO_MAX_DIFFERING = 64
 
 # inversions on a reversed listing of this many positions builds its 523,776
-# pairs in 0.14-0.29 s at 77 MB peak RSS; the `inversions` command, which
-# also sorts and prints them, takes 0.75-0.82 s and 125 MB as a subprocess
-# (2 cores, Python 3.11).  The pairs grow four times per doubling
+# pairs in 0.14-0.21 s at 66 MB peak RSS; the `inversions` command, which
+# also prints them, takes 0.50-0.63 s and 80 MB as a subprocess (2 cores,
+# Python 3.11).  The pairs grow four times per doubling
 MAX_INVERSIONS_N = 1024
 
 
@@ -294,8 +294,9 @@ def make_prefix(values: Iterable[int]) -> PrefixListing:
     return PrefixListing(tuple(values))
 
 
-def inversions(p: PrefixListing) -> frozenset:
-    """All position pairs (i, j), i < j, with p(i) > p(j).
+def inversions(p: PrefixListing) -> Tuple[PositionPair, ...]:
+    """All position pairs (i, j), i < j, with p(i) > p(j), as a tuple in
+    lexicographic order: row i is one C-level scan of the values after i.
 
     Refuses more than MAX_INVERSIONS_N positions with TooLarge: the scan
     visits all n(n-1)/2 pairs, and the answer can hold as many.
@@ -304,11 +305,10 @@ def inversions(p: PrefixListing) -> frozenset:
     n = len(vals)
     if n > MAX_INVERSIONS_N:
         raise TooLarge("prefix length", n, MAX_INVERSIONS_N)
-    return frozenset(
+    return tuple(
         (i, j)
-        for i in range(1, n + 1)
-        for j in range(i + 1, n + 1)
-        if vals[i - 1] > vals[j - 1]
+        for i, v in enumerate(vals, 1)
+        for j in compress(range(i + 1, n + 1), map(gt, repeat(v), vals[i:]))
     )
 
 

@@ -119,6 +119,12 @@ MUTANTS = [
      "range(bound - 1, -1, -1)",
      "range(bound - 2, -1, -1)",
      [KERNEL_TEST], "killed"),
+    # each row of inversions compares its value with the values from one
+    # position too far right, so j is paired with p(j + 1)
+    ("src/enumorder/prefixes.py",
+     "map(gt, repeat(v), vals[i:])",
+     "map(gt, repeat(v), vals[i + 1:])",
+     ["tests/test_prefixes.py::TestInversions::test_matches_double_loop"], "killed"),
     # an absent value is looked up at position 0 instead of refused
     ("src/enumorder/prefixes.py",
      'raise EnumOrderError(f"value not enumerated in prefix: {v}") from None',

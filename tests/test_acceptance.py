@@ -99,7 +99,7 @@ def test_criterion_04_inverse_position_clauses_s5(capsys):
         evaluated = 0
         for f, g in itertools.product(perms, repeat=2):
             scanned += 1
-            if not inversions(f) <= inversions(g):
+            if not frozenset(inversions(f)) <= frozenset(inversions(g)):
                 continue
             evaluated += 1
             if not check_inverse_positions(f, g).all_hold:
@@ -131,7 +131,7 @@ def test_criterion_06_chains_of_length_8_repeat(capsys):
         import random
 
         perms = [PrefixListing(p) for p in itertools.permutations(range(1, 5))]
-        inv = {p: inversions(p) for p in perms}
+        inv = {p: frozenset(inversions(p)) for p in perms}
         rng = random.Random("acceptance-06")
         for _ in range(500):
             current = rng.choice(perms)

@@ -355,9 +355,9 @@ class TestPropertyIds:
 PAIR_FILE = "1 4 2 6\n2 6 4 8\nm=1\n"
 CHAIN_FILE = "4 3 2 1\n4 3 1 2\n4 2 1 3\n4 1 2 3\n3 1 2 4\n2 1 3 4\n1 2 3 4\n"
 
-# Every README CLI example, then each again in the other --format; stdout
-# bytes and exit codes as first recorded.  pair.txt holds PAIR_FILE and
-# chain.txt the chain-make output, as in the README.
+# Every README CLI example, then each again in the other --format, then two
+# edge cases; stdout bytes and exit codes as first recorded.  pair.txt holds
+# PAIR_FILE and chain.txt the chain-make output, as in the README.
 README_GOLDEN = [
     (("compare", "even", "nminus:1", "--prefix-len", "1000"), 0,
      '{"f_le_g": true, "g_le_f": true, "equiv": true, "fail_at": null}\n'),
@@ -462,6 +462,9 @@ README_GOLDEN = [
      '28, 29, 30, 32, 33, 34, 36, 37, 39, 40, 42, 41, 43, 45, 44, 46, 48, 49, 50, 52], '
      '"pattern": [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, '
      '22, 23, 24, 25, 26, 27, 28, 29, 30, 32, 31, 33, 35, 34, 36, 37, 38, 39, 40]}\n'),
+    # not in the README: the n = 0 and n = 1 ends of inversions' row scan
+    (("inversions", "inline", "[]"), 0, '{"values": [], "inversions": []}\n'),
+    (("inversions", "inline", "7", "--format", "text"), 0, '(none)\n'),
 ]
 
 

@@ -81,7 +81,7 @@ class TestInversePositions:
             PrefixListing(tuple(p))
             for p in itertools.permutations(range(1, n + 1))
         ]
-        inv = {p: inversions(p) for p in perms}
+        inv = {p: frozenset(inversions(p)) for p in perms}
         for f, g in itertools.product(perms, repeat=2):
             if not inv[f] <= inv[g]:
                 continue

@@ -68,7 +68,7 @@ def _check_inverse_position_clauses(n: int):
     count = 0
     for f, g in itertools.product(prefixes, repeat=2):
         count += 1
-        if not inversions(f) <= inversions(g):
+        if not frozenset(inversions(f)) <= frozenset(inversions(g)):
             continue
         report = check_inverse_positions(f, g)
         if not report.all_hold:
@@ -115,7 +115,7 @@ def _check_stabilization(n: int):
     length = n * (n - 1) // 2 + 2
     rng = random.Random(f"stabilization:{n}")
     prefixes = _prefixes(n)
-    inv = {p.values: inversions(p) for p in prefixes}
+    inv = {p.values: frozenset(inversions(p)) for p in prefixes}
     walks = 200
     for _ in range(walks):
         chain = Chain(_random_descending_chain(rng, prefixes, inv, length))

@@ -169,20 +169,20 @@ class TestParseNaturals:
 
 class TestInversions:
     def test_ascending_has_none(self):
-        assert inversions(make_prefix([2, 4, 6, 8])) == frozenset()
+        assert inversions(make_prefix([2, 4, 6, 8])) == ()
 
     def test_single_descent(self):
-        assert inversions(make_prefix([3, 1, 2])) == {(1, 2), (1, 3)}
+        assert inversions(make_prefix([3, 1, 2])) == ((1, 2), (1, 3))
 
     def test_full_reversal(self):
-        assert inversions(make_prefix([3, 2, 1])) == {(1, 2), (1, 3), (2, 3)}
+        assert inversions(make_prefix([3, 2, 1])) == ((1, 2), (1, 3), (2, 3))
 
     @given(distinct_naturals)
     def test_matches_double_loop(self, values):
-        assert inversions(make_prefix(values)) == brute_inversions(values)
+        assert inversions(make_prefix(values)) == tuple(sorted(brute_inversions(values)))
 
     def test_refuses_more_than_the_cap(self):
-        assert inversions(make_prefix(range(1, MAX_INVERSIONS_N + 1))) == frozenset()
+        assert inversions(make_prefix(range(1, MAX_INVERSIONS_N + 1))) == ()
         with pytest.raises(TooLarge):
             inversions(make_prefix(range(1, MAX_INVERSIONS_N + 2)))
 
