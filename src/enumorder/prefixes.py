@@ -20,7 +20,7 @@ PositionPair = Tuple[int, int]
 # up to this length leq_eo ANDs cached inversion masks.  On 400 fresh random
 # pairs the mask path beats the rank path through 64 positions (32.6 against
 # 49.7 ms at 64) and loses at 96 (61.0 against 27.2 ms; 2 cores, Python
-# 3.11), so this is below the crossover; re-tuning it is ROADMAP item 5
+# 3.11), so this is below the crossover; re-tuning it is ROADMAP item 4
 LEQ_EO_SMALL_N = 32
 
 # above the small path, leq_eo decides a pair whose values, or else ranks,

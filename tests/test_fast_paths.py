@@ -2,13 +2,14 @@
 
 Each reference below is the straightforward loop: the double loop for the
 least reducibility witness, tuple.index for positions, the pairwise scan for
-chain repeats, and sorting the values for ranks.  The Fenwick kernel, on
-two rank tuples, leq_eo's inversion-mask path and its paths through the rows
-that can fail, read off the values or else off the ranks, are checked
-exhaustively at small n, the last two with the mask path switched off, and
-the public entries with hypothesis both up to leq_eo's small-n threshold and
-well above it, where a row search on the values, then perhaps on the ranks,
-and one Fenwick scan run.
+chain repeats, and sorting the values for ranks.  One exhaustive matrix at
+small n finds each ordered pair's failing pairs once and checks every path
+of leq_eo against them: the Fenwick kernel on two rank tuples, the
+inversion-mask path, and, with the mask path switched off, the rows that
+can fail, read off the values or else off the ranks, on each value-set
+family.  Hypothesis checks the public entries both up to leq_eo's small-n
+threshold and well above it, where a row search on the values, then perhaps
+on the ranks, and one Fenwick scan run.
 Inflating each value of a small permutation to a block carries the oracle's
 own least witness to 64 and 80 positions.  Up to 10^4 positions, past the
 double loop's reach, leq_eo's verdicts are checked against an identity of
@@ -155,16 +156,6 @@ def listing_pairs(draw, max_n=MAX_N, relabel=True):
 
 
 class TestFenwickKernel:
-    @pytest.mark.parametrize("n", [*range(6), pytest.param(6, marks=pytest.mark.slow)])
-    def test_exhaustive_on_permutations(self, n):
-        perms = [PrefixListing(p) for p in itertools.permutations(range(1, n + 1))]
-        for f, g in itertools.product(perms, repeat=2):
-            want = least_witness(f.values, g.values)
-            assert _fenwick_fail_at(f.ranks, g.ranks) == want
-            # g is only compared, so an increasing relabelling of its ranks,
-            # such as the g-ranks at leq_eo's rows, keeps the witness
-            assert _fenwick_fail_at(f.ranks, tuple(3 * r + 7 for r in g.ranks)) == want
-
     @pytest.mark.parametrize("n", range(5))
     def test_exhaustive_with_repeated_values(self, n):
         # the scan is never handed a repeat: construction refuses every
@@ -195,33 +186,11 @@ class TestRanks:
         assert _ranks(values) == tuple(ordered.index(v) + 1 for v in values)
 
 
-class TestRowRestriction:
-    @pytest.mark.parametrize("n", [*range(6), pytest.param(6, marks=pytest.mark.slow)])
-    def test_exhaustive_on_permutations(self, n, monkeypatch):
-        # every ordered pair, g relabelled: the rows and both restrictions
-        # come from ranks, and only f's restriction is ranked again.  With
-        # the mask path off, each pair goes through the equal-ranks check,
-        # the row search, the restriction and the kernel
-        monkeypatch.setattr(prefixes, "LEQ_EO_SMALL_N", 0)
-        perms = list(itertools.permutations(range(1, n + 1)))
-        listings = [PrefixListing(p) for p in perms]
-        relabelled = [PrefixListing(tuple(3 * v + 7 for v in p)) for p in perms]
-        for fv, f in zip(perms, listings):
-            for gv, g in zip(perms, relabelled):
-                rows = _rows_that_can_fail(f.ranks, g.ranks)
-                if rows is None:  # every position differs
-                    assert all(a != b for a, b in zip(f.ranks, g.ranks))
-                    rows = list(range(n))
-                assert rows == sorted(set(rows))
-                kept = set(rows)
-                assert all(i in kept and j in kept for i, j in failing_pairs(fv, gv))
-                assert leq_eo(f, g).fail_at == least_witness(fv, gv)
-
-
 def reads_values(fv, gv):
-    """Whether leq_eo should decide fv against gv on their values, with no
-    ranks: they are equal, or differ at a few positions but not at all of
-    them, and flags over the values are needed only while max(fv) <= 8n."""
+    """Whether leq_eo should decide fv against gv, a pair's values or its
+    ranks, on those entries: they are equal, or differ at a few positions
+    but not at all of them, and flags over the entries are needed only while
+    max(fv) <= 8n.  On the values, no rank is then built."""
     differ = [d for d in range(len(fv)) if fv[d] != gv[d]]
     if not differ:
         return True
@@ -230,52 +199,61 @@ def reads_values(fv, gv):
     return all(abs(fv[d] - gv[d]) == 1 for d in differ) or max(fv) <= 8 * len(fv)
 
 
+@pytest.mark.parametrize("n", [*range(6), pytest.param(6, marks=pytest.mark.slow)])
+def test_every_path_on_every_pair(n, monkeypatch):
+    # every ordered pair of permutations of 1..n, through each of leq_eo's
+    # paths, against the pair's failing pairs, found once by the double
+    # loop: the first is the least witness, and there are none exactly when
+    # f's inversions are a subset of g's
+    searched = []
+
+    def recording_search(fx, gx):
+        searched.append((fx, gx, _rows_that_can_fail(fx, gx)))
+        return searched[-1][2]
+
+    monkeypatch.setattr(prefixes, "_rows_that_can_fail", recording_search)
+    # undone after the test, whatever the loop below last set it to
+    monkeypatch.setattr(prefixes, "LEQ_EO_SMALL_N", LEQ_EO_SMALL_N)
+    perms = list(itertools.permutations(range(1, n + 1)))
+    sparse = [tuple(3 * v + 7 for v in p) for p in perms]
+    listings, relabelled = [[PrefixListing(p) for p in ps] for ps in (perms, sparse)]
+    inverted = {p: {(i, j) for i, j in itertools.combinations(range(n), 2) if p[i] > p[j]}
+                for p in perms}
+    # value-set families, f's listings and g's values: g's listing is built
+    # fresh for each pair, so its ranks show whether the rank path ran
+    families = [(listings, perms), (relabelled, sparse), (listings, sparse)]
+    if n <= 4:  # a shared set above the flags' bound of 8n
+        nine = [tuple(9 * v for v in p) for p in perms]
+        families.append(([PrefixListing(p) for p in nine], nine))
+    for k, fp in enumerate(perms):
+        for m, gp in enumerate(perms):
+            failing = failing_pairs(fp, gp)
+            want = (failing[0][0] + 1, failing[0][1] + 1) if failing else None
+            assert (not failing) == (inverted[fp] <= inverted[gp])
+            ends = set(itertools.chain.from_iterable(failing))
+            # a permutation of 1..n is its own ranks, and g is only
+            # compared, so an increasing relabelling of it keeps the witness
+            assert _fenwick_fail_at(fp, gp) == _fenwick_fail_at(fp, sparse[m]) == want
+            prefixes.LEQ_EO_SMALL_N = LEQ_EO_SMALL_N
+            assert leq_eo(listings[k], listings[m]).fail_at == want
+            assert leq_eo(listings[k], relabelled[m]).fail_at == want
+            # with the mask path off: the verdict, the path, and the rows,
+            # searched first on the values, then perhaps on the ranks
+            prefixes.LEQ_EO_SMALL_N = 0
+            for f, gv in [(fs[k], gs[m]) for fs, gs in families]:
+                fv, g = f.values, PrefixListing(gv)
+                del searched[:]
+                assert leq_eo(f, g).fail_at == want
+                assert ("ranks" in vars(g)) != reads_values(fv, gv)
+                assert not searched or searched[0][:2] == (fv, gv)
+                for fx, gx, rows in searched:
+                    if rows is None:
+                        assert not reads_values(fx, gx)
+                    else:
+                        assert rows == sorted(ends.union(rows))
+
+
 class TestValueRows:
-    @pytest.mark.parametrize("n", [*range(6), pytest.param(6, marks=pytest.mark.slow)])
-    def test_exhaustive_on_one_value_set(self, n, monkeypatch):
-        # every ordered pair on f's own values 1..n and on a shared sparse
-        # set under the flags' bound of 8n; up to n = 4 also on a shared set
-        # above it, and with g alone relabelled onto another set, whose flags
-        # are clipped at max(f).  With the mask path off, a pair that differs
-        # at a few positions, not all, takes its rows from the values, which
-        # hold both ends of each failing pair, and g's ranks are built only
-        # on the rank path
-        monkeypatch.setattr(prefixes, "LEQ_EO_SMALL_N", 0)
-        searched = []
-
-        def recording_search(fx, gx):
-            searched.append((fx, _rows_that_can_fail(fx, gx)))
-            return searched[-1][1]
-
-        monkeypatch.setattr(prefixes, "_rows_that_can_fail", recording_search)
-        perms = list(itertools.permutations(range(1, n + 1)))
-        sparse = [tuple(3 * v + 7 for v in p) for p in perms]
-        families = [(perms, perms), (sparse, sparse)]
-        if n <= 4:
-            nine = [tuple(9 * v for v in p) for p in perms]
-            families += [(nine, nine), (perms, sparse)]
-        for k, fp in enumerate(perms):
-            for m, gp in enumerate(perms):
-                want = least_witness(fp, gp)
-                ends = set(itertools.chain.from_iterable(failing_pairs(fp, gp)))
-                for fv, gv in [(fs[k], gs[m]) for fs, gs in families]:
-                    f, g = PrefixListing(fv), PrefixListing(gv)
-                    del searched[:]
-                    assert leq_eo(f, g).fail_at == want
-                    on_values = reads_values(fv, gv)
-                    assert ("ranks" in vars(g)) != on_values
-                    if on_values and searched:
-                        (fx, rows), = searched
-                        assert fx is fv and rows == sorted(ends.union(rows))
-
-    @settings(deadline=None)
-    @given(listing_pairs(relabel=False))
-    def test_least_witness_on_one_value_set(self, pair):
-        fv, gv = pair
-        f, g = PrefixListing(fv), PrefixListing(gv)
-        assert leq_eo(f, g).fail_at == least_witness(fv, gv)
-        assert leq_eo(g, f).fail_at == least_witness(gv, fv)
-
     @pytest.mark.parametrize("n", [LEQ_EO_SMALL_N + 1, 400])
     def test_the_ranks_decide_the_rest(self, n):
         # a swap on a sparse set above 8n needs flags over the values that
@@ -304,27 +282,15 @@ class TestValueRows:
 
 
 class TestLeqEoFastPath:
-    @pytest.mark.parametrize("n", range(6))
-    def test_exhaustive_on_permutations(self, n):
-        # every ordered pair, g relabelled so that only its pattern agrees
-        perms = list(itertools.permutations(range(1, n + 1)))
-        listings = [PrefixListing(p) for p in perms]
-        relabelled = [PrefixListing(tuple(3 * v + 7 for v in p)) for p in perms]
-        for fv, f in zip(perms, listings):
-            for gv, g in zip(perms, relabelled):
-                assert leq_eo(f, g).fail_at == least_witness(fv, gv)
-
+    # pairs on two value sets, on one, and up to the mask path's cut-off;
+    # drawn through st.data, each strategy keeps its own examples
+    @pytest.mark.parametrize("pairs", [
+        listing_pairs(), listing_pairs(relabel=False), listing_pairs(max_n=LEQ_EO_SMALL_N)],
+        ids=["relabelled", "one-value-set", "mask-path"])
     @settings(deadline=None)
-    @given(listing_pairs())
-    def test_least_witness_both_directions(self, pair):
-        fv, gv = pair
-        f, g = PrefixListing(fv), PrefixListing(gv)
-        assert leq_eo(f, g).fail_at == least_witness(fv, gv)
-        assert leq_eo(g, f).fail_at == least_witness(gv, fv)
-
-    @given(listing_pairs(max_n=LEQ_EO_SMALL_N))
-    def test_least_witness_on_the_mask_path(self, pair):
-        fv, gv = pair
+    @given(data=st.data())
+    def test_least_witness_both_directions(self, pairs, data):
+        fv, gv = data.draw(pairs)
         f, g = PrefixListing(fv), PrefixListing(gv)
         assert leq_eo(f, g).fail_at == least_witness(fv, gv)
         assert leq_eo(g, f).fail_at == least_witness(gv, fv)
