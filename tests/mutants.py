@@ -27,9 +27,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 TIMEOUT_S = 600
 
-# at n = 4, the largest n at which the matrix also runs the (9v, 9v) family
-# above the flags' bound, which the `if top > 8 * len(fx):` row needs
-MATRIX_TEST = "tests/test_fast_paths.py::test_every_path_on_every_pair[4]"
+ROW_TEST = "tests/test_fast_paths.py::TestRowRestriction::test_exhaustive_on_permutations[3]"
+VALUE_TEST = "tests/test_fast_paths.py::TestValueRows::test_exhaustive_on_one_value_set[4]"
+KERNEL_TEST = "tests/test_fast_paths.py::TestFenwickKernel::test_exhaustive_on_permutations[4]"
+MASK_TEST = "tests/test_fast_paths.py::TestLeqEoFastPath::test_exhaustive_on_permutations[4]"
 RECORDS = "tests/test_extraction.py::TestInversePositionRecords"
 CLAUSES_TEST = RECORDS + "::test_clauses_are_evaluated_without_the_precondition[3]"
 SEEDED_TEST = RECORDS + "::test_seeded_pairs[33]"
@@ -41,18 +42,23 @@ MUTANTS = [
     ("src/enumorder/prefixes.py",
      "if all(abs(fx[d] - gx[d]) == 1 for d in differ):",
      "if True:",
-     [MATRIX_TEST], "killed"),
-    # each interval of values or ranks is flagged without its two ends
+     [ROW_TEST], "killed"),
+    # each interval of ranks is flagged without its two ends
     ("src/enumorder/prefixes.py",
      'flags[lo : hi + 1] = b"\\1" * (hi - lo + 1)',
      'flags[lo + 1 : hi] = b"\\1" * (hi - lo - 1)',
-     [MATRIX_TEST], "killed"),
+     [ROW_TEST], "killed"),
+    # each interval of values is flagged without its two ends
+    ("src/enumorder/prefixes.py",
+     'flags[lo : hi + 1] = b"\\1" * (hi - lo + 1)',
+     'flags[lo + 1 : hi] = b"\\1" * (hi - lo - 1)',
+     [VALUE_TEST], "killed"),
     # a pair that differs at every position is read off its values, not
     # handed to its ranks
     ("src/enumorder/prefixes.py",
      " or len(differ) == len(fx):",
      ":",
-     [MATRIX_TEST], "killed"),
+     [VALUE_TEST], "killed"),
     # the flagged intervals are not clipped at max(f), so a g-value far
     # above it sizes the flags
     ("src/enumorder/prefixes.py",
@@ -64,23 +70,23 @@ MUTANTS = [
     ("src/enumorder/prefixes.py",
      "if top > 8 * len(fx):",
      "if False:",
-     [MATRIX_TEST], "killed"),
+     [VALUE_TEST], "killed"),
     # when every position is a row, the kernel's tree is indexed by f's
     # values instead of its ranks
     ("src/enumorder/prefixes.py",
      "_fenwick_fail_at(f.ranks, gx)",
      "_fenwick_fail_at(fx, gx)",
-     [MATRIX_TEST], "killed"),
+     [VALUE_TEST], "killed"),
     # the restricted witness maps back one row too far
     ("src/enumorder/prefixes.py",
      "(rows[i - 1] + 1, rows[j - 1] + 1)",
      "(rows[i] + 1, rows[j] + 1)",
-     [MATRIX_TEST], "killed"),
+     [ROW_TEST], "killed"),
     # g's restriction to the rows is read from f's entries
     ("src/enumorder/prefixes.py",
      "tuple(map(gx.__getitem__, rows))",
      "tuple(map(fx.__getitem__, rows))",
-     [MATRIX_TEST], "killed"),
+     [ROW_TEST], "killed"),
     # a pair of equal patterns goes on to the row search and the kernel
     ("src/enumorder/prefixes.py",
      "if fx == gx:",
@@ -92,28 +98,28 @@ MUTANTS = [
     ("src/enumorder/prefixes.py",
      "if fr[j] < a and gr[j] > b)",
      "if fr[j] < a)",
-     [MATRIX_TEST], "killed"),
+     [KERNEL_TEST], "killed"),
     # the kernel's tree over the rows from the bound on is not built bottom-up
     ("src/enumorder/prefixes.py",
      "if up <= n and tree[up] < tree[r]:",
      "if False:",
-     [MATRIX_TEST], "killed"),
+     [KERNEL_TEST], "killed"),
     # the adjacent failure that bounds the scan is not the default answer
     ("src/enumorder/prefixes.py",
      "least = bound",
      "least = None",
-     [MATRIX_TEST], "killed"),
+     [KERNEL_TEST], "killed"),
     # each query reads one tree node instead of walking down to the first
     # node above the bound
     ("src/enumorder/prefixes.py",
      "while r and tree[r] < b:",
      "if r and tree[r] < b:",
-     [MATRIX_TEST], "killed"),
+     [KERNEL_TEST], "killed"),
     # the row just left of the bound is never queried
     ("src/enumorder/prefixes.py",
      "range(bound - 1, -1, -1)",
      "range(bound - 2, -1, -1)",
-     [MATRIX_TEST], "killed"),
+     [KERNEL_TEST], "killed"),
     # each row of inversions compares its value with the values from one
     # position too far right, so j is paired with p(j + 1)
     ("src/enumorder/prefixes.py",
@@ -159,7 +165,7 @@ MUTANTS = [
     ("src/enumorder/prefixes.py",
      "missing = f.inversion_mask & ~g.inversion_mask",
      "missing = g.inversion_mask & ~f.inversion_mask",
-     [MATRIX_TEST], "killed"),
+     [MASK_TEST], "killed"),
     # the small path decodes its witness one bit high
     ("src/enumorder/prefixes.py",
      "i, j = divmod(low.bit_length() - 1, n)",

@@ -2,14 +2,14 @@
 
 Each reference below is the straightforward loop: the double loop for the
 least reducibility witness, tuple.index for positions, the pairwise scan for
-chain repeats, and sorting the values for ranks.  One exhaustive matrix at
-small n finds each ordered pair's failing pairs once and checks every path
-of leq_eo against them: the Fenwick kernel on two rank tuples, the
-inversion-mask path, and, with the mask path switched off, the rows that
-can fail, read off the values or else off the ranks, on each value-set
-family.  Hypothesis checks the public entries both up to leq_eo's small-n
-threshold and well above it, where a row search on the values, then perhaps
-on the ranks, and one Fenwick scan run.
+chain repeats, and sorting the values for ranks.  At small n, conftest's
+every_pair finds each ordered pair's failing pairs once, and one sweep per
+path of leq_eo checks it against them: the Fenwick kernel on two rank
+tuples, the inversion-mask path, and, with the mask path switched off, the
+rows that can fail, read off the values or else off the ranks, for pairs
+on two value sets and on one.  Hypothesis checks the public entries both up
+to leq_eo's small-n threshold and well above it, where a row search on the
+values, then perhaps on the ranks, and one Fenwick scan run.
 Inflating each value of a small permutation to a block carries the oracle's
 own least witness to 64 and 80 positions.  Up to 10^4 positions, past the
 double loop's reach, leq_eo's verdicts are checked against an identity of
@@ -55,10 +55,24 @@ def least_witness(fv, gv):
     return None
 
 
-def failing_pairs(fv, gv):
-    # every 0-based (i, j), i < j, with fv[i] > fv[j] and gv[i] < gv[j]
-    n = len(fv)
-    return [(i, j) for i in range(n) for j in range(i + 1, n) if fv[i] > fv[j] and gv[i] < gv[j]]
+# n = 0..5, and 6 under -m slow, for a sweep over every ordered pair of
+# permutations of 1..n, against conftest's table of their failing pairs
+every_n = pytest.mark.parametrize(
+    "every_pair", [*range(6), pytest.param(6, marks=pytest.mark.slow)], indirect=True)
+
+
+def each_pair(every_pair):
+    """(k, m, least witness, failing pairs) for each ordered pair of the
+    table's permutations, f = perms[k] and g = perms[m]; the witness is
+    1-based, or None when no pair fails."""
+    for k, row in enumerate(every_pair[1]):
+        for m, failing in enumerate(row):
+            yield k, m, (failing[0][0] + 1, failing[0][1] + 1) if failing else None, failing
+
+
+def sparse_copies(perms):
+    # each permutation relabelled onto 3v + 7, a sparse set above 1..n
+    return [tuple(3 * v + 7 for v in p) for p in perms]
 
 
 def first_invalid(values):
@@ -156,6 +170,17 @@ def listing_pairs(draw, max_n=MAX_N, relabel=True):
 
 
 class TestFenwickKernel:
+    @every_n
+    def test_exhaustive_on_permutations(self, every_pair):
+        # a permutation of 1..n is its own ranks, and g is only compared, so
+        # an increasing relabelling of its ranks, such as the g-ranks at
+        # leq_eo's rows, keeps the witness
+        perms = every_pair[0]
+        sparse = sparse_copies(perms)
+        for k, m, want, _ in each_pair(every_pair):
+            fp = perms[k]
+            assert _fenwick_fail_at(fp, perms[m]) == _fenwick_fail_at(fp, sparse[m]) == want
+
     @pytest.mark.parametrize("n", range(5))
     def test_exhaustive_with_repeated_values(self, n):
         # the scan is never handed a repeat: construction refuses every
@@ -199,12 +224,14 @@ def reads_values(fv, gv):
     return all(abs(fv[d] - gv[d]) == 1 for d in differ) or max(fv) <= 8 * len(fv)
 
 
-@pytest.mark.parametrize("n", [*range(6), pytest.param(6, marks=pytest.mark.slow)])
-def test_every_path_on_every_pair(n, monkeypatch):
-    # every ordered pair of permutations of 1..n, through each of leq_eo's
-    # paths, against the pair's failing pairs, found once by the double
-    # loop: the first is the least witness, and there are none exactly when
-    # f's inversions are a subset of g's
+def check_families(every_pair, families, monkeypatch):
+    """Each ordered pair (k, m) through leq_eo with the mask path off, on
+    each family (fs, gs) of value sets: f = fs[k] on a listing shared across
+    the pairs, and g = gs[m] on a listing built fresh, so its ranks show
+    whether the rank path ran.  Checks the verdict, the path, and the rows
+    searched, first on the values, then perhaps on the ranks: sorted, and
+    holding both ends of every failing pair."""
+    monkeypatch.setattr(prefixes, "LEQ_EO_SMALL_N", 0)
     searched = []
 
     def recording_search(fx, gx):
@@ -212,48 +239,50 @@ def test_every_path_on_every_pair(n, monkeypatch):
         return searched[-1][2]
 
     monkeypatch.setattr(prefixes, "_rows_that_can_fail", recording_search)
-    # undone after the test, whatever the loop below last set it to
-    monkeypatch.setattr(prefixes, "LEQ_EO_SMALL_N", LEQ_EO_SMALL_N)
-    perms = list(itertools.permutations(range(1, n + 1)))
-    sparse = [tuple(3 * v + 7 for v in p) for p in perms]
-    listings, relabelled = [[PrefixListing(p) for p in ps] for ps in (perms, sparse)]
-    inverted = {p: {(i, j) for i, j in itertools.combinations(range(n), 2) if p[i] > p[j]}
-                for p in perms}
-    # value-set families, f's listings and g's values: g's listing is built
-    # fresh for each pair, so its ranks show whether the rank path ran
-    families = [(listings, perms), (relabelled, sparse), (listings, sparse)]
-    if n <= 4:  # a shared set above the flags' bound of 8n
-        nine = [tuple(9 * v for v in p) for p in perms]
-        families.append(([PrefixListing(p) for p in nine], nine))
-    for k, fp in enumerate(perms):
-        for m, gp in enumerate(perms):
-            failing = failing_pairs(fp, gp)
-            want = (failing[0][0] + 1, failing[0][1] + 1) if failing else None
-            assert (not failing) == (inverted[fp] <= inverted[gp])
-            ends = set(itertools.chain.from_iterable(failing))
-            # a permutation of 1..n is its own ranks, and g is only
-            # compared, so an increasing relabelling of it keeps the witness
-            assert _fenwick_fail_at(fp, gp) == _fenwick_fail_at(fp, sparse[m]) == want
-            prefixes.LEQ_EO_SMALL_N = LEQ_EO_SMALL_N
-            assert leq_eo(listings[k], listings[m]).fail_at == want
-            assert leq_eo(listings[k], relabelled[m]).fail_at == want
-            # with the mask path off: the verdict, the path, and the rows,
-            # searched first on the values, then perhaps on the ranks
-            prefixes.LEQ_EO_SMALL_N = 0
-            for f, gv in [(fs[k], gs[m]) for fs, gs in families]:
-                fv, g = f.values, PrefixListing(gv)
-                del searched[:]
-                assert leq_eo(f, g).fail_at == want
-                assert ("ranks" in vars(g)) != reads_values(fv, gv)
-                assert not searched or searched[0][:2] == (fv, gv)
-                for fx, gx, rows in searched:
-                    if rows is None:
-                        assert not reads_values(fx, gx)
-                    else:
-                        assert rows == sorted(ends.union(rows))
+    families = [([PrefixListing(fv) for fv in fs], gs) for fs, gs in families]
+    for k, m, want, failing in each_pair(every_pair):
+        ends = set(itertools.chain.from_iterable(failing))
+        for fs, gs in families:
+            f, gv = fs[k], gs[m]
+            fv, g = f.values, PrefixListing(gv)
+            del searched[:]
+            assert leq_eo(f, g).fail_at == want
+            assert ("ranks" in vars(g)) != reads_values(fv, gv)
+            assert not searched or searched[0][:2] == (fv, gv)
+            for fx, gx, rows in searched:
+                if rows is None:
+                    assert not reads_values(fx, gx)
+                else:
+                    assert rows == sorted(ends.union(rows))
+
+
+class TestRowRestriction:
+    @every_n
+    def test_exhaustive_on_permutations(self, every_pair, monkeypatch):
+        # every ordered pair, g relabelled: every position differs, so the
+        # rows come from the ranks, the permutations themselves, and both
+        # restrictions too.  Each pair goes through the row search, the
+        # restriction and the kernel
+        perms = every_pair[0]
+        check_families(every_pair, [(perms, sparse_copies(perms))], monkeypatch)
 
 
 class TestValueRows:
+    @every_n
+    def test_exhaustive_on_one_value_set(self, every_pair, monkeypatch):
+        # every ordered pair on f's own values 1..n and on a shared sparse
+        # set under the flags' bound of 8n, and up to n = 4 on a shared set
+        # above it.  A pair that differs at a few positions, not all, takes
+        # its rows from the values, and g's ranks are built only on the rank
+        # path
+        perms = every_pair[0]
+        sparse = sparse_copies(perms)
+        families = [(perms, perms), (sparse, sparse)]
+        if len(perms[0]) <= 4:
+            nine = [tuple(9 * v for v in p) for p in perms]
+            families.append((nine, nine))
+        check_families(every_pair, families, monkeypatch)
+
     @pytest.mark.parametrize("n", [LEQ_EO_SMALL_N + 1, 400])
     def test_the_ranks_decide_the_rest(self, n):
         # a swap on a sparse set above 8n needs flags over the values that
@@ -282,6 +311,17 @@ class TestValueRows:
 
 
 class TestLeqEoFastPath:
+    @every_n
+    def test_exhaustive_on_permutations(self, every_pair):
+        # every ordered pair at the default cut-off, on one value set and
+        # with g relabelled so that only its pattern agrees
+        perms = every_pair[0]
+        listings = [PrefixListing(p) for p in perms]
+        relabelled = [PrefixListing(p) for p in sparse_copies(perms)]
+        for k, m, want, _ in each_pair(every_pair):
+            assert leq_eo(listings[k], listings[m]).fail_at == want
+            assert leq_eo(listings[k], relabelled[m]).fail_at == want
+
     # pairs on two value sets, on one, and up to the mask path's cut-off;
     # drawn through st.data, each strategy keeps its own examples
     @pytest.mark.parametrize("pairs", [

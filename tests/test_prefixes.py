@@ -267,6 +267,17 @@ class TestLeqEo:
         g = make_prefix([2, 1, 3])
         assert leq_eo(f, g).fail_at == (1, 3)
 
+    @pytest.mark.parametrize("every_pair", range(5), indirect=True)
+    def test_subset_characterization_exhaustive(self, every_pair):
+        # f <=eo g holds exactly when no pair fails, by conftest's double
+        # loop, and exactly when f's inversions are a subset of g's
+        perms, failing = every_pair
+        listings = [PrefixListing(p) for p in perms]
+        inverted = [brute_inversions(p) for p in perms]
+        for f, fi, row in zip(listings, inverted, failing):
+            for g, gi, fails in zip(listings, inverted, row):
+                assert leq_eo(f, g).holds == (not fails) == (fi <= gi)
+
 
 class TestEquivEo:
     def test_doubling_vs_shift(self):
